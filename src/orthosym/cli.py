@@ -297,10 +297,9 @@ def _component_payload(c) -> dict:
 def _cmd_dynsys(args):
     if args.action == "equilibria":
         eq = dynsys.equilibria(args.mu)
-        lam = spectral.eig_sym(dynsys.guiding_matrix(args.mu)).lambdas
         payload = {
             "mu": args.mu,
-            "lambdas": _mat(lam),
+            "lambdas": _mat(eq.lambdas),
             "components": [_component_payload(c) for c in eq.components],
         }
         table = (

@@ -148,10 +148,12 @@ Component = Union[Origin, PointPair, Circle, Sphere]
 
 @dataclass(frozen=True)
 class EquilibriumSet:
-    """The classified equilibrium manifold of the guiding system at one mu."""
+    """The classified equilibrium manifold of the guiding system at one mu,
+    with the ascending spectrum it was classified from."""
 
     mu: float
     components: tuple[Component, ...]
+    lambdas: tuple[float, ...]
 
     def kinds(self) -> tuple[str, ...]:
         return tuple(c.kind for c in self.components)
@@ -189,7 +191,11 @@ def equilibria(mu: float, pos_tol: float | None = None) -> EquilibriumSet:
             components.append(Circle(basis=basis, radius=radius))
         else:
             components.append(Sphere(basis=basis, radius=radius))
-    return EquilibriumSet(mu=mu, components=tuple(components))
+    return EquilibriumSet(
+        mu=mu,
+        components=tuple(components),
+        lambdas=tuple(dec.lambdas.tolist()),
+    )
 
 
 def integrate(x0, mu: float, dt: float = 1e-2, steps: int = 10000) -> np.ndarray:
@@ -250,12 +256,11 @@ def sweep(mu_from: float, mu_to: float, samples: int) -> list[SweepRow]:
     previous = None
     for mu in np.linspace(mu_from, mu_to, samples):
         eq = equilibria(float(mu))
-        lam = eig_sym(guiding_matrix(float(mu))).lambdas
         inventory = eq.inventory()
         rows.append(
             SweepRow(
                 mu=float(mu),
-                lambdas=(float(lam[0]), float(lam[1]), float(lam[2])),
+                lambdas=eq.lambdas,
                 components=tuple(
                     (c.kind, float(c.radius)) for c in eq.components
                 ),

@@ -22,7 +22,7 @@ class StructureError(OrthosymError):
 
 
 class ConvergenceError(OrthosymError):
-    """An iterative solver did not reach its tolerance."""
+    """The eigensolver failed to converge."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)

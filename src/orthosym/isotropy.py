@@ -15,7 +15,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DimensionError, SizeCapError, StructureError
-from .spectral import SpectralDecomposition, as_matrix
+from .spectral import SpectralDecomposition, SymMatrix, as_matrix
 
 GAMMA2_MAX_N = 20
 MEMBER_TOL = 1e-8
@@ -250,16 +250,23 @@ def commutator_residual(a, g) -> float:
     return float(np.linalg.norm(gm @ am - am @ gm))
 
 
-def is_member(dec: SpectralDecomposition, g, tol: float = MEMBER_TOL) -> bool:
+def is_member(
+    dec: Union[SpectralDecomposition, SymMatrix, np.ndarray],
+    g,
+    tol: float = MEMBER_TOL,
+) -> bool:
     """Membership test via the commutation characterization: G belongs to the
     symmetry group iff it is orthogonal and commutes with the matrix.
     Checked directly (no recovery of the block factor), which is immune to
-    basis choices inside degenerate eigenspaces."""
+    basis choices inside degenerate eigenspaces.
+
+    ``dec`` is a decomposition, whose matrix is rebuilt, or the symmetric
+    matrix itself, which needs no decomposition at all."""
     gm = as_matrix(g)
-    a = dec.reconstruct()
+    a = dec.reconstruct() if isinstance(dec, SpectralDecomposition) else as_matrix(dec)
     if gm.shape != a.shape:
         raise DimensionError(f"shape mismatch: {a.shape} vs {gm.shape}")
-    n = dec.n
+    n = a.shape[0]
     if float(np.linalg.norm(gm @ gm.T - np.eye(n))) > tol * n:
         return False
     return commutator_residual(a, gm) <= tol * max(1.0, float(np.linalg.norm(a)))

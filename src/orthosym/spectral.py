@@ -1,9 +1,10 @@
 """Dense symmetric eigendecomposition with deterministic ordering and clustering.
 
 Everything downstream (symmetry groups, Procrustes, probes) is built on the
-factorization A = V^T diag(lambda) V computed here, with V stored row-wise:
-row i of V is the eigenvector for lambda_i.  Eigenvalues are sorted ascending
-and grouped into multiplicity clusters by a greedy gap rule.
+factorization A = V^T diag(lambda) V computed here by LAPACK (numpy's
+``eigh``), with V stored row-wise: row i of V is the eigenvector for
+lambda_i.  Eigenvalues are sorted ascending and grouped into multiplicity
+clusters by a greedy gap rule.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import numpy as np
 from .errors import ConvergenceError, DimensionError, SymmetryError
 
 DEFAULT_SYMTOL = 1e-10
-JACOBI_CONV_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 30
 
 
 def as_matrix(a) -> np.ndarray:
@@ -33,7 +32,14 @@ def check_symmetric(a, symtol: float = DEFAULT_SYMTOL) -> bool:
     m = as_matrix(a)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    return float(np.linalg.norm(m - m.T)) <= symtol * max(1.0, float(np.linalg.norm(m)))
+    scale = float(np.max(np.abs(m), initial=0.0))
+    if scale == 0.0:
+        return True
+    # the inequality above divided by max|A_ij|, whose norms can neither
+    # overflow nor underflow
+    b = m / scale
+    diff = float(np.linalg.norm(b - b.T))
+    return diff <= symtol * float(np.linalg.norm(b)) or diff * scale <= symtol
 
 
 @dataclass(frozen=True)
@@ -172,61 +178,6 @@ class SpectralDecomposition:
         return SpectralDecomposition(v, lam, clusters, self.cluster_tol, border)
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    # direct sum over off-diagonal entries; the ||A||^2 - ||diag||^2 shortcut
-    # cancels catastrophically near convergence
-    return float(np.linalg.norm(a - np.diag(np.diag(a))))
-
-
-def _jacobi(a: np.ndarray, conv_tol: float, max_sweeps: int):
-    """Cyclic Jacobi with row-major sweeps. Returns (diagonal, U) with
-    U^T A U diagonal (columns of U are eigenvectors)."""
-    n = a.shape[0]
-    u = np.eye(n)
-    norm_a = float(np.linalg.norm(a))
-    if n == 1 or norm_a == 0.0:
-        return np.diag(a).copy(), u
-    for _ in range(max_sweeps):
-        if _offdiag_norm(a) <= conv_tol * norm_a:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                diff = a[q, q] - a[p, p]
-                if 1e14 * abs(apq) <= abs(diff):
-                    t = apq / diff  # small-angle limit, avoids theta overflow
-                else:
-                    theta = diff / (2.0 * apq)
-                    if theta == 0.0:
-                        t = 1.0
-                    else:
-                        t = np.sign(theta) / (abs(theta) + np.hypot(1.0, theta))
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                u_p, u_q = u[:, p].copy(), u[:, q].copy()
-                u[:, p] = c * u_p - s * u_q
-                u[:, q] = s * u_p + c * u_q
-    else:
-        off = _offdiag_norm(a)
-        if off > conv_tol * norm_a:
-            raise ConvergenceError(
-                f"Jacobi iteration did not converge after {max_sweeps} sweeps "
-                f"(off-diagonal norm {off:.3e})",
-                residual=off,
-            )
-    return np.diag(a).copy(), u
-
-
 def _fix_signs(u: np.ndarray) -> np.ndarray:
     # sign convention: first entry of largest magnitude in each eigenvector
     # is positive (ties resolved by argmax taking the lowest index)
@@ -241,23 +192,29 @@ def eig_sym(
     a,
     cluster_tol: float | None = None,
     symtol: float = DEFAULT_SYMTOL,
-    conv_tol: float = JACOBI_CONV_TOL,
-    max_sweeps: int = JACOBI_MAX_SWEEPS,
 ) -> SpectralDecomposition:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix by LAPACK (numpy's ``eigh``).
 
-    Deterministic for fixed input: fixed row-major sweep order, ascending
-    eigenvalue sort (stable), and a fixed eigenvector sign convention, so two
-    calls on identical input produce bit-identical output.
+    Deterministic for fixed input: ascending eigenvalue sort (stable) and a
+    fixed eigenvector sign convention, so two calls on identical input give
+    bit-identical output, in one process or in processes that run BLAS with
+    different thread counts.
 
-    Raises ConvergenceError (carrying the residual) if the off-diagonal norm
-    has not dropped below ``conv_tol * ||A||_F`` after ``max_sweeps`` sweeps.
+    Raises ConvergenceError if LAPACK fails to converge.
     """
     sym = as_sym(a, symtol)
     work = (sym.entries + sym.entries.T) / 2.0
-    diag, u = _jacobi(work, conv_tol, max_sweeps)
+    # solve at max |A_ij| in [0.5, 1) and scale back by the same power of
+    # two: both steps are exact, so eig_sym(2^k A) = 2^k eig_sym(A), and
+    # LAPACK, which can fail to converge on a matrix of huge entries mixed
+    # with tiny ones, sees the same matrix at every scale
+    _, shift = np.frexp(np.max(np.abs(work), initial=0.0))
+    try:
+        diag, u = np.linalg.eigh(np.ldexp(work, -shift))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
     order = np.argsort(diag, kind="stable")
-    lam = diag[order]
+    lam = np.ldexp(diag[order], shift)
     u = _fix_signs(u[:, order])
     tol = default_cluster_tol(lam) if cluster_tol is None else float(cluster_tol)
     m = cluster_eigenvalues(lam, tol)

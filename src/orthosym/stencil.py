@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateProbeError, EvaluationError, MembershipError
 from .isotropy import is_member
-from .spectral import SpectralDecomposition, SymMatrix, as_matrix, eig_sym
+from .spectral import SpectralDecomposition, SymMatrix, as_matrix, as_sym, eig_sym
 
 MEMBERSHIP_TOL = 1e-6  # looser than the group default: the FD Hessian itself
                        # carries noise of order 1e-5 .. 1e-6
@@ -92,9 +92,9 @@ def hessian_decomposition(
     return eig_sym(hessian_fd(f, x, step))
 
 
-def _require_member(dec: SpectralDecomposition, gamma, label: str) -> np.ndarray:
+def _require_member(hess: SymMatrix, gamma, label: str) -> np.ndarray:
     g = as_matrix(gamma)
-    if not is_member(dec, g, tol=MEMBERSHIP_TOL):
+    if not is_member(hess, g, tol=MEMBERSHIP_TOL):
         raise MembershipError(
             f"{label} is not a symmetry of the Hessian at tolerance "
             f"{MEMBERSHIP_TOL:g}"
@@ -110,8 +110,8 @@ def second_diff(f: ScalarField, x, gamma, h, hessian=None) -> float:
     invariant under the group action.
     """
     pt = np.asarray(x, dtype=float)
-    dec = eig_sym(hessian) if hessian is not None else hessian_decomposition(f, pt)
-    g = _require_member(dec, gamma, "gamma")
+    hess = hessian_fd(f, pt) if hessian is None else as_sym(hessian)
+    g = _require_member(hess, gamma, "gamma")
     gh = g @ np.asarray(h, dtype=float)
     return f(pt + gh) - 2.0 * f(pt) + f(pt - gh)
 
@@ -157,9 +157,9 @@ def fourth_order_probe(f: ScalarField, x, g1, g2, h, hessian=None) -> StencilPro
     eigenvector of either symmetry, since the value is then uninformative.
     """
     pt = np.asarray(x, dtype=float)
-    dec = eig_sym(hessian) if hessian is not None else hessian_decomposition(f, pt)
-    m1 = _require_member(dec, g1, "gamma1")
-    m2 = _require_member(dec, g2, "gamma2")
+    hess = hessian_fd(f, pt) if hessian is None else as_sym(hessian)
+    m1 = _require_member(hess, g1, "gamma1")
+    m2 = _require_member(hess, g2, "gamma2")
     hv = np.asarray(h, dtype=float)
     _warn_degenerate_choice(m1, m2, hv)
     return StencilProbe(
@@ -178,9 +178,9 @@ def order_fit(f: ScalarField, x, g1, g2, h, levels: int = 5, hessian=None) -> fl
     if levels < 3:
         raise ValueError(f"levels must be at least 3, got {levels}")
     pt = np.asarray(x, dtype=float)
-    dec = eig_sym(hessian) if hessian is not None else hessian_decomposition(f, pt)
-    m1 = _require_member(dec, g1, "gamma1")
-    m2 = _require_member(dec, g2, "gamma2")
+    hess = hessian_fd(f, pt) if hessian is None else as_sym(hessian)
+    m1 = _require_member(hess, g1, "gamma1")
+    m2 = _require_member(hess, g2, "gamma2")
     hv = np.asarray(h, dtype=float)
     logs_h, logs_s = [], []
     for k in range(levels):

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from orthosym import fixtures
+from orthosym import dynsys, fixtures, spectral, stencil
 from orthosym.cli import run
 from orthosym.errors import InputFormatError
 from orthosym.isotropy import commutator_residual
@@ -114,6 +114,33 @@ def test_cli_equilibria_sphere(capsys):
     assert kinds == ["origin", "sphere"]
     sphere = [c for c in payload["components"] if c["kind"] == "sphere"][0]
     assert abs(sphere["radius"] - np.sqrt(2.0)) <= 1e-10
+
+
+_PROBE = ["--function", "trig-quartic", "--x", "1,1,1", "--h", "0.2,0.05,0.1"]
+
+
+@pytest.mark.parametrize(
+    "argv,decompositions",
+    [
+        (["dynsys", "equilibria", "--mu", "0.25"], 1),
+        (["dynsys", "sweep", "--samples", "5"], 5),
+        (["stencil", "probe"] + _PROBE, 1),
+        (["stencil", "order"] + _PROBE, 1),
+    ],
+)
+def test_cli_decomposes_each_matrix_once(monkeypatch, capsys, argv, decompositions):
+    calls = []
+    eig_sym = spectral.eig_sym
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return eig_sym(*args, **kwargs)
+
+    for module in (spectral, dynsys, stencil):
+        monkeypatch.setattr(module, "eig_sym", counted)
+    code, _, _ = run_capture(capsys, argv)
+    assert code == 0
+    assert len(calls) == decompositions
 
 
 def test_cli_no_arguments(capsys):

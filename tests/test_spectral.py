@@ -1,8 +1,19 @@
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import orthosym
 from orthosym import dynsys, fixtures
-from orthosym.errors import DimensionError, SymmetryError
+from orthosym.cli import EXIT_NUMERICAL, run
+from orthosym.errors import ConvergenceError, DimensionError, SymmetryError
 from orthosym.spectral import (
     SymMatrix,
     align_basis,
@@ -187,3 +198,103 @@ def test_eig_on_rotated_degenerate_basis_same_spectrum():
     q = haar_orthogonal(rng, 3)
     dec2 = eig_sym(q @ a @ q.T)
     np.testing.assert_allclose(dec2.lambdas, lam, atol=1e-9)
+
+
+# ---------------------------------------------------- scale and the solver
+
+def test_check_symmetric_sees_asymmetry_past_norm_overflow():
+    a = np.array([[0.0, 1e200], [0.0, 0.0]])
+    assert not check_symmetric(a)
+    with pytest.raises(SymmetryError):
+        SymMatrix(a)
+
+
+def test_check_symmetric_extreme_scales_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert check_symmetric(1e200 * np.array([[1.0, 2.0], [2.0, 1.0]]))
+        assert check_symmetric(np.zeros((3, 3)))
+        assert check_symmetric(np.array([[5e-324]]), 0.0)
+        assert not check_symmetric(np.array([[0.0, 5e-324], [0.0, 0.0]]), 0.0)
+
+
+@pytest.mark.parametrize("s", [1e-200, 1e160, 1e200])
+def test_eig_at_extreme_scales(s):
+    dec = eig_sym(s * np.array([[1.0, 2.0], [2.0, 1.0]]))
+    np.testing.assert_allclose(dec.lambdas / s, [-1.0, 3.0], rtol=1e-12)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    n = draw(st.integers(1, 6))
+    elements = st.floats(-10.0, 10.0, allow_subnormal=False)
+    m = draw(hnp.arrays(np.float64, (n, n), elements=elements))
+    return (m + m.T) / 2.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=symmetric_matrices(), k=st.integers(-600, 600))
+def test_eig_commutes_with_power_of_two_scaling(a, k):
+    n = a.shape[0]
+    base = eig_sym(a)
+    dec = eig_sym(np.ldexp(a, k))
+    # dividing by 2^k is exact, so residual and orthogonality are measured
+    # at the scale of ``a`` itself
+    lam = np.ldexp(dec.lambdas, -k)
+    tol = 1e-12 * n * max(1.0, float(np.max(np.abs(a))))
+    np.testing.assert_allclose(lam, base.lambdas, rtol=0.0, atol=tol)
+    assert np.linalg.norm(dec.v @ a @ dec.v.T - np.diag(lam)) <= tol
+    assert np.linalg.norm(dec.v @ dec.v.T - np.eye(n)) <= 1e-12 * n
+    # default_cluster_tol still has an absolute 1e-8 floor, so clusters
+    # depend on scale wherever the spectrum lies below 1 in magnitude
+    # (negative k, or max |lambda| < 1); that is ROADMAP item 3.  Compare
+    # multiplicities only where the floor binds on neither side and no gap
+    # is near the tolerance.
+    if k >= 0 and np.max(np.abs(base.lambdas)) >= 1.0 and not (
+        base.borderline or dec.borderline
+    ):
+        assert dec.multiplicities == base.multiplicities
+
+
+def test_solver_failure_is_a_convergence_error(monkeypatch, tmp_path, capsys):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(ConvergenceError):
+        eig_sym(np.eye(2))
+    path = tmp_path / "m.txt"
+    path.write_text("1 0\n0 1\n")
+    assert run(["eig", "--input", str(path)]) == EXIT_NUMERICAL
+    assert "numerical failure" in capsys.readouterr().err
+
+
+_DECOMPOSITION_ID_128 = f"""
+import numpy as np
+from orthosym.spectral import eig_sym
+m = np.random.default_rng({MASTER_SEED}).standard_normal((128, 128))
+print(eig_sym((m + m.T) / 2.0).decomposition_id)
+"""
+
+
+def test_decomposition_id_does_not_depend_on_blas_threads():
+    src = str(Path(orthosym.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    ids = []
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS=threads,
+            OMP_NUM_THREADS=threads,
+            PYTHONPATH=path,
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", _DECOMPOSITION_ID_128],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        ids.append(out.stdout.strip())
+    assert len(ids[0]) == 12 and ids[0] == ids[1]
