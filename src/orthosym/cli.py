@@ -77,8 +77,8 @@ def _emit(args, payload, table=None, text=None):
         sys.stdout.write(out)
 
 
-def _load_sym(path, symtol=spectral.DEFAULT_SYMTOL) -> spectral.SymMatrix:
-    return spectral.SymMatrix(matio.parse_matrix(path), symtol)
+def _load_sym(path) -> spectral.SymMatrix:
+    return spectral.SymMatrix(matio.parse_matrix(path))
 
 
 def _mat(a) -> list:

@@ -169,19 +169,17 @@ class EquilibriumSet:
         return np.vstack([c.points(per_component) for c in self.components])
 
 
-def equilibria(mu: float, pos_tol: float | None = None) -> EquilibriumSet:
+def equilibria(mu: float) -> EquilibriumSet:
     """Classify all equilibria at the given mu.
 
-    The origin is always present; every eigenvalue cluster above ``pos_tol``
-    (default: the clustering tolerance) contributes one component whose kind
-    is set by the multiplicity and whose radius is the square root of the
-    eigenvalue.
+    The origin is always present; every eigenvalue cluster above the
+    clustering tolerance contributes one component whose kind is set by the
+    multiplicity and whose radius is the square root of the eigenvalue.
     """
     dec = eig_sym(guiding_matrix(mu))
-    cut = dec.cluster_tol if pos_tol is None else pos_tol
     components: list[Component] = [Origin()]
     for (rep, mult), sl in zip(dec.clusters, dec.cluster_slices()):
-        if rep <= cut:
+        if rep <= dec.cluster_tol:
             continue
         radius = math.sqrt(rep)
         basis = dec.v[sl, :]

@@ -7,24 +7,13 @@ places that pin down expected outputs in tests and the verification suite.
 from __future__ import annotations
 
 import math
-from importlib import resources
 
 import numpy as np
 
 from .graphsym import Graph
-from .matio import parse_matrix
 from .spectral import SymMatrix
 
 _SQ2 = math.sqrt(2.0)
-
-
-def fixture_path(name: str):
-    return resources.files("orthosym").joinpath("fixtures", name)
-
-
-def load_matrix_fixture(name: str) -> np.ndarray:
-    with fixture_path(name).open("r") as fh:
-        return parse_matrix(fh)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +128,8 @@ def asymmetric_graph() -> Graph:
     )
 
 
-#: Eigenvalues of the asymmetric graph, exact to two decimal places, with
+#: Eigenvalues of the asymmetric graph to within 0.01 (stated to two
+#: decimals but not rounded: the largest, 2.7077, is listed as 2.70), with
 #: multiplicities (1, 1, 1, 2, 1, 1, 1).
 GRAPH_EIGENVALUES_2DP = (-2.24, -1.66, -0.83, 0.0, 0.74, 1.29, 2.70)
 
@@ -234,16 +224,6 @@ def probe_hessian_analytic() -> np.ndarray:
         ]
     )
 
-
-#: Eigenbasis (rows) of that Hessian, exact to four decimal places.
-REFERENCE_PROBE_BASIS = np.array(
-    [
-        [-0.1968, 0.9459, 0.2578],
-        [0.5659, 0.3243, -0.7580],
-        [0.8006, 0.0033, 0.5992],
-    ]
-)
-REFERENCE_PROBE_BASIS.setflags(write=False)
 
 #: The reflection across the Hessian eigenvector of the smallest eigenvalue,
 #: exact to four decimal places; the second symmetry of the reference probe.

@@ -1,17 +1,15 @@
 """Graph symmetry analysis through the adjacency matrix.
 
 Automorphisms are the permutation matrices commuting with the adjacency
-matrix; they are found by exact integer backtracking (optionally exhaustive
-enumeration for cross-checks).  Because the adjacency matrix is symmetric,
-a graph also carries a continuous orthogonal symmetry group, which usually
-contains far more than the permutations: even a graph with trivial
-automorphism group has "hidden" orthogonal symmetries whenever its spectrum
-is degenerate -- and the full sign group regardless.
+matrix; they are found by exact integer backtracking.  Because the
+adjacency matrix is symmetric, a graph also carries a continuous orthogonal
+symmetry group, which usually contains far more than the permutations: even
+a graph with trivial automorphism group has "hidden" orthogonal symmetries
+whenever its spectrum is degenerate -- and the full sign group regardless.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -165,38 +163,14 @@ def _search_maps(a: np.ndarray, b: np.ndarray, limit: int | None, first_only: bo
     return results
 
 
-def automorphisms(
-    graph: Graph,
-    limit: int = DEFAULT_AUT_LIMIT,
-    exhaustive: bool = False,
-) -> list[Permutation]:
+def automorphisms(graph: Graph, limit: int = DEFAULT_AUT_LIMIT) -> list[Permutation]:
     """All permutations P with P A = A P, exactly.
 
-    The default strategy is backtracking with degree pruning (exact for any
-    n, practical at desk scale).  ``exhaustive=True`` enumerates all n!
-    permutations instead and is capped at n <= 12.  Aborts with
-    LimitExceededError if more than ``limit`` automorphisms exist.
+    Backtracking with degree pruning (exact for any n, practical at desk
+    scale).  Aborts with LimitExceededError if more than ``limit``
+    automorphisms exist.
     """
-    a = graph.adjacency
-    n = graph.n
-    if exhaustive:
-        if n > EXACT_SEARCH_MAX_N:
-            raise SizeCapError(
-                f"exhaustive enumeration of {n}! permutations refused "
-                f"(cap n <= {EXACT_SEARCH_MAX_N}); use backtracking"
-            )
-        found = []
-        for p in itertools.permutations(range(n)):
-            pi = np.array(p)
-            if np.array_equal(a[np.ix_(pi, pi)], a):
-                # a[p(u), p(v)] == a[u, v] for all u, v
-                found.append(p)
-                if len(found) > limit:
-                    raise LimitExceededError(
-                        f"more than {limit} automorphisms found; raise the limit"
-                    )
-        return [Permutation(p) for p in sorted(found)]
-    maps = _search_maps(a, a, limit, first_only=False)
+    maps = _search_maps(graph.adjacency, graph.adjacency, limit, first_only=False)
     return [Permutation(m) for m in sorted(maps)]
 
 

@@ -49,19 +49,6 @@ class SignPattern:
     def to_diagonal(self) -> np.ndarray:
         return np.array(self.signs, dtype=float)
 
-    def to_blocks(self, m: tuple[int, ...]) -> BlockOrthogonal:
-        """Lift to a block-orthogonal element with diagonal blocks."""
-        if sum(m) != len(self.signs):
-            raise StructureError(
-                f"sign pattern of length {len(self.signs)} cannot be split "
-                f"into blocks {m}"
-            )
-        blocks, start = [], 0
-        for size in m:
-            blocks.append(np.diag(self.to_diagonal()[start : start + size]))
-            start += size
-        return BlockOrthogonal(tuple(m), tuple(blocks))
-
 
 @dataclass(frozen=True)
 class BlockOrthogonal:

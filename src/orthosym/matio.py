@@ -115,7 +115,3 @@ def parse_graph(source) -> Graph:
             ) from None
         edges.append((u, v))
     return Graph.from_edges(edges)
-
-
-def format_graph_edges(graph: Graph) -> str:
-    return "\n".join(f"{u} {v}" for u, v in graph.edges()) + "\n"

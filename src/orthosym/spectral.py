@@ -47,12 +47,11 @@ class SymMatrix:
     """A validated real symmetric matrix.
 
     Construction rejects non-square or asymmetric inputs (relative to
-    ``symtol``).  The stored array is read-only, so instances are freely
-    shareable across threads.
+    ``DEFAULT_SYMTOL``).  The stored array is read-only, so instances are
+    freely shareable across threads.
     """
 
     entries: np.ndarray
-    symtol: float = DEFAULT_SYMTOL
 
     def __post_init__(self):
         m = np.array(self.entries, dtype=float)
@@ -60,9 +59,9 @@ class SymMatrix:
             raise DimensionError(f"expected a square matrix, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise ValueError("matrix entries must be finite")
-        if not check_symmetric(m, self.symtol):
+        if not check_symmetric(m):
             raise SymmetryError(
-                f"matrix is not symmetric within symtol={self.symtol:g}"
+                f"matrix is not symmetric within symtol={DEFAULT_SYMTOL:g}"
             )
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
@@ -77,12 +76,14 @@ class SymMatrix:
         return self.entries
 
 
-def as_sym(a, symtol: float = DEFAULT_SYMTOL) -> SymMatrix:
-    return a if isinstance(a, SymMatrix) else SymMatrix(as_matrix(a), symtol)
+def as_sym(a) -> SymMatrix:
+    return a if isinstance(a, SymMatrix) else SymMatrix(as_matrix(a))
 
 
 def default_cluster_tol(lambdas) -> float:
-    return 1e-8 * max(1.0, float(np.max(np.abs(lambdas))))
+    """1e-8 relative to the largest |lambda|, so that scaling the matrix
+    scales the tolerance with it; the zero matrix gets 0 (one cluster)."""
+    return 1e-8 * float(np.max(np.abs(lambdas)))
 
 
 def cluster_eigenvalues(lambdas, cluster_tol: float) -> tuple[int, ...]:
@@ -188,11 +189,7 @@ def _fix_signs(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def eig_sym(
-    a,
-    cluster_tol: float | None = None,
-    symtol: float = DEFAULT_SYMTOL,
-) -> SpectralDecomposition:
+def eig_sym(a, cluster_tol: float | None = None) -> SpectralDecomposition:
     """Eigendecomposition of a symmetric matrix by LAPACK (numpy's ``eigh``).
 
     Deterministic for fixed input: ascending eigenvalue sort (stable) and a
@@ -202,7 +199,7 @@ def eig_sym(
 
     Raises ConvergenceError if LAPACK fails to converge.
     """
-    sym = as_sym(a, symtol)
+    sym = as_sym(a)
     work = (sym.entries + sym.entries.T) / 2.0
     # solve at max |A_ij| in [0.5, 1) and scale back by the same power of
     # two: both steps are exact, so eig_sym(2^k A) = 2^k eig_sym(A), and

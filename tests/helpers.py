@@ -1,6 +1,6 @@
 """Shared test utilities: seeded generators and independent oracles.
 
-The oracles here (brute-force automorphism enumeration, Newton refinement,
+The oracles here (brute-force isomorphism enumeration, Newton refinement,
 QR-based random orthogonal matrices) deliberately avoid the library code
 paths they are used to check.
 """
@@ -35,14 +35,14 @@ def set_distance(target, elements):
     return min(float(np.max(np.abs(np.asarray(e) - target))) for e in elements)
 
 
-def brute_force_automorphisms(adjacency):
-    """All automorphisms by checking every one of the n! permutations."""
-    a = np.asarray(adjacency)
-    n = a.shape[0]
+def brute_force_isomorphisms(a, b):
+    """Every permutation p with a[p][:, p] == b, found by checking all n!
+    of them; ``brute_force_isomorphisms(a, a)`` lists the automorphisms."""
+    a, b = np.asarray(a), np.asarray(b)
     found = []
-    for p in itertools.permutations(range(n)):
+    for p in itertools.permutations(range(a.shape[0])):
         pi = np.array(p)
-        if np.array_equal(a[np.ix_(pi, pi)], a):
+        if np.array_equal(a[np.ix_(pi, pi)], b):
             found.append(p)
     return sorted(found)
 

@@ -4,10 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from orthosym import dynsys, fixtures, spectral, stencil
-from orthosym.cli import run
+from orthosym import dynsys, fixtures, spectral, stencil, verify
+from orthosym.cli import EXIT_VERIFY, run
 from orthosym.errors import InputFormatError
-from orthosym.isotropy import commutator_residual
 from orthosym.matio import (
     format_matrix,
     parse_graph,
@@ -75,18 +74,14 @@ def test_parse_graph_bad_edge():
         parse_graph(io.StringIO("0 1 2\n"))
 
 
-def test_bundled_16x16_fixture_parses_and_commutes():
-    a = fixtures.load_matrix_fixture("dihedral16_mu0.txt")
-    np.testing.assert_allclose(a, np.asarray(fixtures.dihedral_family(0.0)), atol=0)
-    for name in ("dihedral16_rotation.txt", "dihedral16_reflection.txt"):
-        g = fixtures.load_matrix_fixture(name)
-        assert commutator_residual(a, g) <= 1e-10
-
-
-def test_bundled_graph_fixture():
-    with fixtures.fixture_path("asym_graph8.txt").open("r") as fh:
-        g = parse_graph(fh)
-    assert np.array_equal(g.adjacency, fixtures.asymmetric_graph().adjacency)
+def test_reference_matrices_roundtrip_through_files(tmp_path):
+    family = np.asarray(fixtures.dihedral_family(0.0))
+    graph = fixtures.asymmetric_graph().adjacency
+    family_file, graph_file = tmp_path / "family.txt", tmp_path / "graph.txt"
+    family_file.write_text(format_matrix(family))
+    graph_file.write_text(format_matrix(graph))
+    assert parse_matrix(str(family_file)).tobytes() == family.tobytes()
+    assert parse_graph(str(graph_file)).adjacency.tobytes() == graph.tobytes()
 
 
 # --------------------------------------------------------------------- cli
@@ -94,7 +89,7 @@ def test_bundled_graph_fixture():
 @pytest.fixture()
 def a0_file(tmp_path):
     path = tmp_path / "a0.txt"
-    path.write_text(format_matrix(np.asarray(fixtures.load_matrix_fixture("guiding3_mu0.txt"))))
+    path.write_text(format_matrix(np.asarray(dynsys.guiding_matrix(0.0))))
     return str(path)
 
 
@@ -350,3 +345,30 @@ def test_cli_fixtures_verify(capsys):
     lines = out.strip().splitlines()
     assert all(l.startswith("PASS") for l in lines[:-1])
     assert lines[-1].endswith("checks passed")
+
+
+def test_cli_fixtures_verify_fails_on_a_wrong_reference(monkeypatch, capsys):
+    monkeypatch.setattr(fixtures, "KERNEL_VECTOR_3", np.array([1.0, 0.0, 0.0]))
+    code, out, _ = run_capture(capsys, ["fixtures", "verify", "--format", "text"])
+    assert code == EXIT_VERIFY
+    failed = [l for l in out.splitlines() if l.startswith("FAIL")]
+    assert len(failed) == 1
+    assert "kernel direction at mu=0, swap-symmetric" in failed[0]
+
+
+def test_cli_fixtures_verify_reports_a_crashing_check(monkeypatch, capsys):
+    rows = len(verify.run_all())
+
+    def broken():
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(fixtures, "dihedral_hidden_gamma", broken)
+    code, out, _ = run_capture(capsys, ["fixtures", "verify", "--format", "text"])
+    assert code == EXIT_VERIFY
+    lines = out.strip().splitlines()
+    # the crash fails its own row and the rows after it still run
+    assert lines[-1] == f"{rows - 1}/{rows} checks passed"
+    failed = [l for l in lines if l.startswith("FAIL")]
+    assert len(failed) == 1
+    assert "16x16 hidden symmetry is a member" in failed[0]
+    assert failed[0].endswith("(error: boom))")
