@@ -107,6 +107,12 @@ INVENTORIES = {
 }
 
 
+@pytest.mark.parametrize("mu", sorted(INVENTORIES))
+def test_equilibrium_inventories(mu):
+    eq = equilibria(mu)
+    assert eq.inventory() == INVENTORIES[mu]
+
+
 def test_radius_law_and_point_residuals():
     for mu in sorted(INVENTORIES):
         eq = equilibria(mu)

@@ -104,6 +104,13 @@ def test_automorphisms_lie_in_orthogonal_group():
             assert is_member(dec, a.to_matrix().astype(float), tol=1e-8)
 
 
+def test_asymmetric_graph_spectrum():
+    dec = adjacency_decomposition(fixtures.asymmetric_graph())
+    assert dec.multiplicities == (1, 1, 1, 2, 1, 1, 1)
+    reps = np.array([rep for rep, _ in dec.clusters])
+    assert np.max(np.abs(reps - np.array(fixtures.GRAPH_EIGENVALUES_2DP))) < 0.01
+
+
 def test_hidden_symmetry_on_asymmetric_graph():
     g = fixtures.asymmetric_graph()
     e = hidden_symmetry_sample(g, seed=MASTER_SEED)

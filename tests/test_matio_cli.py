@@ -7,6 +7,7 @@ import pytest
 from orthosym import dynsys, fixtures, spectral, stencil, verify
 from orthosym.cli import EXIT_VERIFY, run
 from orthosym.errors import InputFormatError
+from orthosym.isotropy import commutator_residual
 from orthosym.matio import (
     format_matrix,
     parse_graph,
@@ -74,14 +75,21 @@ def test_parse_graph_bad_edge():
         parse_graph(io.StringIO("0 1 2\n"))
 
 
-def test_reference_matrices_roundtrip_through_files(tmp_path):
+def test_bundled_16x16_fixture_parses_and_commutes(tmp_path):
     family = np.asarray(fixtures.dihedral_family(0.0))
+    path = tmp_path / "family.txt"
+    path.write_text(format_matrix(family))
+    a = parse_matrix(str(path))
+    assert a.tobytes() == family.tobytes()
+    for g in (fixtures.dihedral_rotation(), fixtures.dihedral_reflection()):
+        assert commutator_residual(a, g) <= 1e-10
+
+
+def test_bundled_graph_fixture(tmp_path):
     graph = fixtures.asymmetric_graph().adjacency
-    family_file, graph_file = tmp_path / "family.txt", tmp_path / "graph.txt"
-    family_file.write_text(format_matrix(family))
-    graph_file.write_text(format_matrix(graph))
-    assert parse_matrix(str(family_file)).tobytes() == family.tobytes()
-    assert parse_graph(str(graph_file)).adjacency.tobytes() == graph.tobytes()
+    path = tmp_path / "graph.txt"
+    path.write_text(format_matrix(graph))
+    assert parse_graph(str(path)).adjacency.tobytes() == graph.tobytes()
 
 
 # --------------------------------------------------------------------- cli
