@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage or input error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -462,10 +463,16 @@ def _validate(args):
             raise _UsageError(f"graph {args.action} requires --input")
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    # a parser keeps no state between parse_args calls, so the one built on
+    # the first request serves every later one in the process
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         _validate(args)
         return args.handler(args)
     except _UsageError as exc:

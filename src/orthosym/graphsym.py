@@ -197,7 +197,8 @@ def find_isomorphism(ga: Graph, gb: Graph) -> Optional[Permutation]:
         return None
     perm = Permutation(maps[0])
     p = perm.to_matrix()
-    assert np.array_equal(p @ ga.adjacency @ p.T, gb.adjacency)
+    if not np.array_equal(p @ ga.adjacency @ p.T, gb.adjacency):
+        raise StructureError(f"search returned a map that is not an isomorphism: {perm.mapping}")
     return perm
 
 

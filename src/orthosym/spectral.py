@@ -10,6 +10,7 @@ clusters by a greedy gap rule.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -54,15 +55,7 @@ class SymMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.entries, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("matrix entries must be finite")
-        if not check_symmetric(m):
-            raise SymmetryError(
-                f"matrix is not symmetric within symtol={DEFAULT_SYMTOL:g}"
-            )
+        m = _validated(np.array(self.entries, dtype=float))
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
@@ -76,6 +69,20 @@ class SymMatrix:
         return self.entries
 
 
+def _validated(m: np.ndarray) -> np.ndarray:
+    """``m`` itself if it is a square, finite matrix symmetric within
+    ``DEFAULT_SYMTOL``; raises otherwise."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+    # the largest magnitude is NaN or inf iff some entry is
+    if not math.isfinite(np.abs(m).max(initial=0.0)):
+        raise ValueError("matrix entries must be finite")
+    # an exactly symmetric matrix needs no norms
+    if not (m == m.T).all() and not check_symmetric(m):
+        raise SymmetryError(f"matrix is not symmetric within symtol={DEFAULT_SYMTOL:g}")
+    return m
+
+
 def as_sym(a) -> SymMatrix:
     return a if isinstance(a, SymMatrix) else SymMatrix(as_matrix(a))
 
@@ -83,7 +90,7 @@ def as_sym(a) -> SymMatrix:
 def default_cluster_tol(lambdas) -> float:
     """1e-8 relative to the largest |lambda|, so that scaling the matrix
     scales the tolerance with it; the zero matrix gets 0 (one cluster)."""
-    return 1e-8 * float(np.max(np.abs(lambdas)))
+    return 1e-8 * float(np.abs(np.asarray(lambdas, dtype=float)).max())
 
 
 def cluster_eigenvalues(lambdas, cluster_tol: float) -> tuple[int, ...]:
@@ -92,14 +99,19 @@ def cluster_eigenvalues(lambdas, cluster_tol: float) -> tuple[int, ...]:
     A new cluster starts whenever the gap to the previous eigenvalue exceeds
     ``cluster_tol``.  Returns the multiplicity vector m with sum(m) = n.
     """
-    if cluster_tol < 0:
-        raise ValueError(f"cluster_tol must be nonnegative, got {cluster_tol:g}")
     lam = np.asarray(lambdas, dtype=float)
     if lam.ndim != 1 or lam.size == 0:
         raise ValueError("expected a nonempty 1-d array of eigenvalues")
     gaps = np.diff(lam)
-    if lam.size > 1 and float(np.min(gaps)) < 0:
+    if gaps.size and float(gaps.min()) < 0:
         raise ValueError("eigenvalues must be nondecreasing")
+    return _multiplicities(gaps.tolist(), cluster_tol)
+
+
+def _multiplicities(gaps: list[float], cluster_tol: float) -> tuple[int, ...]:
+    # the clustering rule itself, applied to the gaps of sorted eigenvalues
+    if cluster_tol < 0:
+        raise ValueError(f"cluster_tol must be nonnegative, got {cluster_tol:g}")
     m = [1]
     for g in gaps:
         if g > cluster_tol:
@@ -109,14 +121,13 @@ def cluster_eigenvalues(lambdas, cluster_tol: float) -> tuple[int, ...]:
     return tuple(m)
 
 
-def _borderline_gaps(lam: np.ndarray, cluster_tol: float) -> tuple[int, ...]:
+def _borderline_gaps(gaps: list[float], cluster_tol: float) -> tuple[int, ...]:
     # A gap within a factor 10 of the tolerance is an ambiguous merge/split
     # decision; callers get the boundary indices instead of a silent choice.
-    if lam.size < 2 or cluster_tol == 0.0:
+    if cluster_tol == 0.0:
         return ()
-    gaps = np.diff(lam)
     lo, hi = 0.1 * cluster_tol, 10.0 * cluster_tol
-    return tuple(int(i) for i in np.nonzero((gaps > lo) & (gaps <= hi))[0])
+    return tuple(i for i, g in enumerate(gaps) if lo < g <= hi)
 
 
 @dataclass(frozen=True)
@@ -167,8 +178,15 @@ class SpectralDecomposition:
         return out
 
     def reconstruct(self) -> np.ndarray:
-        """A = V^T diag(lambdas) V."""
-        return (self.v.T * self.lambdas) @ self.v
+        """A = V^T diag(lambdas) V, built on the first call and shared
+        (read-only) by every later one."""
+        return self._matrix
+
+    @cached_property
+    def _matrix(self) -> np.ndarray:
+        a = (self.v.T * self.lambdas) @ self.v
+        a.setflags(write=False)
+        return a
 
     def reversed(self) -> SpectralDecomposition:
         """The same decomposition with eigenvalues in descending order."""
@@ -181,12 +199,11 @@ class SpectralDecomposition:
 
 def _fix_signs(u: np.ndarray) -> np.ndarray:
     # sign convention: first entry of largest magnitude in each eigenvector
-    # is positive (ties resolved by argmax taking the lowest index)
-    for j in range(u.shape[1]):
-        k = int(np.argmax(np.abs(u[:, j])))
-        if u[k, j] < 0:
-            u[:, j] = -u[:, j]
-    return u
+    # is positive (ties resolved by argmax taking the lowest index); that
+    # entry of a unit vector is nonzero, so its sign is +/-1.0, and scaling
+    # by -1.0 is as exact as negation
+    k = np.abs(u).argmax(axis=0)
+    return u * np.sign(u[k, np.arange(u.shape[1])])
 
 
 def eig_sym(a, cluster_tol: float | None = None) -> SpectralDecomposition:
@@ -199,32 +216,34 @@ def eig_sym(a, cluster_tol: float | None = None) -> SpectralDecomposition:
 
     Raises ConvergenceError if LAPACK fails to converge.
     """
-    sym = as_sym(a)
-    work = (sym.entries + sym.entries.T) / 2.0
+    m = a.entries if isinstance(a, SymMatrix) else _validated(np.asarray(a, dtype=float))
+    work = (m + m.T) / 2.0
     # solve at max |A_ij| in [0.5, 1) and scale back by the same power of
     # two: both steps are exact, so eig_sym(2^k A) = 2^k eig_sym(A), and
     # LAPACK, which can fail to converge on a matrix of huge entries mixed
     # with tiny ones, sees the same matrix at every scale
-    _, shift = np.frexp(np.max(np.abs(work), initial=0.0))
+    _, shift = math.frexp(np.abs(work).max(initial=0.0))
     try:
         diag, u = np.linalg.eigh(np.ldexp(work, -shift))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
-    order = np.argsort(diag, kind="stable")
+    order = diag.argsort(kind="stable")
     lam = np.ldexp(diag[order], shift)
     u = _fix_signs(u[:, order])
     tol = default_cluster_tol(lam) if cluster_tol is None else float(cluster_tol)
-    m = cluster_eigenvalues(lam, tol)
+    values, gaps = lam.tolist(), np.diff(lam).tolist()
     clusters, start = [], 0
-    for size in m:
-        clusters.append((float(np.mean(lam[start : start + size])), size))
+    for size in _multiplicities(gaps, tol):
+        # the mean of one value is that value; larger clusters keep np.mean
+        rep = values[start] if size == 1 else float(np.mean(lam[start : start + size]))
+        clusters.append((rep, size))
         start += size
     return SpectralDecomposition(
         v=u.T,
         lambdas=lam,
         clusters=tuple(clusters),
         cluster_tol=tol,
-        borderline=_borderline_gaps(lam, tol),
+        borderline=_borderline_gaps(gaps, tol),
     )
 
 

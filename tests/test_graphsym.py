@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from orthosym import fixtures
+from orthosym import fixtures, graphsym
 from orthosym.errors import LimitExceededError, SizeCapError, StructureError
 from orthosym.graphsym import (
     Graph,
@@ -176,6 +176,15 @@ def test_find_isomorphism_edge_moved_variant():
     assert found is not None
     p = found.to_matrix()
     assert np.array_equal(p @ g.adjacency @ p.T, h.adjacency)
+
+
+def test_find_isomorphism_rejects_a_wrong_map(monkeypatch):
+    # the post-check is an exception, not an assert, so it also runs
+    # under ``python -O``
+    monkeypatch.setattr(graphsym, "_search_maps", lambda *args, **kwargs: [(0, 1, 2)])
+    star = Graph.from_edges([(0, 1), (0, 2)])
+    with pytest.raises(StructureError, match="not an isomorphism"):
+        find_isomorphism(PATH3, star)
 
 
 def test_find_isomorphism_spectral_reject():

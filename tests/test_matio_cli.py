@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from orthosym import dynsys, fixtures, spectral, stencil, verify
+from orthosym import cli, dynsys, fixtures, spectral, stencil, verify
 from orthosym.cli import EXIT_VERIFY, run
 from orthosym.errors import InputFormatError
 from orthosym.isotropy import commutator_residual
@@ -364,6 +364,17 @@ def test_cli_fixtures_verify_fails_on_a_wrong_reference(monkeypatch, capsys):
     assert "kernel direction at mu=0, swap-symmetric" in failed[0]
 
 
+def test_kernel_flip_row_does_not_count_minus_identity(monkeypatch):
+    # -I flips every vector; the sum of the three eigenvectors is flipped by
+    # no other sign element, so the row must fail on it
+    v = spectral.eig_sym(dynsys.guiding_matrix(0.0)).v.sum(axis=0)
+    monkeypatch.setattr(fixtures, "KERNEL_VECTOR_3", v)
+    rows = {r.name: r for r in verify.run_all()}
+    row = rows["a sign element flips the kernel vector"]
+    assert not row.passed
+    assert row.measure == pytest.approx(2.0)
+
+
 def test_cli_fixtures_verify_reports_a_crashing_check(monkeypatch, capsys):
     rows = len(verify.run_all())
 
@@ -380,3 +391,31 @@ def test_cli_fixtures_verify_reports_a_crashing_check(monkeypatch, capsys):
     assert len(failed) == 1
     assert "16x16 hidden symmetry is a member" in failed[0]
     assert failed[0].endswith("(error: boom))")
+
+
+def test_cli_reuses_one_parser_with_unchanged_results(monkeypatch, capsys, a0_file, tmp_path):
+    def sequence(tag):
+        out_file = tmp_path / f"eig-{tag}.csv"
+        argvs = [
+            ["eig", "--input", a0_file],
+            ["eig", "--input", a0_file, "--format", "yaml"],
+            ["dynsys", "equilibria", "--mu", "0.25", "--format", "text"],
+            ["eig", "--input", a0_file, "--format", "csv", "--output", str(out_file)],
+            ["graph", "aut"],
+            ["isotropy", "sample", "--input", a0_file, "--seed", "3", "--count", "2"],
+            [],
+            ["eig", "--input", a0_file],
+        ]
+        results = [run_capture(capsys, argv) for argv in argvs]
+        return results, out_file.read_text()
+
+    assert cli._shared_parser() is cli._shared_parser()
+    assert cli.build_parser() is not cli.build_parser()
+    shared = sequence("shared")
+    monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
+    fresh = sequence("fresh")
+    assert shared == fresh
+    codes = [code for code, _, _ in shared[0]]
+    assert codes == [0, 1, 0, 0, 1, 0, 1, 0]
+    assert shared[0][7] == shared[0][0]  # nothing carries over between calls
+    assert shared[0][3][1] == ""  # --output leaves stdout empty

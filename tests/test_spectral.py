@@ -16,6 +16,7 @@ from orthosym.cli import EXIT_NUMERICAL, run
 from orthosym.errors import ConvergenceError, DimensionError, SymmetryError
 from orthosym.spectral import (
     SymMatrix,
+    _fix_signs,
     align_basis,
     check_symmetric,
     cluster_eigenvalues,
@@ -305,3 +306,60 @@ def test_decomposition_id_does_not_depend_on_blas_threads():
         )
         ids.append(out.stdout.strip())
     assert len(ids[0]) == 12 and ids[0] == ids[1]
+
+
+@st.composite
+def clustered_matrices(draw):
+    # eigenvalues whose gaps sit on both sides of 1e-8 and inside the
+    # borderline band around it, in a random orthogonal basis
+    n = draw(st.integers(1, 7))
+    steps = st.sampled_from([0.0, 1e-10, 5e-10, 2e-9, 5e-9, 3e-8, 9e-8, 2e-7, 0.5, 3.0])
+    lam = np.cumsum([draw(st.floats(-5.0, 5.0))] + draw(st.lists(steps, min_size=n - 1, max_size=n - 1)))
+    q = haar_orthogonal(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    a = q @ np.diag(lam) @ q.T
+    return (a + a.T) / 2.0
+
+
+_T = 2.0**-30
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=clustered_matrices(), tol=st.sampled_from([None, 0.0, 1e-8, 1e-9]))
+# gaps of exactly 0.1, 10 and 1 times the tolerance: the ends of the
+# borderline band and the clustering threshold itself
+@example(a=np.diag([0.0, 0.1 * _T, 1.0, 1.0 + 10 * _T, 3.0, 3.0 + _T]), tol=_T)
+def test_eig_sym_signs_clusters_and_borderline(a, tol):
+    dec = eig_sym(a, cluster_tol=tol)
+    for row in dec.v:
+        assert row[int(np.argmax(np.abs(row)))] > 0
+    tol = dec.cluster_tol
+    gaps = np.diff(dec.lambdas)
+    starts = [sl.start for sl in dec.cluster_slices()]
+    assert starts == [0] + [i + 1 for i, g in enumerate(gaps) if g > tol]
+    assert dec.borderline == tuple(
+        i for i, g in enumerate(gaps) if 0.1 * tol < g <= 10.0 * tol
+    )
+    for (rep, _), sl in zip(dec.clusters, dec.cluster_slices()):
+        assert rep == float(np.mean(dec.lambdas[sl]))
+    a_rebuilt = dec.reconstruct()
+    assert not a_rebuilt.flags.writeable
+    assert dec.reconstruct() is a_rebuilt
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    u=hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        elements=st.sampled_from([-1.0, -0.5, 0.5, 1.0, -0.25]),
+    )
+)
+def test_fix_signs_matches_the_column_loop(u):
+    # the loop it replaced, as the reference; entries drawn from a few
+    # values so that ties for the largest magnitude are common
+    expected = u.copy()
+    for j in range(u.shape[1]):
+        k = int(np.argmax(np.abs(u[:, j])))
+        if u[k, j] < 0:
+            expected[:, j] = -expected[:, j]
+    assert _fix_signs(u).tobytes() == expected.tobytes()

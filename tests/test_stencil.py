@@ -13,24 +13,13 @@ from orthosym.stencil import (
     order_fit,
     second_diff,
 )
+from orthosym.verify import matched_reflection
 
 from helpers import MASTER_SEED, haar_orthogonal
 
 TRIG = BUILTIN_FIELDS["trig-quartic"]
 XBAR = np.array([1.0, 1.0, 1.0])
 H_REF = fixtures.probe_hessian_analytic()
-
-
-def matched_reflection(hess=None):
-    """The eigenvector reflection singled out by the reference matrix."""
-    dec = eig_sym(H_REF if hess is None else hess)
-    hits = [
-        np.eye(3) - 2.0 * np.outer(u, u)
-        for u in dec.v
-        if np.max(np.abs((np.eye(3) - 2.0 * np.outer(u, u)) - fixtures.REFERENCE_PROBE_REFLECTION)) <= 1e-3
-    ]
-    assert len(hits) == 1
-    return hits[0]
 
 
 def quadratic_field(m):
