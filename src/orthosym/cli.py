@@ -253,26 +253,20 @@ def _cmd_stencil(args):
     dec = spectral.eig_sym(hess)
     g1 = np.eye(f.dim)
     g2 = _sample_nontrivial_gamma(dec, args.seed)
+    values, slope = stencil.probe_ladder(
+        f, x, g1, g2, h, levels=args.levels, hessian=hess
+    )
     if args.action == "probe":
-        probe = stencil.fourth_order_probe(f, x, g1, g2, h, hessian=hess)
-        slope = stencil.order_fit(f, x, g1, g2, h, levels=args.levels, hessian=hess)
         payload = {
             "function": args.function,
             "x": _mat(x),
             "h": _mat(h),
-            "value": probe.value,
+            "value": values[0],
             "slope": slope,
             "gammas": [_mat(g1), _mat(g2)],
         }
-        _emit(args, payload, text=f"value: {probe.value!r}\nslope: {slope!r}")
+        _emit(args, payload, text=f"value: {values[0]!r}\nslope: {slope!r}")
     else:  # order
-        values = []
-        for k in range(args.levels):
-            hk = h / 2.0**k
-            values.append(
-                stencil.fourth_order_probe(f, x, g1, g2, hk, hessian=hess).value
-            )
-        slope = stencil.order_fit(f, x, g1, g2, h, levels=args.levels, hessian=hess)
         payload = {
             "function": args.function,
             "levels": args.levels,

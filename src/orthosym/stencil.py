@@ -171,10 +171,13 @@ def fourth_order_probe(f: ScalarField, x, g1, g2, h, hessian=None) -> StencilPro
     )
 
 
-def order_fit(f: ScalarField, x, g1, g2, h, levels: int = 5, hessian=None) -> float:
-    """Least-squares slope of log|s| against log||h|| over h, h/2, ...,
-    h/2^(levels-1).  Generic smooth fields with a nonvanishing quartic
-    difference give a slope near 4."""
+def probe_ladder(
+    f: ScalarField, x, g1, g2, h, levels: int = 5, hessian=None
+) -> tuple[list[float], float]:
+    """Probe values at h, h/2, ..., h/2^(levels-1), and the least-squares
+    slope of log|s| against log||h|| over them.  Both symmetries are tested
+    for membership once; like ``fourth_order_probe`` this warns when the
+    choice of g1, g2 and h makes every value uninformative."""
     if levels < 3:
         raise ValueError(f"levels must be at least 3, got {levels}")
     pt = np.asarray(x, dtype=float)
@@ -182,7 +185,8 @@ def order_fit(f: ScalarField, x, g1, g2, h, levels: int = 5, hessian=None) -> fl
     m1 = _require_member(hess, g1, "gamma1")
     m2 = _require_member(hess, g2, "gamma2")
     hv = np.asarray(h, dtype=float)
-    logs_h, logs_s = [], []
+    _warn_degenerate_choice(m1, m2, hv)
+    values, logs_h, logs_s = [], [], []
     for k in range(levels):
         hk = hv / 2.0**k
         s = _probe_value(f, pt, m1, m2, hk)
@@ -191,9 +195,16 @@ def order_fit(f: ScalarField, x, g1, g2, h, levels: int = 5, hessian=None) -> fl
                 f"probe value {s:.2e} at level {k} is below the noise floor; "
                 f"start from a larger displacement"
             )
+        values.append(s)
         logs_h.append(math.log(float(np.linalg.norm(hk))))
         logs_s.append(math.log(abs(s)))
-    return float(np.polyfit(logs_h, logs_s, 1)[0])
+    return values, float(np.polyfit(logs_h, logs_s, 1)[0])
+
+
+def order_fit(f: ScalarField, x, g1, g2, h, levels: int = 5, hessian=None) -> float:
+    """The slope of ``probe_ladder``.  Generic smooth fields with a
+    nonvanishing quartic difference give a slope near 4."""
+    return probe_ladder(f, x, g1, g2, h, levels=levels, hessian=hessian)[1]
 
 
 def _field_quadratic(x: np.ndarray) -> float:

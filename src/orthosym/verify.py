@@ -33,16 +33,12 @@ PROBE_POINT = np.array([1.0, 1.0, 1.0])
 PROBE_POINT.setflags(write=False)
 
 
-def matched_reflection(hess=None) -> np.ndarray:
+def matched_reflection(hess) -> np.ndarray:
     """The reflection across the Hessian eigenvector singled out by the
     four-decimal reference matrix: exactly one of the reflections
-    I - 2 u u^T must lie within 1e-3 (max entry) of it.
-
-    ``hess`` defaults to the finite-difference Hessian of the trig-quartic
-    field at (1, 1, 1).
+    I - 2 u u^T of the eigenvectors u of ``hess`` must lie within 1e-3
+    (max entry) of it.
     """
-    if hess is None:
-        hess = stencil.hessian_fd(stencil.BUILTIN_FIELDS["trig-quartic"], PROBE_POINT)
     dec = spectral.eig_sym(hess)
     matches = [
         g

@@ -146,6 +146,30 @@ def test_cli_decomposes_each_matrix_once(monkeypatch, capsys, argv, decompositio
     assert len(calls) == decompositions
 
 
+@pytest.mark.parametrize("action", ["probe", "order"])
+def test_cli_stencil_tests_each_symmetry_once(monkeypatch, capsys, action):
+    members, evals = [], []
+    is_member = stencil.is_member
+    field = stencil.BUILTIN_FIELDS["trig-quartic"]
+
+    def counted(*args, **kwargs):
+        members.append(args)
+        return is_member(*args, **kwargs)
+
+    def evaluated(x):
+        evals.append(x)
+        return field.fn(x)
+
+    monkeypatch.setattr(stencil, "is_member", counted)
+    monkeypatch.setitem(
+        stencil.BUILTIN_FIELDS, "trig-quartic", stencil.ScalarField(evaluated, 3)
+    )
+    code, _, _ = run_capture(capsys, ["stencil", action, "--levels", "4"] + _PROBE)
+    assert code == 0
+    assert len(members) == 2  # gamma1 and gamma2, once each
+    assert len(evals) == 4 * 9 + 4 * 4  # the Hessian, then four points per level
+
+
 def test_cli_no_arguments(capsys):
     code, out, err = run_capture(capsys, [])
     assert code == 1

@@ -11,6 +11,7 @@ from orthosym.stencil import (
     fourth_order_probe,
     hessian_fd,
     order_fit,
+    probe_ladder,
     second_diff,
 )
 from orthosym.verify import matched_reflection
@@ -139,6 +140,18 @@ def test_probe_antisymmetry_exact():
     a = fourth_order_probe(TRIG, XBAR, np.eye(3), g2, h, hessian=hess).value
     b = fourth_order_probe(TRIG, XBAR, g2, np.eye(3), h, hessian=hess).value
     assert a == -b
+
+
+def test_probe_ladder_matches_probe_and_fit_per_level():
+    hess = hessian_fd(TRIG, XBAR)
+    g2 = matched_reflection(hess)
+    h = fixtures.REFERENCE_PROBE_H
+    values, slope = probe_ladder(TRIG, XBAR, np.eye(3), g2, h, levels=4, hessian=hess)
+    assert values == [
+        fourth_order_probe(TRIG, XBAR, np.eye(3), g2, h / 2.0**k, hessian=hess).value
+        for k in range(4)
+    ]
+    assert slope == order_fit(TRIG, XBAR, np.eye(3), g2, h, levels=4, hessian=hess)
 
 
 def test_quadratic_form_invariant_under_group():
