@@ -121,7 +121,7 @@ def _cmd_isotropy(args):
             "count": len(elements),
             "multiplicities": list(dec.multiplicities),
             "elements": [
-                {"index": e.source.index, "gamma": _mat(e.gamma)} for e in elements
+                {"index": k, "gamma": _mat(e.gamma)} for k, e in enumerate(elements)
             ],
         }
         _emit(args, payload, text=f"{len(elements)} sign-group elements")

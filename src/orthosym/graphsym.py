@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionError, LimitExceededError, SizeCapError, StructureError
 from .isotropy import IsotropyElement, sample_gamma
-from .spectral import SpectralDecomposition, as_matrix, eig_sym
+from .spectral import SpectralDecomposition, as_matrix, eig_sym, isospectral
 
 EXACT_SEARCH_MAX_N = 12
 PERMUTATION_TOL = 1e-6
@@ -177,9 +177,9 @@ def automorphisms(graph: Graph, limit: int = DEFAULT_AUT_LIMIT) -> list[Permutat
 def find_isomorphism(ga: Graph, gb: Graph) -> Optional[Permutation]:
     """A vertex bijection carrying the first graph onto the second, or None.
 
-    Isospectrality is checked first (necessary for isomorphism); the exact
-    backtracking search runs only when the spectra agree.  Capped at
-    n <= 12.
+    Isospectrality is checked first (necessary for isomorphism), within
+    1e-8 * max(1, ||A||_F); the exact backtracking search runs only when the
+    spectra agree.  Capped at n <= 12.
     """
     if ga.n != gb.n:
         return None
@@ -187,10 +187,9 @@ def find_isomorphism(ga: Graph, gb: Graph) -> Optional[Permutation]:
         raise SizeCapError(f"exact isomorphism search capped at n <= {EXACT_SEARCH_MAX_N}")
     if ga.n == 0:
         return Permutation(())
-    la = eig_sym(ga.adjacency.astype(float)).lambdas
-    lb = eig_sym(gb.adjacency.astype(float)).lambdas
-    scale = max(1.0, float(np.linalg.norm(la)))
-    if float(np.max(np.abs(la - lb))) > 1e-8 * scale:
+    a = ga.adjacency.astype(float)
+    tol = 1e-8 * max(1.0, float(np.linalg.norm(a)))
+    if not isospectral(a, gb.adjacency.astype(float), tol):
         return None
     maps = _search_maps(ga.adjacency, gb.adjacency, limit=None, first_only=True)
     if not maps:

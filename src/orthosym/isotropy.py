@@ -129,22 +129,21 @@ class IsotropyElement:
 
 
 def conjugate(
-    dec: SpectralDecomposition,
-    sigma: Union[BlockOrthogonal, SignPattern],
-    validate: bool = True,
+    dec: SpectralDecomposition, sigma: Union[BlockOrthogonal, SignPattern]
 ) -> IsotropyElement:
     """gamma = V^T sigma V for a block element sigma of the decomposition.
 
     ``sigma`` may be a SignPattern (lifted to diagonal blocks) or a
     BlockOrthogonal whose structure must equal the decomposition's
-    multiplicity vector.
+    multiplicity vector.  Raises StructureError if gamma is not orthogonal
+    (V is not) or does not commute with the matrix (sigma does not respect
+    its eigenspaces).
     """
     if isinstance(sigma, SignPattern):
         if len(sigma.signs) != dec.n:
             raise StructureError(
                 f"sign pattern length {len(sigma.signs)} != dimension {dec.n}"
             )
-        source = sigma
         gamma = (dec.v.T * sigma.to_diagonal()) @ dec.v
     else:
         if sigma.m != dec.multiplicities:
@@ -153,32 +152,38 @@ def conjugate(
                 f"multiplicities {dec.multiplicities}",
                 details={"sigma_m": sigma.m, "dec_m": dec.multiplicities},
             )
-        source = sigma
         gamma = dec.v.T @ sigma.full() @ dec.v
-    if validate:
-        n = dec.n
-        orth = float(np.linalg.norm(gamma @ gamma.T - np.eye(n)))
-        if orth > 1e-9 * n:
-            raise StructureError(f"conjugated element lost orthogonality ({orth:.2e})")
-        a = dec.reconstruct()
-        comm = float(np.linalg.norm(gamma @ a - a @ gamma))
-        if comm > 1e-8 * max(1.0, float(np.linalg.norm(a))):
-            raise StructureError(f"conjugated element fails to commute ({comm:.2e})")
-    return IsotropyElement(gamma, source, dec.decomposition_id)
+    n = dec.n
+    orth = float(np.linalg.norm(gamma @ gamma.T - np.eye(n)))
+    if orth > 1e-9 * n:
+        raise StructureError(f"conjugated element lost orthogonality ({orth:.2e})")
+    a = dec.reconstruct()
+    comm = float(np.linalg.norm(gamma @ a - a @ gamma))
+    if comm > 1e-8 * max(1.0, float(np.linalg.norm(a))):
+        raise StructureError(f"conjugated element fails to commute ({comm:.2e})")
+    return IsotropyElement(gamma, sigma, dec.decomposition_id)
 
 
 def gamma2_elements(dec: SpectralDecomposition) -> list[IsotropyElement]:
     """All 2^n diagonal-sign symmetries V^T sigma V, ordered by the binary
-    encoding of the sign vector (index 0 = identity, last = -identity)."""
+    encoding of the sign vector (index 0 = identity, last = -identity).
+
+    Unlike ``conjugate`` this does not check the elements: a sign pattern
+    keeps every eigenvector, so each element is orthogonal and commutes
+    with the matrix as far as V is orthogonal."""
     n = dec.n
     if n > GAMMA2_MAX_N:
         raise SizeCapError(
             f"2^{n} sign elements exceed the enumeration cap (n <= "
             f"{GAMMA2_MAX_N}); use sample_gamma instead"
         )
+    # row k holds the signs of SignPattern.from_index(k, n)
+    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    signs = 1.0 - 2.0 * bits
+    gammas = (dec.v.T[None] * signs[:, None, :]) @ dec.v
     return [
-        conjugate(dec, SignPattern.from_index(k, n), validate=False)
-        for k in range(2**n)
+        IsotropyElement(g, SignPattern(tuple(s)), dec.decomposition_id)
+        for g, s in zip(gammas, signs.tolist())
     ]
 
 

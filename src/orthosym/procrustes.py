@@ -107,12 +107,3 @@ def family_sample(a, b, seed: int, count: int) -> list[ProcrustesSolution]:
         )
     return out
 
-
-def isospectral(a, b, tol: float = 1e-8) -> bool:
-    """True iff the sorted spectra of A and B agree elementwise within tol."""
-    sa, sb = as_sym(a), as_sym(b)
-    if sa.n != sb.n:
-        raise DimensionError(f"dimension mismatch: {sa.n} vs {sb.n}")
-    la = eig_sym(sa).lambdas
-    lb = eig_sym(sb).lambdas
-    return float(np.max(np.abs(la - lb))) <= tol

@@ -28,8 +28,8 @@ def as_matrix(a) -> np.ndarray:
     return np.asarray(a, dtype=float)
 
 
-def check_symmetric(a, symtol: float = DEFAULT_SYMTOL) -> bool:
-    """True iff ||A - A^T||_F <= symtol * max(1, ||A||_F)."""
+def check_symmetric(a) -> bool:
+    """True iff ||A - A^T||_F <= DEFAULT_SYMTOL * max(1, ||A||_F)."""
     m = as_matrix(a)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
@@ -40,7 +40,7 @@ def check_symmetric(a, symtol: float = DEFAULT_SYMTOL) -> bool:
     # overflow nor underflow
     b = m / scale
     diff = float(np.linalg.norm(b - b.T))
-    return diff <= symtol * float(np.linalg.norm(b)) or diff * scale <= symtol
+    return diff <= DEFAULT_SYMTOL * float(np.linalg.norm(b)) or diff * scale <= DEFAULT_SYMTOL
 
 
 @dataclass(frozen=True)
@@ -214,15 +214,26 @@ def eig_sym(a, cluster_tol: float | None = None) -> SpectralDecomposition:
     bit-identical output, in one process or in processes that run BLAS with
     different thread counts.
 
-    Raises ConvergenceError if LAPACK fails to converge.
+    Raises ConvergenceError if LAPACK fails to converge, and ValueError if
+    the input is not exactly symmetric and (A + A^T)/2 overflows.
     """
     m = a.entries if isinstance(a, SymMatrix) else _validated(np.asarray(a, dtype=float))
-    work = (m + m.T) / 2.0
+    # (x + x)/2 == x whenever x + x is finite, so skipping an exactly
+    # symmetric matrix changes no bits, and its entries near the top of the
+    # float range cannot overflow
+    if (m == m.T).all():
+        work = m
+    else:
+        with np.errstate(over="ignore"):
+            work = (m + m.T) / 2.0
+    top = np.abs(work).max(initial=0.0)
+    if not math.isfinite(top):
+        raise ValueError("(A + A^T)/2 overflows the float range")
     # solve at max |A_ij| in [0.5, 1) and scale back by the same power of
     # two: both steps are exact, so eig_sym(2^k A) = 2^k eig_sym(A), and
     # LAPACK, which can fail to converge on a matrix of huge entries mixed
     # with tiny ones, sees the same matrix at every scale
-    _, shift = math.frexp(np.abs(work).max(initial=0.0))
+    _, shift = math.frexp(top)
     try:
         diag, u = np.linalg.eigh(np.ldexp(work, -shift))
     except np.linalg.LinAlgError as exc:
@@ -245,6 +256,16 @@ def eig_sym(a, cluster_tol: float | None = None) -> SpectralDecomposition:
         cluster_tol=tol,
         borderline=_borderline_gaps(gaps, tol),
     )
+
+
+def isospectral(a, b, tol: float) -> bool:
+    """True iff the sorted spectra of A and B agree elementwise within tol."""
+    sa, sb = as_sym(a), as_sym(b)
+    if sa.n != sb.n:
+        raise DimensionError(f"dimension mismatch: {sa.n} vs {sb.n}")
+    la = eig_sym(sa).lambdas
+    lb = eig_sym(sb).lambdas
+    return float(np.max(np.abs(la - lb))) <= tol
 
 
 def align_basis(dec: SpectralDecomposition, target) -> SpectralDecomposition:

@@ -52,18 +52,6 @@ class ScalarField:
         return val
 
 
-@dataclass(frozen=True)
-class StencilProbe:
-    """A four-point probe: base point, the two symmetries, the displacement,
-    and the combined value s (which is O(||h||^4))."""
-
-    base_point: np.ndarray
-    gamma1: np.ndarray
-    gamma2: np.ndarray
-    h: np.ndarray
-    value: float
-
-
 def default_step(x) -> float:
     return 1e-4 * max(1.0, float(np.linalg.norm(x)))
 
@@ -102,7 +90,7 @@ def _require_member(hess: SymMatrix, gamma, label: str) -> np.ndarray:
     return g
 
 
-def second_diff(f: ScalarField, x, gamma, h, hessian=None) -> float:
+def second_diff(f: ScalarField, x, gamma, h, hessian) -> float:
     """f(x + gamma h) - 2 f(x) + f(x - gamma h).
 
     For gamma in the Hessian's symmetry group this equals h^T H h plus a
@@ -110,8 +98,7 @@ def second_diff(f: ScalarField, x, gamma, h, hessian=None) -> float:
     invariant under the group action.
     """
     pt = np.asarray(x, dtype=float)
-    hess = hessian_fd(f, pt) if hessian is None else as_sym(hessian)
-    g = _require_member(hess, gamma, "gamma")
+    g = _require_member(as_sym(hessian), gamma, "gamma")
     gh = g @ np.asarray(h, dtype=float)
     return f(pt + gh) - 2.0 * f(pt) + f(pt - gh)
 
@@ -125,21 +112,26 @@ def _probe_value(f: ScalarField, pt, g1, g2, h) -> float:
     return t1 - t2
 
 
-def _warn_degenerate_choice(g1, g2, h):
+def _checked_symmetries(hessian, g1, g2, h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """g1, g2 and h as arrays, once both symmetries have passed the Hessian
+    membership test.  Warns, at the caller of the public probe function,
+    when the choice makes every probe value uninformative."""
+    hess = as_sym(hessian)
+    g1 = _require_member(hess, g1, "gamma1")
+    g2 = _require_member(hess, g2, "gamma2")
+    h = np.asarray(h, dtype=float)
     if np.allclose(g1, g2, atol=1e-12) or np.allclose(g1, -g2, atol=1e-12):
         warnings.warn(
             "gamma1 = +/-gamma2: the probe cancels identically and carries "
             "no fourth-order information",
             stacklevel=3,
         )
-        return
+        return g1, g2, h
     hn = float(np.linalg.norm(h))
-    if hn == 0.0:
-        return
     # the two arms coincide whenever gamma1 h = +/- gamma2 h, e.g. when h is
     # a shared eigenvector of both symmetries; the value then cancels
     g1h, g2h = g1 @ h, g2 @ h
-    if (
+    if hn > 0.0 and (
         float(np.linalg.norm(g1h - g2h)) <= EIGENVECTOR_TOL * hn
         or float(np.linalg.norm(g1h + g2h)) <= EIGENVECTOR_TOL * hn
     ):
@@ -149,47 +141,34 @@ def _warn_degenerate_choice(g1, g2, h):
             "for this displacement",
             stacklevel=3,
         )
+    return g1, g2, h
 
 
-def fourth_order_probe(f: ScalarField, x, g1, g2, h, hessian=None) -> StencilProbe:
-    """Evaluate the four-point probe; both symmetries must pass the Hessian
-    membership test.  Warns (but proceeds) when g1 = +/-g2 or when h is an
-    eigenvector of either symmetry, since the value is then uninformative.
+def fourth_order_probe(f: ScalarField, x, g1, g2, h, hessian) -> float:
+    """The four-point probe value s, which is O(||h||^4); both symmetries
+    must pass the membership test for ``hessian``.  Warns (but proceeds)
+    when g1 = +/-g2 or when h is an eigenvector of g2^T g1, since the value
+    is then uninformative.
     """
-    pt = np.asarray(x, dtype=float)
-    hess = hessian_fd(f, pt) if hessian is None else as_sym(hessian)
-    m1 = _require_member(hess, g1, "gamma1")
-    m2 = _require_member(hess, g2, "gamma2")
-    hv = np.asarray(h, dtype=float)
-    _warn_degenerate_choice(m1, m2, hv)
-    return StencilProbe(
-        base_point=pt,
-        gamma1=m1,
-        gamma2=m2,
-        h=hv,
-        value=_probe_value(f, pt, m1, m2, hv),
-    )
+    g1, g2, h = _checked_symmetries(hessian, g1, g2, h)
+    return _probe_value(f, np.asarray(x, dtype=float), g1, g2, h)
 
 
 def probe_ladder(
-    f: ScalarField, x, g1, g2, h, levels: int = 5, hessian=None
+    f: ScalarField, x, g1, g2, h, hessian, levels: int = 5
 ) -> tuple[list[float], float]:
     """Probe values at h, h/2, ..., h/2^(levels-1), and the least-squares
-    slope of log|s| against log||h|| over them.  Both symmetries are tested
-    for membership once; like ``fourth_order_probe`` this warns when the
-    choice of g1, g2 and h makes every value uninformative."""
+    slope of log|s| against log||h|| over them.  Generic smooth fields with
+    a nonvanishing quartic difference give a slope near 4.  Tests and warns
+    like ``fourth_order_probe``, once for all levels."""
     if levels < 3:
         raise ValueError(f"levels must be at least 3, got {levels}")
+    g1, g2, h = _checked_symmetries(hessian, g1, g2, h)
     pt = np.asarray(x, dtype=float)
-    hess = hessian_fd(f, pt) if hessian is None else as_sym(hessian)
-    m1 = _require_member(hess, g1, "gamma1")
-    m2 = _require_member(hess, g2, "gamma2")
-    hv = np.asarray(h, dtype=float)
-    _warn_degenerate_choice(m1, m2, hv)
     values, logs_h, logs_s = [], [], []
     for k in range(levels):
-        hk = hv / 2.0**k
-        s = _probe_value(f, pt, m1, m2, hk)
+        hk = h / 2.0**k
+        s = _probe_value(f, pt, g1, g2, hk)
         if abs(s) < PROBE_FLOOR:
             raise DegenerateProbeError(
                 f"probe value {s:.2e} at level {k} is below the noise floor; "
@@ -199,12 +178,6 @@ def probe_ladder(
         logs_h.append(math.log(float(np.linalg.norm(hk))))
         logs_s.append(math.log(abs(s)))
     return values, float(np.polyfit(logs_h, logs_s, 1)[0])
-
-
-def order_fit(f: ScalarField, x, g1, g2, h, levels: int = 5, hessian=None) -> float:
-    """The slope of ``probe_ladder``.  Generic smooth fields with a
-    nonvanishing quartic difference give a slope near 4."""
-    return probe_ladder(f, x, g1, g2, h, levels=levels, hessian=hessian)[1]
 
 
 def _field_quadratic(x: np.ndarray) -> float:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,43 @@ def test_conjugate_structure_mismatch(dec_mu0):
     wrong = BlockOrthogonal.identity((1, 1, 1))  # dec has m = (1, 2)
     with pytest.raises(StructureError):
         conjugate(dec_mu0, wrong)
+
+
+def test_conjugate_rejects_a_basis_that_is_not_orthogonal():
+    # a scaled basis still commutes with the matrix it rebuilds; only the
+    # orthogonality check can catch it
+    dec = eig_sym(dynsys.guiding_matrix(-0.25))
+    scaled = replace(dec, v=1.01 * dec.v)
+    with pytest.raises(StructureError, match="lost orthogonality"):
+        conjugate(scaled, SignPattern.from_index(1, 3))
+
+
+def test_conjugate_rejects_a_block_across_distinct_eigenvalues():
+    # a cluster tolerance wide enough to merge 1 and 1.2 makes the sampled
+    # block mix two eigenspaces: orthogonal, but not a symmetry
+    dec = eig_sym(np.diag([1.0, 1.2]), cluster_tol=0.5)
+    assert dec.multiplicities == (2,)
+    with pytest.raises(StructureError, match="fails to commute"):
+        sample_gamma(dec, 0)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_gamma2_matches_conjugate_bit_for_bit(n):
+    # the per-element conjugation is the reference for the stacked product
+    rng = np.random.default_rng(MASTER_SEED + 20 + n)
+    reps = rng.standard_normal(n)
+    if n >= 3:
+        reps[1] = reps[0]
+        reps[-1] = reps[-2]
+    for a in (planted_matrix(rng, reps)[0], planted_matrix(rng, rng.standard_normal(n))[0]):
+        dec = eig_sym(a)
+        els = gamma2_elements(dec)
+        assert len(els) == 2**n
+        for k, e in enumerate(els):
+            ref = conjugate(dec, SignPattern.from_index(k, n))
+            assert e.gamma.tobytes() == ref.gamma.tobytes()
+            assert e.source == ref.source
+            assert e.decomposition_id == ref.decomposition_id
 
 
 def test_enumeration_finds_reference_element(dec_mu0_aligned):

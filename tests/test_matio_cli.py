@@ -229,6 +229,17 @@ def test_cli_isotropy_sample_seed_determinism(capsys, a0_file):
     assert out1 != out3
 
 
+def test_cli_isotropy_sample_rejects_merged_eigenspaces(capsys, tmp_path):
+    path = tmp_path / "d.txt"
+    path.write_text("1 0\n0 1.2\n")
+    code, out, err = run_capture(
+        capsys, ["isotropy", "sample", "--input", str(path), "--cluster-tol", "0.5"]
+    )
+    assert code == 1
+    assert out == ""
+    assert "fails to commute" in err
+
+
 def test_cli_procrustes_solve(capsys, tmp_path):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"

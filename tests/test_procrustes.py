@@ -4,8 +4,8 @@ import pytest
 from orthosym.errors import DimensionError, StructureError
 from orthosym.graphsym import Graph
 from orthosym.isotropy import gamma2_elements, is_member
-from orthosym.procrustes import cost, family_sample, isospectral, solve
-from orthosym.spectral import eig_sym
+from orthosym.procrustes import cost, family_sample, solve
+from orthosym.spectral import eig_sym, isospectral
 
 from helpers import MASTER_SEED, haar_orthogonal, random_symmetric, set_distance
 

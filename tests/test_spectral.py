@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import orthosym
-from orthosym import dynsys, fixtures
+from orthosym import dynsys, fixtures, spectral
 from orthosym.cli import EXIT_NUMERICAL, run
 from orthosym.errors import ConvergenceError, DimensionError, SymmetryError
 from orthosym.spectral import (
@@ -27,11 +27,11 @@ from helpers import MASTER_SEED, haar_orthogonal, planted_matrix, random_symmetr
 
 
 def test_check_symmetric_identity():
-    assert check_symmetric(np.eye(3), 1e-10)
+    assert check_symmetric(np.eye(3))
 
 
 def test_check_symmetric_strictly_triangular():
-    assert not check_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]), 1e-10)
+    assert not check_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_check_symmetric_guiding_matrix():
@@ -210,19 +210,50 @@ def test_check_symmetric_sees_asymmetry_past_norm_overflow():
         SymMatrix(a)
 
 
-def test_check_symmetric_extreme_scales_without_warnings():
+def test_check_symmetric_extreme_scales_without_warnings(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert check_symmetric(1e200 * np.array([[1.0, 2.0], [2.0, 1.0]]))
         assert check_symmetric(np.zeros((3, 3)))
-        assert check_symmetric(np.array([[5e-324]]), 0.0)
-        assert not check_symmetric(np.array([[0.0, 5e-324], [0.0, 0.0]]), 0.0)
+        # at a zero tolerance a subnormal asymmetry must still be seen
+        monkeypatch.setattr(spectral, "DEFAULT_SYMTOL", 0.0)
+        assert check_symmetric(np.array([[5e-324]]))
+        assert not check_symmetric(np.array([[0.0, 5e-324], [0.0, 0.0]]))
 
 
 @pytest.mark.parametrize("s", [1e-200, 1e160, 1e200])
 def test_eig_at_extreme_scales(s):
     dec = eig_sym(s * np.array([[1.0, 2.0], [2.0, 1.0]]))
     np.testing.assert_allclose(dec.lambdas / s, [-1.0, 3.0], rtol=1e-12)
+
+
+def test_eig_of_entries_near_the_float_maximum():
+    dec = eig_sym(np.diag([1.7e308, 1.0]))
+    assert dec.lambdas.tolist() == [1.0, 1.7e308]
+    assert dec.multiplicities == (1, 1)
+
+
+def test_eig_rejects_a_symmetrisation_that_overflows():
+    # within the symmetry tolerance, but (A + A^T)/2 is not finite
+    a = np.array([[0.0, 1.7e308], [np.nextafter(1.7e308, 0.0), 0.0]])
+    with pytest.raises(ValueError, match="overflows"):
+        eig_sym(a)
+
+
+def test_skipped_symmetrisation_keeps_every_bit():
+    # an exactly symmetric matrix is decomposed as it is; a copy whose upper
+    # and lower entries differ by one ulp each way is symmetrised first, to
+    # the same matrix, and must give the same decomposition
+    rng = np.random.default_rng(MASTER_SEED + 70)
+    for k in (-1070, -1000, -30, 0, 30, 1000):
+        for n in (2, 3, 5, 8):
+            a = np.ldexp(random_symmetric(rng, n), k)
+            b = a.copy()
+            i, j = 0, n - 1
+            b[i, j] = np.nextafter(a[i, j], np.inf)
+            b[j, i] = 2.0 * a[i, j] - b[i, j]
+            assert ((b + b.T) / 2.0).tobytes() == a.tobytes()
+            assert eig_sym(a).decomposition_id == eig_sym(b).decomposition_id
 
 
 @st.composite

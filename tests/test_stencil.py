@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from orthosym.stencil import (
     ScalarField,
     fourth_order_probe,
     hessian_fd,
-    order_fit,
     probe_ladder,
     second_diff,
 )
@@ -74,7 +75,7 @@ def test_second_diff_quadratic_exact():
 
 def test_second_diff_identity_is_plain_difference():
     h = np.array([0.2, 0.05, 0.1])
-    got = second_diff(TRIG, XBAR, np.eye(3), h)
+    got = second_diff(TRIG, XBAR, np.eye(3), h, hessian=hessian_fd(TRIG, XBAR))
     expected = TRIG(XBAR + h) - 2.0 * TRIG(XBAR) + TRIG(XBAR - h)
     assert got == expected
 
@@ -95,20 +96,26 @@ def test_second_diff_remainder_is_fourth_order():
 def test_membership_precondition():
     rng = np.random.default_rng(MASTER_SEED + 42)
     rotation = haar_orthogonal(rng, 3)
+    hess = hessian_fd(TRIG, XBAR)
+    h = np.array([0.1, 0.0, 0.0])
     with pytest.raises(MembershipError):
-        second_diff(TRIG, XBAR, rotation, np.array([0.1, 0.0, 0.0]))
+        second_diff(TRIG, XBAR, rotation, h, hessian=hess)
     with pytest.raises(MembershipError):
-        fourth_order_probe(TRIG, XBAR, np.eye(3), rotation, np.array([0.1, 0.0, 0.0]))
+        fourth_order_probe(TRIG, XBAR, np.eye(3), rotation, h, hessian=hess)
+    with pytest.raises(MembershipError):
+        probe_ladder(TRIG, XBAR, rotation, np.eye(3), h, hessian=hess)
 
 
 def test_probe_equal_gammas_cancels_and_warns():
     hess = hessian_fd(TRIG, XBAR)
     g2 = matched_reflection(hess)
-    with pytest.warns(UserWarning, match="cancels identically"):
-        probe = fourth_order_probe(
+    with pytest.warns(UserWarning, match="cancels identically") as record:
+        value = fourth_order_probe(
             TRIG, XBAR, g2, g2, fixtures.REFERENCE_PROBE_H, hessian=hess
         )
-    assert probe.value == 0.0
+    assert value == 0.0
+    # the warning names the line that called the probe
+    assert record[0].filename == __file__
 
 
 def test_probe_quadratic_field_vanishes():
@@ -119,8 +126,8 @@ def test_probe_quadratic_field_vanishes():
     x = np.array([0.4, -0.1, 0.2])
     hess = hessian_fd(f, x)
     gammas = [e.gamma for e in gamma2_elements(eig_sym(hess))]
-    probe = fourth_order_probe(f, x, gammas[1], gammas[2], np.array([0.05, 0.04, -0.03]), hessian=hess)
-    assert abs(probe.value) <= 1e-12
+    value = fourth_order_probe(f, x, gammas[1], gammas[2], np.array([0.05, 0.04, -0.03]), hessian=hess)
+    assert abs(value) <= 1e-12
 
 
 def test_probe_warns_on_eigenvector_displacement():
@@ -128,17 +135,33 @@ def test_probe_warns_on_eigenvector_displacement():
     g2 = matched_reflection(hess)
     # the reflection axis u satisfies g2 u = -u, so both arms coincide
     u = eig_sym(np.asarray(hess)).v[0]
-    with pytest.warns(UserWarning, match="uninformative"):
-        probe = fourth_order_probe(TRIG, XBAR, np.eye(3), g2, 0.1 * u, hessian=hess)
-    assert abs(probe.value) <= 1e-12
+    with pytest.warns(UserWarning, match="uninformative") as record:
+        value = fourth_order_probe(TRIG, XBAR, np.eye(3), g2, 0.1 * u, hessian=hess)
+    assert abs(value) <= 1e-12
+    assert record[0].filename == __file__
+    with pytest.warns(UserWarning, match="uninformative") as record:
+        with pytest.raises(DegenerateProbeError):
+            probe_ladder(TRIG, XBAR, np.eye(3), g2, 0.1 * u, hessian=hess)
+    assert record[0].filename == __file__
+
+
+def test_probe_value_is_the_four_point_sum():
+    hess = hessian_fd(TRIG, XBAR)
+    g2 = matched_reflection(hess)
+    h = fixtures.REFERENCE_PROBE_H
+    value = fourth_order_probe(TRIG, XBAR, np.eye(3), g2, h, hessian=hess)
+    assert type(value) is float
+    g2h = g2 @ h
+    expected = (TRIG(XBAR + h) + TRIG(XBAR - h)) - (TRIG(XBAR + g2h) + TRIG(XBAR - g2h))
+    assert value == expected
 
 
 def test_probe_antisymmetry_exact():
     hess = hessian_fd(TRIG, XBAR)
     g2 = matched_reflection(hess)
     h = fixtures.REFERENCE_PROBE_H
-    a = fourth_order_probe(TRIG, XBAR, np.eye(3), g2, h, hessian=hess).value
-    b = fourth_order_probe(TRIG, XBAR, g2, np.eye(3), h, hessian=hess).value
+    a = fourth_order_probe(TRIG, XBAR, np.eye(3), g2, h, hessian=hess)
+    b = fourth_order_probe(TRIG, XBAR, g2, np.eye(3), h, hessian=hess)
     assert a == -b
 
 
@@ -148,10 +171,12 @@ def test_probe_ladder_matches_probe_and_fit_per_level():
     h = fixtures.REFERENCE_PROBE_H
     values, slope = probe_ladder(TRIG, XBAR, np.eye(3), g2, h, levels=4, hessian=hess)
     assert values == [
-        fourth_order_probe(TRIG, XBAR, np.eye(3), g2, h / 2.0**k, hessian=hess).value
+        fourth_order_probe(TRIG, XBAR, np.eye(3), g2, h / 2.0**k, hessian=hess)
         for k in range(4)
     ]
-    assert slope == order_fit(TRIG, XBAR, np.eye(3), g2, h, levels=4, hessian=hess)
+    logs_h = [math.log(float(np.linalg.norm(h / 2.0**k))) for k in range(4)]
+    logs_s = [math.log(abs(v)) for v in values]
+    assert slope == float(np.polyfit(logs_h, logs_s, 1)[0])
 
 
 def test_quadratic_form_invariant_under_group():
@@ -177,7 +202,9 @@ def test_order_fit_sixth_order_construction():
             [0.0, 0.0, 1.0],
         ]
     )
-    slope = order_fit(f, x, np.eye(3), rot, np.array([0.31, 0.12, -0.22]), levels=4)
+    _, slope = probe_ladder(
+        f, x, np.eye(3), rot, np.array([0.31, 0.12, -0.22]), hessian=hessian_fd(f, x), levels=4
+    )
     assert 5.7 <= slope <= 6.3
 
 
@@ -190,12 +217,14 @@ def test_order_fit_quadratic_is_degenerate():
     hess = 2.0 * m  # exact Hessian: symmetries commute to machine precision
     gammas = [e.gamma for e in gamma2_elements(eig_sym(hess))]
     with pytest.raises(DegenerateProbeError):
-        order_fit(f, x, gammas[1], gammas[2], np.array([0.05, 0.04, -0.03]), hessian=hess)
+        probe_ladder(f, x, gammas[1], gammas[2], np.array([0.05, 0.04, -0.03]), hessian=hess)
 
 
 def test_order_fit_rejects_few_levels():
     with pytest.raises(ValueError):
-        order_fit(TRIG, XBAR, np.eye(3), np.eye(3), np.array([0.1, 0.0, 0.0]), levels=2)
+        probe_ladder(
+            TRIG, XBAR, np.eye(3), np.eye(3), np.array([0.1, 0.0, 0.0]), hessian=H_REF, levels=2
+        )
 
 
 def test_scalar_field_dimension_check():
