@@ -11,7 +11,7 @@ and the equilibrium structure of an equivariant model ODE.
 from . import cli, dynsys, fixtures, graphsym, isotropy, matio, procrustes, spectral, stencil, verify
 from .errors import OrthosymError
 from .graphsym import Graph, Permutation
-from .isotropy import BlockOrthogonal, IsotropyElement, SignPattern
+from .isotropy import BlockOrthogonal
 from .procrustes import ProcrustesSolution
 from .spectral import SpectralDecomposition, SymMatrix, eig_sym
 from .stencil import ScalarField
@@ -21,12 +21,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BlockOrthogonal",
     "Graph",
-    "IsotropyElement",
     "OrthosymError",
     "Permutation",
     "ProcrustesSolution",
     "ScalarField",
-    "SignPattern",
     "SpectralDecomposition",
     "SymMatrix",
     "__version__",

@@ -116,25 +116,23 @@ def _cmd_isotropy(args):
     dec = spectral.eig_sym(sym, cluster_tol=args.cluster_tol)
     a = np.asarray(sym)
     if args.action == "gamma2":
-        elements = isotropy.gamma2_elements(dec)
+        elements = isotropy.gamma2_elements(dec).tolist()
         payload = {
             "count": len(elements),
             "multiplicities": list(dec.multiplicities),
-            "elements": [
-                {"index": k, "gamma": _mat(e.gamma)} for k, e in enumerate(elements)
-            ],
+            "elements": [{"index": k, "gamma": g} for k, g in enumerate(elements)],
         }
         _emit(args, payload, text=f"{len(elements)} sign-group elements")
     elif args.action == "sample":
         samples = []
         for k in range(args.count):
             seed = derive_seed(args.seed, k)
-            e = isotropy.sample_gamma(dec, seed)
+            g = isotropy.sample_gamma(dec, seed)
             samples.append(
                 {
                     "seed": seed,
-                    "gamma": _mat(e.gamma),
-                    "commutator_residual": isotropy.commutator_residual(a, e.gamma),
+                    "gamma": _mat(g),
+                    "commutator_residual": isotropy.commutator_residual(a, g),
                 }
             )
         payload = {"count": len(samples), "elements": samples}
@@ -209,12 +207,12 @@ def _cmd_graph(args):
         }
         _emit(args, payload, text=f"{len(perms)} automorphisms")
     else:  # hidden
-        e = graphsym.hidden_symmetry_sample(graph, derive_seed(args.seed, 0))
-        perm = graphsym.is_permutation(e.gamma)
+        g = graphsym.hidden_symmetry_sample(graph, derive_seed(args.seed, 0))
+        perm = graphsym.is_permutation(g)
         payload = {
-            "gamma": _mat(e.gamma),
+            "gamma": _mat(g),
             "commutator_residual": isotropy.commutator_residual(
-                graph.adjacency.astype(float), e.gamma
+                graph.adjacency.astype(float), g
             ),
             "permutation": list(perm.mapping) if perm is not None else None,
         }
@@ -236,12 +234,12 @@ def _sample_nontrivial_gamma(dec, root_seed):
     # skip +/-identity draws: the probe cancels identically on them
     n = dec.n
     for k in range(64):
-        e = isotropy.sample_gamma(dec, derive_seed(root_seed, k))
+        g = isotropy.sample_gamma(dec, derive_seed(root_seed, k))
         if not (
-            np.allclose(e.gamma, np.eye(n), atol=1e-10)
-            or np.allclose(e.gamma, -np.eye(n), atol=1e-10)
+            np.allclose(g, np.eye(n), atol=1e-10)
+            or np.allclose(g, -np.eye(n), atol=1e-10)
         ):
-            return e.gamma
+            return g
     raise DegenerateProbeError("could not sample a nontrivial symmetry")
 
 

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionError, LimitExceededError, SizeCapError, StructureError
-from .isotropy import IsotropyElement, sample_gamma
+from .isotropy import sample_gamma
 from .spectral import SpectralDecomposition, as_matrix, eig_sym, isospectral
 
 EXACT_SEARCH_MAX_N = 12
@@ -225,8 +225,8 @@ def adjacency_decomposition(graph: Graph, cluster_tol: float | None = None) -> S
     return eig_sym(graph.adjacency.astype(float), cluster_tol=cluster_tol)
 
 
-def hidden_symmetry_sample(graph: Graph, seed: int) -> IsotropyElement:
-    """A Haar-sampled orthogonal symmetry of the adjacency matrix.
+def hidden_symmetry_sample(graph: Graph, seed: int) -> np.ndarray:
+    """A Haar-sampled orthogonal symmetry of the adjacency matrix, read-only.
 
     The sample commutes with the adjacency matrix but is generically not a
     permutation: these are symmetries of the graph spectrum that the vertex

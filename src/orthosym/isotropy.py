@@ -10,44 +10,17 @@ and tests membership directly through the commutation characterization.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Union
 
 import numpy as np
 
 from .errors import DimensionError, SizeCapError, StructureError
 from .spectral import SpectralDecomposition, SymMatrix, as_matrix
 
-GAMMA2_MAX_N = 20
+# the elements alone take 2^n * n^2 * 8 bytes, 25.7 MB at n = 14 and 3.4 GB
+# at n = 20, and their JSON takes about 2.7 times as much
+GAMMA2_MAX_N = 14
 MEMBER_TOL = 1e-8
 _BLOCK_ORTH_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class SignPattern:
-    """A vector of +/-1 signs; the diagonal elements of the finite sign group."""
-
-    signs: tuple[int, ...]
-
-    def __post_init__(self):
-        if not all(s in (1, -1) for s in self.signs):
-            raise ValueError("sign entries must be exactly +1 or -1")
-        object.__setattr__(self, "signs", tuple(int(s) for s in self.signs))
-
-    @classmethod
-    def from_index(cls, index: int, n: int) -> SignPattern:
-        """Decode ``index`` in [0, 2^n): bit (n-1-i) set means sign i is -1,
-        so index 0 is the identity pattern and 2^n - 1 is all minus."""
-        if not 0 <= index < 2**n:
-            raise ValueError(f"index {index} out of range for n={n}")
-        return cls(tuple(-1 if (index >> (n - 1 - i)) & 1 else 1 for i in range(n)))
-
-    @property
-    def index(self) -> int:
-        n = len(self.signs)
-        return sum(1 << (n - 1 - i) for i, s in enumerate(self.signs) if s == -1)
-
-    def to_diagonal(self) -> np.ndarray:
-        return np.array(self.signs, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -109,50 +82,22 @@ class BlockOrthogonal:
         )
 
 
-@dataclass(frozen=True)
-class IsotropyElement:
-    """An orthogonal matrix commuting with the decomposed matrix, with the
-    block element it came from and the decomposition that produced it."""
+def conjugate(dec: SpectralDecomposition, sigma: BlockOrthogonal) -> np.ndarray:
+    """gamma = V^T sigma V, read-only, for a block element sigma of the
+    decomposition.
 
-    gamma: np.ndarray
-    source: Union[BlockOrthogonal, SignPattern]
-    decomposition_id: str
-
-    def __post_init__(self):
-        g = np.array(self.gamma, dtype=float)
-        g.setflags(write=False)
-        object.__setattr__(self, "gamma", g)
-
-    @property
-    def n(self) -> int:
-        return self.gamma.shape[0]
-
-
-def conjugate(
-    dec: SpectralDecomposition, sigma: Union[BlockOrthogonal, SignPattern]
-) -> IsotropyElement:
-    """gamma = V^T sigma V for a block element sigma of the decomposition.
-
-    ``sigma`` may be a SignPattern (lifted to diagonal blocks) or a
-    BlockOrthogonal whose structure must equal the decomposition's
-    multiplicity vector.  Raises StructureError if gamma is not orthogonal
-    (V is not) or does not commute with the matrix (sigma does not respect
-    its eigenspaces).
+    The structure of ``sigma`` must equal the decomposition's multiplicity
+    vector.  Raises StructureError if gamma is not orthogonal (V is not) or
+    does not commute with the matrix (sigma does not respect its
+    eigenspaces).
     """
-    if isinstance(sigma, SignPattern):
-        if len(sigma.signs) != dec.n:
-            raise StructureError(
-                f"sign pattern length {len(sigma.signs)} != dimension {dec.n}"
-            )
-        gamma = (dec.v.T * sigma.to_diagonal()) @ dec.v
-    else:
-        if sigma.m != dec.multiplicities:
-            raise StructureError(
-                f"block structure {sigma.m} does not match decomposition "
-                f"multiplicities {dec.multiplicities}",
-                details={"sigma_m": sigma.m, "dec_m": dec.multiplicities},
-            )
-        gamma = dec.v.T @ sigma.full() @ dec.v
+    if sigma.m != dec.multiplicities:
+        raise StructureError(
+            f"block structure {sigma.m} does not match decomposition "
+            f"multiplicities {dec.multiplicities}",
+            details={"sigma_m": sigma.m, "dec_m": dec.multiplicities},
+        )
+    gamma = dec.v.T @ sigma.full() @ dec.v
     n = dec.n
     orth = float(np.linalg.norm(gamma @ gamma.T - np.eye(n)))
     if orth > 1e-9 * n:
@@ -161,12 +106,14 @@ def conjugate(
     comm = float(np.linalg.norm(gamma @ a - a @ gamma))
     if comm > 1e-8 * max(1.0, float(np.linalg.norm(a))):
         raise StructureError(f"conjugated element fails to commute ({comm:.2e})")
-    return IsotropyElement(gamma, sigma, dec.decomposition_id)
+    gamma.setflags(write=False)
+    return gamma
 
 
-def gamma2_elements(dec: SpectralDecomposition) -> list[IsotropyElement]:
-    """All 2^n diagonal-sign symmetries V^T sigma V, ordered by the binary
-    encoding of the sign vector (index 0 = identity, last = -identity).
+def gamma2_elements(dec: SpectralDecomposition) -> np.ndarray:
+    """All 2^n diagonal-sign symmetries V^T diag(s) V as one read-only
+    (2^n, n, n) array.  Element k has s_i = -1 exactly where bit n-1-i of k
+    is set, so element 0 is the identity and element 2^n - 1 is -identity.
 
     Unlike ``conjugate`` this does not check the elements: a sign pattern
     keeps every eigenvector, so each element is orthogonal and commutes
@@ -177,14 +124,11 @@ def gamma2_elements(dec: SpectralDecomposition) -> list[IsotropyElement]:
             f"2^{n} sign elements exceed the enumeration cap (n <= "
             f"{GAMMA2_MAX_N}); use sample_gamma instead"
         )
-    # row k holds the signs of SignPattern.from_index(k, n)
     bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
     signs = 1.0 - 2.0 * bits
     gammas = (dec.v.T[None] * signs[:, None, :]) @ dec.v
-    return [
-        IsotropyElement(g, SignPattern(tuple(s)), dec.decomposition_id)
-        for g, s in zip(gammas, signs.tolist())
-    ]
+    gammas.setflags(write=False)
+    return gammas
 
 
 def sample_block_orthogonal(
@@ -209,9 +153,9 @@ def sample_block_orthogonal(
     return BlockOrthogonal(tuple(m), tuple(blocks))
 
 
-def sample_gamma(dec: SpectralDecomposition, seed: int) -> IsotropyElement:
-    """Haar-distributed symmetry of the decomposed matrix; deterministic for
-    a fixed seed."""
+def sample_gamma(dec: SpectralDecomposition, seed: int) -> np.ndarray:
+    """Haar-distributed symmetry of the decomposed matrix, read-only;
+    deterministic for a fixed seed."""
     rng = np.random.default_rng(seed)
     sigma = sample_block_orthogonal(dec.multiplicities, rng)
     return conjugate(dec, sigma)
@@ -243,7 +187,7 @@ def commutator_residual(a, g) -> float:
 
 
 def is_member(
-    dec: Union[SpectralDecomposition, SymMatrix, np.ndarray],
+    dec: SpectralDecomposition | SymMatrix | np.ndarray,
     g,
     tol: float = MEMBER_TOL,
 ) -> bool:

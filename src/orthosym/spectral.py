@@ -215,7 +215,8 @@ def eig_sym(a, cluster_tol: float | None = None) -> SpectralDecomposition:
     different thread counts.
 
     Raises ConvergenceError if LAPACK fails to converge, and ValueError if
-    the input is not exactly symmetric and (A + A^T)/2 overflows.
+    the input is not exactly symmetric and (A + A^T)/2 overflows, or if an
+    eigenvalue overflows.
     """
     m = a.entries if isinstance(a, SymMatrix) else _validated(np.asarray(a, dtype=float))
     # (x + x)/2 == x whenever x + x is finite, so skipping an exactly
@@ -238,11 +239,20 @@ def eig_sym(a, cluster_tol: float | None = None) -> SpectralDecomposition:
         diag, u = np.linalg.eigh(np.ldexp(work, -shift))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
+    try:
+        # np.ldexp below would return inf, with only a warning, for an
+        # eigenvalue past the float range; math.ldexp raises instead
+        math.ldexp(float(np.abs(diag).max(initial=0.0)), shift)
+    except OverflowError:
+        raise ValueError("an eigenvalue overflows the float range") from None
     order = diag.argsort(kind="stable")
     lam = np.ldexp(diag[order], shift)
     u = _fix_signs(u[:, order])
     tol = default_cluster_tol(lam) if cluster_tol is None else float(cluster_tol)
-    values, gaps = lam.tolist(), np.diff(lam).tolist()
+    values = lam.tolist()
+    # float subtraction, unlike np.diff, does not warn when a gap between
+    # eigenvalues of opposite sign overflows; an infinite gap splits correctly
+    gaps = [b - a for a, b in zip(values, values[1:])]
     clusters, start = [], 0
     for size in _multiplicities(gaps, tol):
         # the mean of one value is that value; larger clusters keep np.mean

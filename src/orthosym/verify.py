@@ -129,7 +129,7 @@ def _checks():
     def gamma_set_matches():
         dec = spectral.eig_sym(dynsys.guiding_matrix(0.0))
         dec = spectral.align_basis(dec, fixtures.REFERENCE_BASIS_3)
-        ours = [e.gamma for e in isotropy.gamma2_elements(dec)]
+        ours = isotropy.gamma2_elements(dec)
         worst = max(
             _set_distance(ref, ours) for ref in fixtures.reference_gamma_set_3()
         )
@@ -141,9 +141,9 @@ def _checks():
         a = np.asarray(dynsys.guiding_matrix(0.0))
         dec = spectral.eig_sym(a)
         worst = 0.0
-        for e in isotropy.gamma2_elements(dec):
-            worst = max(worst, isotropy.commutator_residual(a, e.gamma))
-            worst = max(worst, float(np.linalg.norm(e.gamma @ e.gamma - np.eye(3))))
+        for g in isotropy.gamma2_elements(dec):
+            worst = max(worst, isotropy.commutator_residual(a, g))
+            worst = max(worst, float(np.linalg.norm(g @ g - np.eye(3))))
         return worst, 1e-8
 
     yield "sign group commutes and squares to identity", gamma_set_residuals, "worst residual"
@@ -153,8 +153,8 @@ def _checks():
         v = fixtures.KERNEL_VECTOR_3
         # the first and last elements are +I and -I; -I flips every vector
         best = min(
-            float(np.linalg.norm(e.gamma @ v + v))
-            for e in isotropy.gamma2_elements(dec)[1:-1]
+            float(np.linalg.norm(g @ v + v))
+            for g in isotropy.gamma2_elements(dec)[1:-1]
         )
         return best, 1e-6
 
@@ -162,7 +162,7 @@ def _checks():
 
     def one_dimensional():
         dec = spectral.eig_sym(np.array([[7.0]]))
-        got = sorted(float(e.gamma[0, 0]) for e in isotropy.gamma2_elements(dec))
+        got = sorted(float(g[0, 0]) for g in isotropy.gamma2_elements(dec))
         return float(np.max(np.abs(np.array(got) - np.array([-1.0, 1.0])))), 0.0
 
     yield "one-dimensional sign group is {+1, -1}", one_dimensional, "max diff"

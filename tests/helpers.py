@@ -8,12 +8,22 @@ paths they are used to check.
 import itertools
 
 import numpy as np
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 MASTER_SEED = 20260810
 
 
 def random_symmetric(rng, n):
     m = rng.standard_normal((n, n))
+    return (m + m.T) / 2.0
+
+
+@st.composite
+def symmetric_matrices(draw, max_n=6):
+    n = draw(st.integers(1, max_n))
+    elements = st.floats(-10.0, 10.0, allow_subnormal=False)
+    m = draw(hnp.arrays(np.float64, (n, n), elements=elements))
     return (m + m.T) / 2.0
 
 

@@ -74,11 +74,11 @@ def test_criterion_02_sign_group_matches_reference_set():
     dec = eig_sym(a)
     refs = fixtures.reference_gamma_set_3()
     # gauge-independent elements must match from the raw decomposition
-    raw = [e.gamma for e in gamma2_elements(dec)]
+    raw = gamma2_elements(dec)
     gauge_free = [refs[0], refs[2], refs[4], refs[6]]  # +/-I, +/-the exact one
     ok = rows_pass("sign group matches the four-decimal reference set")
     ok = ok and all(set_distance(r, raw) <= 1e-3 for r in gauge_free)
-    aligned = [e.gamma for e in gamma2_elements(align_basis(dec, fixtures.REFERENCE_BASIS_3))]
+    aligned = gamma2_elements(align_basis(dec, fixtures.REFERENCE_BASIS_3))
     for g in aligned:
         ok = ok and commutator_residual(a, g) <= 1e-8
         ok = ok and float(np.linalg.norm(g @ g - np.eye(3))) <= 1e-8
@@ -96,7 +96,7 @@ def test_criterion_04_double_eigenvalue_sampling():
     ok = float(np.max(np.abs(dec.lambdas - np.array([-1.0, 5.0, 5.0])))) <= 1e-8
     ok = ok and dec.multiplicities == (1, 2)
     for seed in range(50):
-        g = sample_gamma(dec, seed).gamma
+        g = sample_gamma(dec, seed)
         ok = ok and commutator_residual(a, g) <= 1e-8
     report(4, "spectrum (-1,5,5) and 50 sampled symmetries commute", ok)
 
@@ -199,7 +199,7 @@ def test_criterion_10_basis_independent_membership():
         dec2 = rotate_basis(dec1, sample_block_orthogonal(dec1.multiplicities, rng))
         for k in range(100):
             source = dec1 if k % 2 == 0 else dec2
-            g = sample_gamma(source, MASTER_SEED + 1000 * case + k).gamma
+            g = sample_gamma(source, MASTER_SEED + 1000 * case + k)
             v1 = is_member(dec1, g)
             v2 = is_member(dec2, g)
             if v1 != v2:
@@ -230,7 +230,7 @@ def test_criterion_11_property_suite(tmp_path):
             lam = np.sort(lam)
         a = haar_orthogonal(rng, n) @ np.diag(lam) @ haar_orthogonal(rng, n).T
         a = (a + a.T) / 2
-        els = np.stack([e.gamma for e in gamma2_elements(eig_sym(a))])
+        els = gamma2_elements(eig_sym(a))
         k = els.shape[0]
         prods = np.einsum("aij,bjk->abik", els, els).reshape(k * k, n, n)
         dist = np.abs(prods[:, None, :, :] - els[None, :, :, :]).max(axis=(2, 3))

@@ -142,7 +142,7 @@ def test_symmetry_orbit_of_equilibria():
     dec = eig_sym(guiding_matrix(mu))
     pts = eq.sample_points(6)
     for seed in range(20):
-        g = sample_gamma(dec, seed).gamma
+        g = sample_gamma(dec, seed)
         for pt in pts:
             assert np.linalg.norm(rhs(g @ pt, mu)) <= 1e-8
 

@@ -113,9 +113,10 @@ def test_asymmetric_graph_spectrum():
 
 def test_hidden_symmetry_on_asymmetric_graph():
     g = fixtures.asymmetric_graph()
-    e = hidden_symmetry_sample(g, seed=MASTER_SEED)
-    assert commutator_residual(g.adjacency.astype(float), e.gamma) <= 1e-8
-    assert is_permutation(e.gamma) is None
+    gamma = hidden_symmetry_sample(g, seed=MASTER_SEED)
+    assert gamma.shape == (g.n, g.n) and not gamma.flags.writeable
+    assert commutator_residual(g.adjacency.astype(float), gamma) <= 1e-8
+    assert is_permutation(gamma) is None
 
 
 def test_hidden_symmetry_on_single_edge():
@@ -123,9 +124,9 @@ def test_hidden_symmetry_on_single_edge():
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     candidates = [np.eye(2), -np.eye(2), swap, -swap]
     for seed in range(6):
-        e = hidden_symmetry_sample(g, seed)
-        assert commutator_residual(g.adjacency.astype(float), e.gamma) <= 1e-10
-        assert min(np.max(np.abs(e.gamma - c)) for c in candidates) <= 1e-10
+        gamma = hidden_symmetry_sample(g, seed)
+        assert commutator_residual(g.adjacency.astype(float), gamma) <= 1e-10
+        assert min(np.max(np.abs(gamma - c)) for c in candidates) <= 1e-10
 
 
 def test_is_permutation_identity():

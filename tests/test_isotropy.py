@@ -2,12 +2,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from orthosym import dynsys, fixtures
 from orthosym.errors import DimensionError, SizeCapError, StructureError
 from orthosym.isotropy import (
     BlockOrthogonal,
-    SignPattern,
     commutator_residual,
     conjugate,
     gamma2_elements,
@@ -19,7 +19,13 @@ from orthosym.isotropy import (
 )
 from orthosym.spectral import align_basis, eig_sym
 
-from helpers import MASTER_SEED, haar_orthogonal, planted_matrix, set_distance
+from helpers import (
+    MASTER_SEED,
+    haar_orthogonal,
+    planted_matrix,
+    set_distance,
+    symmetric_matrices,
+)
 
 
 @pytest.fixture(scope="module")
@@ -37,16 +43,9 @@ def dec_16():
     return eig_sym(fixtures.dihedral_family(0.0))
 
 
-def test_sign_pattern_roundtrip():
-    for k in range(8):
-        assert SignPattern.from_index(k, 3).index == k
-    assert SignPattern.from_index(0, 3).signs == (1, 1, 1)
-    assert SignPattern.from_index(7, 3).signs == (-1, -1, -1)
-
-
-def test_sign_pattern_rejects_bad_entries():
-    with pytest.raises(ValueError):
-        SignPattern((1, 0, -1))
+def signs_of(k, n):
+    # bit n-1-i of k set means sign i is -1
+    return np.array([-1.0 if (k >> (n - 1 - i)) & 1 else 1.0 for i in range(n)])
 
 
 def test_block_orthogonal_validation():
@@ -70,12 +69,14 @@ def test_block_orthogonal_compose_full():
 
 def test_conjugate_identity_and_center(dec_mu0):
     ident = BlockOrthogonal.identity(dec_mu0.multiplicities)
-    np.testing.assert_allclose(conjugate(dec_mu0, ident).gamma, np.eye(3), atol=1e-12)
+    g = conjugate(dec_mu0, ident)
+    assert g.shape == (3, 3) and not g.flags.writeable
+    np.testing.assert_allclose(g, np.eye(3), atol=1e-12)
     minus = BlockOrthogonal(
         dec_mu0.multiplicities,
         tuple(-np.eye(m) for m in dec_mu0.multiplicities),
     )
-    np.testing.assert_allclose(conjugate(dec_mu0, minus).gamma, -np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(conjugate(dec_mu0, minus), -np.eye(3), atol=1e-12)
 
 
 def test_conjugate_structure_mismatch(dec_mu0):
@@ -89,8 +90,10 @@ def test_conjugate_rejects_a_basis_that_is_not_orthogonal():
     # orthogonality check can catch it
     dec = eig_sym(dynsys.guiding_matrix(-0.25))
     scaled = replace(dec, v=1.01 * dec.v)
+    assert dec.multiplicities == (1, 2)
+    sigma = BlockOrthogonal((1, 2), (np.eye(1), np.diag([1.0, -1.0])))
     with pytest.raises(StructureError, match="lost orthogonality"):
-        conjugate(scaled, SignPattern.from_index(1, 3))
+        conjugate(scaled, sigma)
 
 
 def test_conjugate_rejects_a_block_across_distinct_eigenvalues():
@@ -104,7 +107,8 @@ def test_conjugate_rejects_a_block_across_distinct_eigenvalues():
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_gamma2_matches_conjugate_bit_for_bit(n):
-    # the per-element conjugation is the reference for the stacked product
+    # the per-element product V^T diag(s_k) V is the reference for the
+    # stacked one
     rng = np.random.default_rng(MASTER_SEED + 20 + n)
     reps = rng.standard_normal(n)
     if n >= 3:
@@ -114,41 +118,52 @@ def test_gamma2_matches_conjugate_bit_for_bit(n):
         dec = eig_sym(a)
         els = gamma2_elements(dec)
         assert len(els) == 2**n
-        for k, e in enumerate(els):
-            ref = conjugate(dec, SignPattern.from_index(k, n))
-            assert e.gamma.tobytes() == ref.gamma.tobytes()
-            assert e.source == ref.source
-            assert e.decomposition_id == ref.decomposition_id
+        for k, g in enumerate(els):
+            ref = (dec.v.T * signs_of(k, n)) @ dec.v
+            assert g.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(a=symmetric_matrices(max_n=8))
+def test_gamma2_is_a_read_only_stack_closed_under_negation(a):
+    n = a.shape[0]
+    els = gamma2_elements(eig_sym(a))
+    assert els.shape == (2**n, n, n)
+    assert not els.flags.writeable
+    # element 2^n - 1 - k has the signs of element k negated, and -I is in
+    # the group: negation is exact, so the two are equal (values, not bytes,
+    # since an exactly cancelled entry is +0.0 on both sides)
+    assert np.array_equal(els[::-1], -els)
 
 
 def test_enumeration_finds_reference_element(dec_mu0_aligned):
     # one of the eight sign patterns produces the listed exact matrix
     target = fixtures.reference_gamma_set_3()[2]
-    dists = [
-        float(np.max(np.abs(conjugate(dec_mu0_aligned, SignPattern.from_index(k, 3)).gamma - target)))
-        for k in range(8)
-    ]
+    dists = [float(np.max(np.abs(g - target))) for g in gamma2_elements(dec_mu0_aligned)]
     assert min(dists) <= 1e-3
 
 
 def test_gamma2_ordering(dec_mu0):
     els = gamma2_elements(dec_mu0)
     assert len(els) == 8
-    np.testing.assert_allclose(els[0].gamma, np.eye(3), atol=1e-12)
-    np.testing.assert_allclose(els[-1].gamma, -np.eye(3), atol=1e-12)
-    assert [e.source.index for e in els] == list(range(8))
+    np.testing.assert_allclose(els[0], np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(els[-1], -np.eye(3), atol=1e-12)
+    # V g V^T is diag(s) for the signs s that element k encodes
+    for k, g in enumerate(els):
+        signs = np.rint(np.diag(dec_mu0.v @ g @ dec_mu0.v.T))
+        assert signs.tolist() == signs_of(k, 3).tolist()
 
 
 def test_gamma2_residuals(dec_mu0):
     a = np.asarray(dynsys.guiding_matrix(0.0))
-    for e in gamma2_elements(dec_mu0):
-        assert commutator_residual(a, e.gamma) <= 1e-8
-        assert np.linalg.norm(e.gamma @ e.gamma - np.eye(3)) <= 1e-8
+    for g in gamma2_elements(dec_mu0):
+        assert commutator_residual(a, g) <= 1e-8
+        assert np.linalg.norm(g @ g - np.eye(3)) <= 1e-8
 
 
 def test_gamma2_scalar_case():
     dec = eig_sym(np.array([[7.0]]))
-    got = sorted(float(e.gamma[0, 0]) for e in gamma2_elements(dec))
+    got = sorted(float(g[0, 0]) for g in gamma2_elements(dec))
     assert got == [-1.0, 1.0]
 
 
@@ -158,8 +173,14 @@ def test_gamma2_size_cap():
         gamma2_elements(dec)
 
 
+def test_gamma2_cap_boundary():
+    assert len(gamma2_elements(eig_sym(np.diag(np.arange(14.0))))) == 2**14
+    with pytest.raises(SizeCapError, match="n <= 14"):
+        gamma2_elements(eig_sym(np.diag(np.arange(15.0))))
+
+
 def test_gamma2_closure_and_involution(dec_mu0):
-    els = [e.gamma for e in gamma2_elements(dec_mu0)]
+    els = gamma2_elements(dec_mu0)
     for gi in els:
         assert np.linalg.norm(gi @ gi - np.eye(3)) <= 1e-8
         for gj in els:
@@ -171,9 +192,9 @@ def test_sample_simple_spectrum_lands_in_sign_group():
     a, _ = planted_matrix(rng, [1.0, 3.0, 7.0, 11.0])
     dec = eig_sym(a)
     assert dec.multiplicities == (1, 1, 1, 1)
-    els = [e.gamma for e in gamma2_elements(dec)]
+    els = gamma2_elements(dec)
     for seed in range(5):
-        g = sample_gamma(dec, seed).gamma
+        g = sample_gamma(dec, seed)
         assert set_distance(g, els) <= 1e-10
 
 
@@ -181,14 +202,15 @@ def test_sample_commutes_any_seed():
     a = np.asarray(dynsys.guiding_matrix(-0.25))
     dec = eig_sym(a)
     for seed in range(10):
-        g = sample_gamma(dec, seed).gamma
+        g = sample_gamma(dec, seed)
         assert commutator_residual(a, g) <= 1e-8
 
 
 def test_sample_deterministic(dec_mu0):
     g1 = sample_gamma(dec_mu0, 31415)
     g2 = sample_gamma(dec_mu0, 31415)
-    assert g1.gamma.tobytes() == g2.gamma.tobytes()
+    assert g1.shape == (3, 3) and not g1.flags.writeable
+    assert g1.tobytes() == g2.tobytes()
 
 
 def test_commutator_trivial_cases(dec_mu0):
@@ -247,8 +269,8 @@ def test_basis_independence_of_membership():
     dec2 = rotate_basis(dec1, sigma)
     assert np.linalg.norm(dec2.v @ a @ dec2.v.T - np.diag(dec2.lambdas)) <= 1e-9
     for seed in range(20):
-        g1 = sample_gamma(dec1, seed).gamma
-        g2 = sample_gamma(dec2, seed + 1000).gamma
+        g1 = sample_gamma(dec1, seed)
+        g2 = sample_gamma(dec2, seed + 1000)
         for g in (g1, g2):
             assert is_member(dec1, g) and is_member(dec2, g)
 

@@ -240,6 +240,24 @@ def test_cli_isotropy_sample_rejects_merged_eigenspaces(capsys, tmp_path):
     assert "fails to commute" in err
 
 
+def test_cli_isotropy_gamma2_refuses_past_the_cap(capsys, tmp_path):
+    path = tmp_path / "d.txt"
+    path.write_text(format_matrix(np.diag(np.arange(15.0))))
+    code, out, err = run_capture(capsys, ["isotropy", "gamma2", "--input", str(path)])
+    assert code == 1
+    assert out == ""
+    assert "enumeration cap (n <= 14)" in err
+
+
+def test_cli_eig_rejects_an_eigenvalue_that_overflows(capsys, tmp_path):
+    path = tmp_path / "big.txt"
+    path.write_text("1.7e308 1.7e308\n1.7e308 1.7e308\n")
+    code, out, err = run_capture(capsys, ["eig", "--input", str(path)])
+    assert code == 1
+    assert out == ""
+    assert "eigenvalue overflows" in err
+
+
 def test_cli_procrustes_solve(capsys, tmp_path):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"

@@ -76,7 +76,7 @@ def test_family_simple_spectrum_reduces_to_sign_group():
     rng = np.random.default_rng(MASTER_SEED + 21)
     q = haar_orthogonal(rng, 3)
     a = q @ np.diag([1.0, 3.0, 7.0]) @ q.T
-    signs = [e.gamma for e in gamma2_elements(eig_sym(a))]
+    signs = gamma2_elements(eig_sym(a))
     for sol in family_sample(a, a, seed=6, count=40):
         assert set_distance(sol.p, signs) <= 1e-8
 

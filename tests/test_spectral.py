@@ -23,7 +23,13 @@ from orthosym.spectral import (
     eig_sym,
 )
 
-from helpers import MASTER_SEED, haar_orthogonal, planted_matrix, random_symmetric
+from helpers import (
+    MASTER_SEED,
+    haar_orthogonal,
+    planted_matrix,
+    random_symmetric,
+    symmetric_matrices,
+)
 
 
 def test_check_symmetric_identity():
@@ -240,6 +246,20 @@ def test_eig_rejects_a_symmetrisation_that_overflows():
         eig_sym(a)
 
 
+def test_eig_rejects_an_eigenvalue_that_overflows():
+    # every entry is finite, but the eigenvalue 3.4e308 is not
+    with pytest.raises(ValueError, match="eigenvalue overflows"):
+        eig_sym(np.full((2, 2), 1.7e308))
+
+
+def test_eig_splits_at_a_gap_that_overflows():
+    # the gap between -1.7e308 and 1.7e308 is inf, a correct split, and
+    # must not warn
+    dec = eig_sym(np.diag([1.7e308, -1.7e308]))
+    assert dec.lambdas.tolist() == [-1.7e308, 1.7e308]
+    assert dec.multiplicities == (1, 1)
+
+
 def test_skipped_symmetrisation_keeps_every_bit():
     # an exactly symmetric matrix is decomposed as it is; a copy whose upper
     # and lower entries differ by one ulp each way is symmetrised first, to
@@ -254,14 +274,6 @@ def test_skipped_symmetrisation_keeps_every_bit():
             b[j, i] = 2.0 * a[i, j] - b[i, j]
             assert ((b + b.T) / 2.0).tobytes() == a.tobytes()
             assert eig_sym(a).decomposition_id == eig_sym(b).decomposition_id
-
-
-@st.composite
-def symmetric_matrices(draw):
-    n = draw(st.integers(1, 6))
-    elements = st.floats(-10.0, 10.0, allow_subnormal=False)
-    m = draw(hnp.arrays(np.float64, (n, n), elements=elements))
-    return (m + m.T) / 2.0
 
 
 @settings(max_examples=200, deadline=None)

@@ -66,7 +66,7 @@ def test_second_diff_quadratic_exact():
     x = np.array([0.1, 0.5, -0.3])
     h = np.array([0.02, -0.01, 0.03])
     hess = hessian_fd(f, x)
-    gammas = [e.gamma for e in gamma2_elements(eig_sym(hess))]
+    gammas = gamma2_elements(eig_sym(hess))
     for g in gammas[:4]:
         got = second_diff(f, x, g, h, hessian=hess)
         gh = g @ h
@@ -125,7 +125,7 @@ def test_probe_quadratic_field_vanishes():
     f = quadratic_field(m)
     x = np.array([0.4, -0.1, 0.2])
     hess = hessian_fd(f, x)
-    gammas = [e.gamma for e in gamma2_elements(eig_sym(hess))]
+    gammas = gamma2_elements(eig_sym(hess))
     value = fourth_order_probe(f, x, gammas[1], gammas[2], np.array([0.05, 0.04, -0.03]), hessian=hess)
     assert abs(value) <= 1e-12
 
@@ -183,8 +183,8 @@ def test_quadratic_form_invariant_under_group():
     hess = np.asarray(hessian_fd(TRIG, XBAR))
     dec = eig_sym(hess)
     h = fixtures.REFERENCE_PROBE_H
-    for e in gamma2_elements(dec):
-        gh = e.gamma @ h
+    for g in gamma2_elements(dec):
+        gh = g @ h
         assert abs(float(h @ hess @ h) - float(gh @ hess @ gh)) <= 1e-8
 
 
@@ -215,7 +215,7 @@ def test_order_fit_quadratic_is_degenerate():
     f = quadratic_field(m)
     x = np.array([0.4, -0.1, 0.2])
     hess = 2.0 * m  # exact Hessian: symmetries commute to machine precision
-    gammas = [e.gamma for e in gamma2_elements(eig_sym(hess))]
+    gammas = gamma2_elements(eig_sym(hess))
     with pytest.raises(DegenerateProbeError):
         probe_ladder(f, x, gammas[1], gammas[2], np.array([0.05, 0.04, -0.03]), hessian=hess)
 
