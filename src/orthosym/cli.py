@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 
@@ -56,6 +57,15 @@ def _parse_vector(text: str) -> np.ndarray:
         raise _UsageError(f"could not parse vector from {text!r}") from None
 
 
+def _write(args, pieces):
+    """Write the text pieces, in order, to ``--output`` or to stdout."""
+    if args.output:
+        with open(args.output, "w") as fh:
+            fh.writelines(pieces)
+    else:
+        sys.stdout.writelines(pieces)
+
+
 def _emit(args, payload, table=None, text=None):
     """Render one result.  ``table`` is (header, rows) for csv, ``text`` a
     human-readable string; json is always available."""
@@ -71,11 +81,7 @@ def _emit(args, payload, table=None, text=None):
         out = "\n".join(lines) + "\n"
     else:
         out = (text if text is not None else json.dumps(payload, sort_keys=True, indent=2)) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
+    _write(args, (out,))
 
 
 def _load_sym(path) -> spectral.SymMatrix:
@@ -111,18 +117,60 @@ def _cmd_eig(args):
 
 # ---------------------------------------------------------------- isotropy
 
+# elements per piece of streamed gamma2 JSON: about 0.8 MB of text at n = 12
+_GAMMA2_BLOCK = 256
+
+
+def _gamma2_json(elements, multiplicities):
+    """The bytes of ``json.dumps({"count": 2^n, "elements": [{"index": k,
+    "gamma": elements[k]}, ...], "multiplicities": [...]}, sort_keys=True)``
+    plus a newline, as an iterator of pieces of ``_GAMMA2_BLOCK`` elements.
+
+    Most entries of the sign group repeat (-I is in it, so element
+    2^n - 1 - k is minus element k, and every element is symmetric), so
+    ``float.__repr__``, which json uses for a finite float, runs once per
+    distinct magnitude, and "-" goes in front wherever the sign bit is set:
+    ``repr(-x) == "-" + repr(x)`` for every finite x, -0.0 included.  The
+    tables are built before this returns, so a failure writes nothing."""
+    count, n = elements.shape[:2]
+    flat = np.abs(elements).reshape(-1)
+    mags, codes = np.unique(flat.view(np.uint64), return_inverse=True)
+    tokens = np.array(list(map(float.__repr__, mags.view(np.float64).tolist())), dtype=object)
+    codes = codes.reshape(count, n * n)
+    negative = np.signbit(elements).reshape(count, n * n)
+    # what goes before entry j of an element, without and with a minus sign
+    # (no repr of a negative value is kept: that would double the table)
+    before = np.full(n * n, ", ", dtype=object)
+    before[::n] = "], ["
+    before[0] = ""
+    before = np.stack([before, before + "-"], axis=1).reshape(-1)
+    slot = 2 * np.arange(n * n)
+    tail = f'}}], "multiplicities": {json.dumps(list(multiplicities))}}}\n'
+
+    def block(lo):
+        hi = min(lo + _GAMMA2_BLOCK, count)
+        piece = np.empty((hi - lo, 2 * n * n + 1), dtype=object)
+        piece[:, 0:-1:2] = before[slot + negative[lo:hi]]
+        piece[:, 1:-1:2] = tokens[codes[lo:hi]]
+        piece[:, -1] = [f']], "index": {k}}}, {{"gamma": [[' for k in range(lo, hi)]
+        if hi == count:
+            piece[-1, -1] = f']], "index": {count - 1}{tail}'
+        return "".join(piece.ravel().tolist())
+
+    head = f'{{"count": {count}, "elements": [{{"gamma": [['
+    return itertools.chain((head,), map(block, range(0, count, _GAMMA2_BLOCK)))
+
+
 def _cmd_isotropy(args):
     sym = _load_sym(args.input)
     dec = spectral.eig_sym(sym, cluster_tol=args.cluster_tol)
     a = np.asarray(sym)
     if args.action == "gamma2":
-        elements = isotropy.gamma2_elements(dec).tolist()
-        payload = {
-            "count": len(elements),
-            "multiplicities": list(dec.multiplicities),
-            "elements": [{"index": k, "gamma": g} for k, g in enumerate(elements)],
-        }
-        _emit(args, payload, text=f"{len(elements)} sign-group elements")
+        elements = isotropy.gamma2_elements(dec)
+        if args.format == "json":
+            _write(args, _gamma2_json(elements, dec.multiplicities))
+        else:
+            _emit(args, None, text=f"{len(elements)} sign-group elements")
     elif args.action == "sample":
         samples = []
         for k in range(args.count):

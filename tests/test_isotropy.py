@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthosym import dynsys, fixtures
 from orthosym.errors import DimensionError, SizeCapError, StructureError
@@ -134,6 +135,30 @@ def test_gamma2_is_a_read_only_stack_closed_under_negation(a):
     # the group: negation is exact, so the two are equal (values, not bytes,
     # since an exactly cancelled entry is +0.0 on both sides)
     assert np.array_equal(els[::-1], -els)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=symmetric_matrices(), data=st.data())
+def test_relabelling_conjugates_spectrum_clusters_and_sign_group(a, data):
+    # P A P^T has the eigenvalues of A and eigenvectors P v, so its sign
+    # group is {P g P^T}: the equivariance the whole library rests on
+    n = a.shape[0]
+    perm = np.eye(n)[data.draw(st.permutations(range(n)))]
+    d1 = eig_sym(a)
+    d2 = eig_sym(perm @ a @ perm.T)
+    assert float(np.max(np.abs(d2.lambdas - d1.lambdas))) <= d1.cluster_tol
+    if not (d1.borderline or d2.borderline):
+        assert d2.multiplicities == d1.multiplicities
+    # a simple eigenvalue fixes its eigenvector up to sign, and a sign group
+    # element does not see that sign; the eigenvectors of both runs agree to
+    # about eps ||A|| / gap, so the set comparison needs a clear gap
+    scale = max(1.0, float(np.max(np.abs(d1.lambdas))))
+    if np.all(np.diff(d1.lambdas) > 1e-4 * scale):
+        want = perm @ gamma2_elements(d1) @ perm.T
+        got = gamma2_elements(d2)
+        dist = np.max(np.abs(got[:, None] - want[None]), axis=(2, 3))
+        assert float(np.max(np.min(dist, axis=1))) <= 1e-10
+        assert float(np.max(np.min(dist, axis=0))) <= 1e-10
 
 
 def test_enumeration_finds_reference_element(dec_mu0_aligned):

@@ -3,11 +3,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from orthosym import cli, dynsys, fixtures, spectral, stencil, verify
 from orthosym.cli import EXIT_VERIFY, run
 from orthosym.errors import InputFormatError
-from orthosym.isotropy import commutator_residual
+from orthosym.isotropy import commutator_residual, gamma2_elements
 from orthosym.matio import (
     format_matrix,
     parse_graph,
@@ -15,7 +16,7 @@ from orthosym.matio import (
     parse_matrix_text,
 )
 
-from helpers import MASTER_SEED, random_symmetric
+from helpers import MASTER_SEED, random_symmetric, symmetric_matrices
 
 
 def run_capture(capsys, argv):
@@ -247,6 +248,106 @@ def test_cli_isotropy_gamma2_refuses_past_the_cap(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert "enumeration cap (n <= 14)" in err
+
+
+def _gamma2_reference(elements, multiplicities):
+    # the payload the streamed renderer must reproduce byte for byte
+    payload = {
+        "count": len(elements),
+        "multiplicities": list(multiplicities),
+        "elements": [{"index": k, "gamma": g} for k, g in enumerate(elements.tolist())],
+    }
+    return json.dumps(payload, sort_keys=True) + "\n"
+
+
+def _rendered(elements, multiplicities):
+    return "".join(cli._gamma2_json(elements, multiplicities))
+
+
+def _per_element(text):
+    # compare gamma2 JSON as a list with one item per element: a failure
+    # then names the first element that differs, where pytest's character
+    # diff of two long one-line strings takes minutes
+    return text.split("}, {")
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=symmetric_matrices(max_n=8))
+def test_gamma2_json_matches_json_dumps(a):
+    dec = spectral.eig_sym(a)
+    els = gamma2_elements(dec)
+    want = _gamma2_reference(els, dec.multiplicities)
+    assert _per_element(_rendered(els, dec.multiplicities)) == _per_element(want)
+
+
+@pytest.mark.parametrize("k", [0, 1, 9])
+def test_gamma2_json_formats_every_kind_of_float(k):
+    # signed zeros, the smallest subnormal, a larger subnormal, the switch to
+    # exponent notation at 1e16 and below 1e-4, and 1/3 with 16 digits, each
+    # with both signs; 2^9 elements span two pieces
+    pool = [0.0, 5e-324, 2.5e-310, 1e16, 1e-5, 1 / 3, 0.1, 1.0, 123.0]
+    pool = np.array(pool + [-x for x in pool])
+    rng = np.random.default_rng(MASTER_SEED + 70 + k)
+    els = rng.choice(pool, size=(2**k, 3, 3))
+    assert np.signbit(els).any() and (els == 0.0).any()
+    want = _gamma2_reference(els, (1, 2))
+    assert _per_element(_rendered(els, (1, 2))) == _per_element(want)
+
+
+def test_cli_isotropy_gamma2_of_a_scalar(capsys, tmp_path):
+    path = tmp_path / "s.txt"
+    path.write_text("-3.5\n")
+    code, out, err = run_capture(capsys, ["isotropy", "gamma2", "--input", str(path)])
+    assert code == 0
+    assert err == ""
+    assert out == (
+        '{"count": 2, "elements": [{"gamma": [[1.0]], "index": 0}, '
+        '{"gamma": [[-1.0]], "index": 1}], "multiplicities": [1]}\n'
+    )
+
+
+def test_cli_isotropy_gamma2_output_file_matches_stdout(capsys, tmp_path):
+    # n = 9: 512 elements, written in more than one piece
+    rng = np.random.default_rng(MASTER_SEED + 80)
+    path = tmp_path / "a.txt"
+    path.write_text(format_matrix(random_symmetric(rng, 9)))
+    code, out, _ = run_capture(capsys, ["isotropy", "gamma2", "--input", str(path)])
+    assert code == 0
+    dest = tmp_path / "out.json"
+    argv = ["isotropy", "gamma2", "--input", str(path), "--output", str(dest)]
+    code, to_stdout, _ = run_capture(capsys, argv)
+    assert code == 0
+    assert to_stdout == ""
+    assert _per_element(dest.read_bytes().decode()) == _per_element(out)
+    assert json.loads(out)["count"] == 512
+
+
+_CAP_ERROR = (
+    "error: 2^15 sign elements exceed the enumeration cap (n <= 14); "
+    "use sample_gamma instead\n"
+)
+
+
+@pytest.mark.parametrize(
+    "n, fmt, code, out, err",
+    [
+        (3, "text", 0, "8 sign-group elements\n", ""),
+        (3, "csv", 1, "", "subcommand 'isotropy' has no csv form\n"),
+        (15, "text", 1, "", _CAP_ERROR),
+        (15, "csv", 1, "", _CAP_ERROR),
+    ],
+)
+def test_cli_isotropy_gamma2_text_and_csv_format_no_element(
+    monkeypatch, capsys, tmp_path, n, fmt, code, out, err
+):
+    def refuse(*args):
+        raise AssertionError("the elements were formatted")
+
+    monkeypatch.setattr(cli, "_gamma2_json", refuse)
+    path = tmp_path / "d.txt"
+    path.write_text(format_matrix(np.diag(np.arange(float(n)))))
+    argv = ["isotropy", "gamma2", "--input", str(path), "--format", fmt]
+    assert run_capture(capsys, argv) == (code, out, err)
 
 
 def test_cli_eig_rejects_an_eigenvalue_that_overflows(capsys, tmp_path):
