@@ -166,11 +166,11 @@ def _cmd_isotropy(args):
     dec = spectral.eig_sym(sym, cluster_tol=args.cluster_tol)
     a = np.asarray(sym)
     if args.action == "gamma2":
-        elements = isotropy.gamma2_elements(dec)
+        count = isotropy.gamma2_order(dec.n)
         if args.format == "json":
-            _write(args, _gamma2_json(elements, dec.multiplicities))
+            _write(args, _gamma2_json(isotropy.gamma2_elements(dec), dec.multiplicities))
         else:
-            _emit(args, None, text=f"{len(elements)} sign-group elements")
+            _emit(args, None, text=f"{count} sign-group elements")
     elif args.action == "sample":
         samples = []
         for k in range(args.count):

@@ -35,7 +35,7 @@ class Graph:
         a = np.array(self.adjacency)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionError(f"adjacency must be square, got shape {a.shape}")
-        if not np.isin(a, (0, 1)).all():
+        if not ((a == 0) | (a == 1)).all():
             raise StructureError("adjacency entries must be 0 or 1")
         a = a.astype(np.int64)
         if np.any(np.diag(a) != 0):
@@ -48,17 +48,19 @@ class Graph:
     @classmethod
     def from_edges(cls, edges, n: int | None = None) -> Graph:
         edges = [(int(u), int(v)) for u, v in edges]
-        if any(u < 0 or v < 0 for u, v in edges):
+        if min(map(min, edges), default=0) < 0:
             raise StructureError("vertex indices must be nonnegative")
-        size = max((max(u, v) for u, v in edges), default=-1) + 1
+        size = max(map(max, edges), default=-1) + 1
         if n is not None:
             if n < size:
                 raise StructureError(f"n={n} too small for edge indices up to {size - 1}")
             size = n
         a = np.zeros((size, size), dtype=np.int64)
-        for u, v in edges:
-            if u == v:
-                raise StructureError(f"self-loop {u}-{v} is not allowed")
+        loop = next((e for e in edges if e[0] == e[1]), None)
+        if loop is not None:
+            raise StructureError(f"self-loop {loop[0]}-{loop[1]} is not allowed")
+        if edges:
+            u, v = np.array(edges).T
             a[u, v] = 1
             a[v, u] = 1
         return cls(a)
@@ -116,59 +118,102 @@ class Permutation:
         return p
 
 
-def _vertex_signatures(a: np.ndarray) -> list[tuple]:
-    # degree plus sorted neighbor degrees; an exact invariant used only to
-    # prune candidate images, never to accept one
-    deg = a.sum(axis=1)
-    return [
-        (int(deg[v]), tuple(sorted(int(deg[u]) for u in np.nonzero(a[v])[0])))
-        for v in range(a.shape[0])
+def _neighbours_and_signatures(a: np.ndarray) -> tuple[list[list[int]], list[tuple]]:
+    """Ascending neighbour lists, and per vertex its degree plus sorted
+    neighbour degrees: an exact invariant used only to prune candidate
+    images, never to accept one."""
+    rows, cols = np.nonzero(a)
+    deg = np.bincount(rows, minlength=a.shape[0])
+    bounds = np.concatenate(([0], np.cumsum(deg))).tolist()
+    cols_l = cols.tolist()
+    # neighbour degrees sorted within each row (rows is already ascending)
+    nbr_deg = deg[cols][np.lexsort((deg[cols], rows))].tolist()
+    neighbours = [cols_l[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    signatures = [
+        (hi - lo, tuple(nbr_deg[lo:hi])) for lo, hi in zip(bounds, bounds[1:])
     ]
+    return neighbours, signatures
 
 
 def _search_maps(a: np.ndarray, b: np.ndarray, limit: int | None, first_only: bool):
     """Backtracking search for vertex maps with b[m(u), m(v)] == a[u, v].
+
+    Vertices of ``a`` are placed in order of descending degree (ties by
+    index), each trying the images ``w`` of equal signature in ascending
+    order.  Position ``pos`` accepts ``w`` iff it is unused and its edges
+    to the images of positions 0..pos-1 equal the edges of ``order[pos]``
+    to those vertices.  Both sides are bitmasks over positions: bit j of
+    ``pattern[pos]`` is a[order[pos], order[j]], bit j of ``seen[w]`` is
+    b[w, image of order[j]], kept up to date as images are placed and
+    removed, so the test is one integer comparison.  The search runs on an
+    explicit stack, so the size of the graph meets no recursion limit.
     Exact integer arithmetic throughout."""
     n = a.shape[0]
-    sig_a = _vertex_signatures(a)
-    sig_b = _vertex_signatures(b)
-    order = sorted(range(n), key=lambda v: (-int(a[v].sum()), v))
-    mapping = [-1] * n
-    used = [False] * n
-    results: list[tuple[int, ...]] = []
+    nbrs_a, sig_a = _neighbours_and_signatures(a)
+    nbrs_b, sig_b = (nbrs_a, sig_a) if b is a else _neighbours_and_signatures(b)
+    order = sorted(range(n), key=lambda v: (-sig_a[v][0], v))
+    rank = [0] * n
+    for pos, v in enumerate(order):
+        rank[v] = pos
+    pattern = [
+        sum(1 << rank[u] for u in nbrs_a[v] if rank[u] < pos) for pos, v in enumerate(order)
+    ]
+    by_sig: dict[tuple, list[int]] = {}
+    for w, sig in enumerate(sig_b):
+        by_sig.setdefault(sig, []).append(w)
+    candidates = [by_sig.get(sig_a[v], []) for v in order]
 
-    def extend(pos: int) -> bool:
+    seen = [0] * n
+    used = [False] * n
+    mapping = [-1] * n
+    tried = [0] * n  # tried[pos]: how many of candidates[pos] were tried
+    results: list[tuple[int, ...]] = []
+    pos = 0
+    while True:
         if pos == n:
             results.append(tuple(mapping))
             if limit is not None and len(results) > limit:
                 raise LimitExceededError(
                     f"more than {limit} automorphisms found; raise the limit"
                 )
-            return first_only
-        v = order[pos]
-        for w in range(n):
-            if used[w] or sig_a[v] != sig_b[w]:
+            if first_only:
+                return results
+        else:
+            cands = candidates[pos]
+            want = pattern[pos]
+            start = tried[pos]
+            tried[pos] = 0
+            for i in range(start, len(cands)):
+                w = cands[i]
+                if seen[w] == want and not used[w]:
+                    tried[pos] = i + 1
+                    mapping[order[pos]] = w
+                    used[w] = True
+                    bit = 1 << pos
+                    for x in nbrs_b[w]:
+                        seen[x] |= bit
+                    break
+            if tried[pos]:
+                pos += 1
                 continue
-            if any(a[v, order[j]] != b[w, mapping[order[j]]] for j in range(pos)):
-                continue
-            mapping[v] = w
-            used[w] = True
-            if extend(pos + 1):
-                return True
-            mapping[v] = -1
-            used[w] = False
-        return False
-
-    extend(0)
-    return results
+        # backtrack: take back the image placed at the previous position
+        pos -= 1
+        if pos < 0:
+            return results
+        w = mapping[order[pos]]
+        used[w] = False
+        bit = ~(1 << pos)
+        for x in nbrs_b[w]:
+            seen[x] &= bit
 
 
 def automorphisms(graph: Graph, limit: int = DEFAULT_AUT_LIMIT) -> list[Permutation]:
-    """All permutations P with P A = A P, exactly.
+    """All permutations P with P A = A P, exactly, in ascending order.
 
-    Backtracking with degree pruning (exact for any n, practical at desk
-    scale).  Aborts with LimitExceededError if more than ``limit``
-    automorphisms exist.
+    Degree-ordered backtracking with signature pruning and an O(1) bitmask
+    consistency test per candidate (exact for any n, practical at desk
+    scale); it has no recursion limit.  Aborts with LimitExceededError if
+    more than ``limit`` automorphisms exist.
     """
     maps = _search_maps(graph.adjacency, graph.adjacency, limit, first_only=False)
     return [Permutation(m) for m in sorted(maps)]

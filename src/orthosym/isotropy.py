@@ -110,6 +110,17 @@ def conjugate(dec: SpectralDecomposition, sigma: BlockOrthogonal) -> np.ndarray:
     return gamma
 
 
+def gamma2_order(n: int) -> int:
+    """The number 2^n of sign-group elements of an n x n matrix.  Raises
+    SizeCapError where ``gamma2_elements`` would refuse to list them."""
+    if n > GAMMA2_MAX_N:
+        raise SizeCapError(
+            f"2^{n} sign elements exceed the enumeration cap (n <= "
+            f"{GAMMA2_MAX_N}); use sample_gamma instead"
+        )
+    return 2**n
+
+
 def gamma2_elements(dec: SpectralDecomposition) -> np.ndarray:
     """All 2^n diagonal-sign symmetries V^T diag(s) V as one read-only
     (2^n, n, n) array.  Element k has s_i = -1 exactly where bit n-1-i of k
@@ -119,12 +130,7 @@ def gamma2_elements(dec: SpectralDecomposition) -> np.ndarray:
     keeps every eigenvector, so each element is orthogonal and commutes
     with the matrix as far as V is orthogonal."""
     n = dec.n
-    if n > GAMMA2_MAX_N:
-        raise SizeCapError(
-            f"2^{n} sign elements exceed the enumeration cap (n <= "
-            f"{GAMMA2_MAX_N}); use sample_gamma instead"
-        )
-    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    bits = (np.arange(gamma2_order(n))[:, None] >> np.arange(n - 1, -1, -1)) & 1
     signs = 1.0 - 2.0 * bits
     gammas = (dec.v.T[None] * signs[:, None, :]) @ dec.v
     gammas.setflags(write=False)

@@ -68,18 +68,6 @@ def format_matrix(a) -> str:
     return "\n".join(" ".join(repr(float(x)) for x in row) for row in m) + "\n"
 
 
-def _looks_like_adjacency(rows: list[list[float]]) -> bool:
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        return False
-    a = np.array(rows)
-    return (
-        bool(np.isin(a, (0.0, 1.0)).all())
-        and not np.any(np.diag(a) != 0)
-        and np.array_equal(a, a.T)
-    )
-
-
 def parse_graph(source) -> Graph:
     """Parse a graph from either format.
 
@@ -89,29 +77,26 @@ def parse_graph(source) -> Graph:
     lines = _read_lines(source)
     if not lines:
         raise InputFormatError("no graph data found (file empty?)")
-    parsed = []
-    numeric = True
-    for lineno, line in lines:
-        tokens = _tokenize(line)
+    rows = [_tokenize(line) for _, line in lines]
+    n = len(rows)
+    if all(len(tokens) == n for tokens in rows):
         try:
-            parsed.append((lineno, [float(t) for t in tokens]))
+            a = np.array([[float(t) for t in tokens] for tokens in rows])
         except ValueError:
-            numeric = False
-            break
-    if numeric and _looks_like_adjacency([vals for _, vals in parsed]):
-        return Graph(np.array([vals for _, vals in parsed], dtype=np.int64))
+            pass
+        else:
+            if ((a == 0) | (a == 1)).all() and not a.diagonal().any() and np.array_equal(a, a.T):
+                return Graph(a.astype(np.int64))
     edges = []
-    for lineno, line in lines:
-        tokens = _tokenize(line)
+    for (lineno, line), tokens in zip(lines, rows):
         if len(tokens) != 2:
             raise InputFormatError(
                 f"expected an edge 'u v', got {len(tokens)} tokens", line=lineno
             )
         try:
-            u, v = int(tokens[0]), int(tokens[1])
+            edges.append((int(tokens[0]), int(tokens[1])))
         except ValueError:
             raise InputFormatError(
                 f"non-integer vertex in edge {line!r}", line=lineno
             ) from None
-        edges.append((u, v))
     return Graph.from_edges(edges)

@@ -49,12 +49,12 @@ def brute_force_isomorphisms(a, b):
     """Every permutation p with a[p][:, p] == b, found by checking all n!
     of them; ``brute_force_isomorphisms(a, a)`` lists the automorphisms."""
     a, b = np.asarray(a), np.asarray(b)
-    found = []
-    for p in itertools.permutations(range(a.shape[0])):
-        pi = np.array(p)
-        if np.array_equal(a[np.ix_(pi, pi)], b):
-            found.append(p)
-    return sorted(found)
+    n = a.shape[0]
+    # every permutation at once, in lexicographic order (8! x 8 x 8 entries
+    # at n = 8)
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp).reshape(-1, n)
+    match = (a[perms[:, :, None], perms[:, None, :]] == b).all(axis=(1, 2))
+    return [tuple(map(int, p)) for p in perms[match]]
 
 
 def newton_equilibrium(a, x0, max_iter=100, step_tol=1e-13):

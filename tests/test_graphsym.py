@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from orthosym import fixtures, graphsym
 from orthosym.errors import LimitExceededError, SizeCapError, StructureError
@@ -84,6 +88,103 @@ def test_backtracking_agrees_with_brute_force():
         expected = brute_force_isomorphisms(g.adjacency, g.adjacency)
         got = [a.mapping for a in automorphisms(g)]
         assert got == expected
+
+
+def test_long_path_needs_no_recursion():
+    # one search position per vertex, far past the interpreter's recursion
+    # limit
+    n = 1200
+    path = Graph.from_edges([(i, i + 1) for i in range(n - 1)])
+    auts = automorphisms(path)
+    assert [a.mapping for a in auts] == [tuple(range(n)), tuple(range(n - 1, -1, -1))]
+
+
+@st.composite
+def relabelled_graphs(draw, max_n=8):
+    """A random graph on at most ``max_n`` vertices and a random relabelling."""
+    n = draw(st.integers(1, max_n))
+    upper = draw(st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    a = np.zeros((n, n), dtype=np.int64)
+    a[np.triu_indices(n, 1)] = upper
+    perm = Permutation(tuple(draw(st.permutations(range(n)))))
+    return Graph(a + a.T), perm
+
+
+def conjugated(graph, perm):
+    """The graph with adjacency P A P^T, P the matrix of ``perm``."""
+    p = perm.to_matrix()
+    return Graph(p @ graph.adjacency @ p.T)
+
+
+def test_search_agrees_with_brute_force_on_seeded_pairs():
+    # relabelled copies, and unrelated graphs with as many edges; the
+    # oracle lists the maps m with b[m(u), m(v)] == a[u, v]
+    rng = np.random.default_rng(MASTER_SEED + 32)
+    # regular graphs, where the degree signatures prune nothing: cycles
+    # C5-C8, C3 + C4 and the 3-cube
+    cycles = [[(i, (i + 1) % k) for i in range(k)] for k in (5, 6, 7, 8)]
+    regular = [Graph.from_edges(e) for e in cycles]
+    regular.append(Graph.from_edges([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)]))
+    regular.append(Graph.from_edges([(u, u ^ bit) for u in range(8) for bit in (1, 2, 4) if u < u ^ bit]))
+    for g in regular:
+        for _ in range(4):
+            a = relabel(g, rng.permutation(g.n)).adjacency
+            b = relabel(g, rng.permutation(g.n)).adjacency
+            assert sorted(graphsym._search_maps(a, b, None, False)) == brute_force_isomorphisms(b, a)
+    checked = 0
+    while checked < 150:
+        n = int(rng.integers(3, 8))
+        p = float(rng.choice([0.3, 0.5, 0.7]))
+        a = random_graph(rng, n, p).adjacency
+        b = relabel(Graph(a), rng.permutation(n)) if checked % 2 else random_graph(rng, n, p)
+        b = b.adjacency
+        if a.sum() != b.sum():
+            continue
+        assert sorted(graphsym._search_maps(a, b, None, False)) == brute_force_isomorphisms(b, a)
+        checked += 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=relabelled_graphs())
+def test_relabelled_graph_has_the_conjugate_automorphism_group(case):
+    g, perm = case
+    limit = math.factorial(g.n)
+    auts = [a.mapping for a in automorphisms(g, limit)]
+    assert auts == brute_force_isomorphisms(g.adjacency, g.adjacency)
+    # perm g perm^-1 sends perm[u] to perm[g[u]]
+    p = np.array(perm.mapping)
+    conjugates = np.empty((len(auts), g.n), dtype=int)
+    conjugates[:, p] = p[np.array(auts)]
+    expected = sorted(map(tuple, conjugates.tolist()))
+    assert [a.mapping for a in automorphisms(conjugated(g, perm), limit)] == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=relabelled_graphs())
+def test_find_isomorphism_of_a_relabelled_graph(case):
+    g, perm = case
+    h = conjugated(g, perm)
+    found = find_isomorphism(g, h)
+    assert found is not None
+    p = found.to_matrix()
+    assert np.array_equal(p @ g.adjacency @ p.T, h.adjacency)
+    # brute_force_isomorphisms(b, a) lists the maps m with b[m(u), m(v)] == a[u, v]
+    every = brute_force_isomorphisms(h.adjacency, g.adjacency)
+    assert found.mapping in every
+    assert sorted(graphsym._search_maps(g.adjacency, h.adjacency, None, False)) == every
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=relabelled_graphs(), data=st.data())
+def test_graphs_one_edge_apart(case, data):
+    g, perm = case
+    assume(g.n >= 2)
+    u, v = data.draw(st.permutations(range(g.n)))[:2]
+    a = conjugated(g, perm).adjacency.copy()
+    a[u, v] = a[v, u] = 1 - a[u, v]
+    assert brute_force_isomorphisms(a, g.adjacency) == []
+    assert graphsym._search_maps(g.adjacency, a, None, False) == []
+    assert find_isomorphism(g, Graph(a)) is None
 
 
 def test_automorphism_group_axioms():

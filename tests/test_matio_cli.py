@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 from orthosym import cli, dynsys, fixtures, spectral, stencil, verify
 from orthosym.cli import EXIT_VERIFY, run
-from orthosym.errors import InputFormatError
+from orthosym.errors import InputFormatError, StructureError
 from orthosym.isotropy import commutator_residual, gamma2_elements
 from orthosym.matio import (
     format_matrix,
@@ -74,6 +74,43 @@ def test_parse_graph_edge_list():
 def test_parse_graph_bad_edge():
     with pytest.raises(InputFormatError):
         parse_graph(io.StringIO("0 1 2\n"))
+
+
+@pytest.mark.parametrize(
+    "text, error, line",
+    [
+        ("0 1\n1 x\n", "line 2: non-integer vertex in edge '1 x'", 2),
+        ("0 1\n# c\n\n1\n", "line 4: expected an edge 'u v', got 1 tokens", 4),
+        ("0 0.5\n0.5 0\n", "line 1: non-integer vertex in edge '0 0.5'", 1),
+        ("1e0 0\n", "line 1: non-integer vertex in edge '1e0 0'", 1),
+        ("0 1 0\n1 0 1\n", "line 1: expected an edge 'u v', got 3 tokens", 1),
+        (",\n", "line 1: expected an edge 'u v', got 0 tokens", 1),
+        ("# only a comment\n", "no graph data found (file empty?)", None),
+    ],
+)
+def test_parse_graph_errors_name_the_line(text, error, line):
+    with pytest.raises(InputFormatError) as err:
+        parse_graph(io.StringIO(text))
+    assert (str(err.value), err.value.line) == (error, line)
+
+
+@pytest.mark.parametrize(
+    "text, edges",
+    [
+        ("0 1\n1 0\n", [(0, 1)]),  # a 2x2 adjacency matrix
+        ("1 0\n0 0\n", None),  # not an adjacency matrix: edges 1-0 and 0-0
+        ("0 1 0\n1 0 1\n0 1 0", [(0, 1), (1, 2)]),
+        ("0,1\n1,2\n", [(0, 1), (1, 2)]),
+        ("0 1 1\n1 0 1\n1 1 0\n", [(0, 1), (0, 2), (1, 2)]),
+        ("0 1\n0 0\n", None),  # asymmetric: edges 0-1 and 0-0
+    ],
+)
+def test_parse_graph_chooses_the_format(text, edges):
+    if edges is None:
+        with pytest.raises(StructureError, match="self-loop 0-0"):
+            parse_graph(io.StringIO(text))
+    else:
+        assert parse_graph(io.StringIO(text)).edges() == edges
 
 
 def test_bundled_16x16_fixture_parses_and_commutes(tmp_path):
@@ -344,6 +381,7 @@ def test_cli_isotropy_gamma2_text_and_csv_format_no_element(
         raise AssertionError("the elements were formatted")
 
     monkeypatch.setattr(cli, "_gamma2_json", refuse)
+    monkeypatch.setattr("orthosym.isotropy.gamma2_elements", refuse)
     path = tmp_path / "d.txt"
     path.write_text(format_matrix(np.diag(np.arange(float(n)))))
     argv = ["isotropy", "gamma2", "--input", str(path), "--format", fmt]
@@ -411,6 +449,17 @@ def test_cli_graph_commands(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["commutator_residual"] <= 1e-8
+
+
+def test_cli_graph_aut_on_a_long_path(capsys, tmp_path):
+    path = tmp_path / "path.txt"
+    path.write_text("".join(f"{i} {i + 1}\n" for i in range(1199)))
+    code, out, err = run_capture(capsys, ["graph", "aut", "--input", str(path)])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "count": 2,
+        "automorphisms": [list(range(1200)), list(range(1199, -1, -1))],
+    }
 
 
 def test_cli_graph_requires_input(capsys):
