@@ -32,16 +32,18 @@ class Graph:
     adjacency: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.adjacency)
+        # checked as given and copied once at the end, so that no more than
+        # one n x n int64 array is ever held
+        a = np.asarray(self.adjacency)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionError(f"adjacency must be square, got shape {a.shape}")
         if not ((a == 0) | (a == 1)).all():
             raise StructureError("adjacency entries must be 0 or 1")
-        a = a.astype(np.int64)
         if np.any(np.diag(a) != 0):
             raise StructureError("self-loops are not allowed (nonzero diagonal)")
         if not np.array_equal(a, a.T):
             raise StructureError("adjacency must be symmetric")
+        a = np.array(a, dtype=np.int64)
         a.setflags(write=False)
         object.__setattr__(self, "adjacency", a)
 
@@ -55,7 +57,7 @@ class Graph:
             if n < size:
                 raise StructureError(f"n={n} too small for edge indices up to {size - 1}")
             size = n
-        a = np.zeros((size, size), dtype=np.int64)
+        a = np.zeros((size, size), dtype=np.int8)
         loop = next((e for e in edges if e[0] == e[1]), None)
         if loop is not None:
             raise StructureError(f"self-loop {loop[0]}-{loop[1]} is not allowed")

@@ -9,7 +9,7 @@ and tests membership directly through the commutation characterization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,28 +28,52 @@ class BlockOrthogonal:
     """A block-diagonal orthogonal matrix stored blockwise.
 
     Block i is an orthogonal m_i x m_i matrix; the implied full matrix is
-    zero off the diagonal blocks by construction.
+    zero off the diagonal blocks by construction.  The blocks of one size
+    are held as one read-only (k, s, s) stack, in ``m`` order, and
+    ``blocks`` are views into those stacks, so each size is checked,
+    multiplied and transposed in one call.
     """
 
     m: tuple[int, ...]
     blocks: tuple[np.ndarray, ...]
+    _stacks: dict[int, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.m) != len(self.blocks):
             raise StructureError("one block per multiplicity entry required")
-        frozen = []
-        for size, b in zip(self.m, self.blocks):
-            b = np.array(b, dtype=float)
-            if b.shape != (size, size):
-                raise StructureError(
-                    f"block of shape {b.shape} does not match multiplicity {size}"
-                )
-            if np.linalg.norm(b @ b.T - np.eye(size)) > _BLOCK_ORTH_TOL * size:
-                raise StructureError(f"block of size {size} is not orthogonal")
-            b.setflags(write=False)
-            frozen.append(b)
-        object.__setattr__(self, "m", tuple(int(s) for s in self.m))
-        object.__setattr__(self, "blocks", tuple(frozen))
+        m = tuple(int(s) for s in self.m)
+        blocks = [np.asarray(b, dtype=float) for b in self.blocks]
+        # a stack holds only well-shaped blocks, so those before the first
+        # misshapen one are checked first: the error names the first
+        # failing block in m order
+        cut = next(
+            (i for i, (s, b) in enumerate(zip(m, blocks)) if b.shape != (s, s)), len(m)
+        )
+        stacks = {s: np.array(bs) for s, bs in _by_size(m[:cut], blocks[:cut]).items()}
+        _check_orthogonal(m[:cut], stacks)
+        if cut < len(m):
+            raise StructureError(
+                f"block of shape {blocks[cut].shape} does not match multiplicity {m[cut]}"
+            )
+        self._freeze(m, stacks)
+
+    @classmethod
+    def _from_stacks(cls, m: tuple[int, ...], stacks: dict[int, np.ndarray]) -> BlockOrthogonal:
+        """The element whose blocks of size s are the new arrays stacks[s],
+        in m order; checked as the constructor checks its blocks."""
+        m = tuple(int(s) for s in m)
+        _check_orthogonal(m, stacks)
+        out = object.__new__(cls)
+        out._freeze(m, stacks)
+        return out
+
+    def _freeze(self, m: tuple[int, ...], stacks: dict[int, np.ndarray]) -> None:
+        for stack in stacks.values():
+            stack.setflags(write=False)
+        rows = {s: iter(stack) for s, stack in stacks.items()}
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "blocks", tuple(next(rows[s]) for s in m))
+        object.__setattr__(self, "_stacks", stacks)
 
     @classmethod
     def identity(cls, m: tuple[int, ...]) -> BlockOrthogonal:
@@ -68,7 +92,9 @@ class BlockOrthogonal:
         return out
 
     def transposed(self) -> BlockOrthogonal:
-        return BlockOrthogonal(self.m, tuple(b.T for b in self.blocks))
+        return BlockOrthogonal._from_stacks(
+            self.m, {s: b.transpose(0, 2, 1).copy() for s, b in self._stacks.items()}
+        )
 
     def compose(self, other: BlockOrthogonal) -> BlockOrthogonal:
         """Blockwise product self @ other; block structures must agree."""
@@ -77,9 +103,30 @@ class BlockOrthogonal:
                 f"block structures differ: {self.m} vs {other.m}",
                 details={"m_left": self.m, "m_right": other.m},
             )
-        return BlockOrthogonal(
-            self.m, tuple(a @ b for a, b in zip(self.blocks, other.blocks))
+        return BlockOrthogonal._from_stacks(
+            self.m, {s: a @ other._stacks[s] for s, a in self._stacks.items()}
         )
+
+
+def _by_size(m: tuple[int, ...], items) -> dict[int, list]:
+    """items[i] grouped under m[i], in m order within each group."""
+    groups: dict[int, list] = {}
+    for size, item in zip(m, items):
+        groups.setdefault(size, []).append(item)
+    return groups
+
+
+def _check_orthogonal(m: tuple[int, ...], stacks: dict[int, np.ndarray]) -> None:
+    """Raise for the first block in m order, of the blocks stacked by size,
+    that is not orthogonal."""
+    failed = {}
+    for size, stack in stacks.items():
+        err = np.linalg.norm(stack @ stack.transpose(0, 2, 1) - np.eye(size), axis=(1, 2))
+        failed[size] = err > _BLOCK_ORTH_TOL * size
+    if any(f.any() for f in failed.values()):
+        rows = {s: iter(f) for s, f in failed.items()}
+        size = next(s for s in m if next(rows[s]))
+        raise StructureError(f"block of size {size} is not orthogonal")
 
 
 def conjugate(dec: SpectralDecomposition, sigma: BlockOrthogonal) -> np.ndarray:
@@ -145,18 +192,24 @@ def sample_block_orthogonal(
     Per block: Gaussian draw, QR factorization, column signs fixed so the
     triangular factor has a positive diagonal, then the first column is
     negated with probability 1/2 to cover both components of the block's
-    orthogonal group.
+    orthogonal group (Mezzadri 2007).
+
+    The draws from ``rng`` are, per block and in ``m`` order, one (s, s)
+    standard normal array and then one uniform; the output of ``isotropy
+    sample``, ``procrustes family`` and ``graph hidden`` stays byte-stable
+    only as long as that order holds.  The factorizations then run as one
+    stacked QR per block size.
     """
-    blocks = []
-    for size in m:
-        g = rng.standard_normal((size, size))
-        q, r = np.linalg.qr(g)
-        q = q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
-        if rng.random() < 0.5:
-            q = q.copy()
-            q[:, 0] = -q[:, 0]
-        blocks.append(q)
-    return BlockOrthogonal(tuple(m), tuple(blocks))
+    draws = [(rng.standard_normal((size, size)), rng.random()) for size in m]
+    stacks = {}
+    for size, group in _by_size(m, draws).items():
+        normals, uniforms = zip(*group)
+        q, r = np.linalg.qr(np.array(normals))
+        q = q * np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)[:, None, :]
+        flip = np.array(uniforms) < 0.5
+        q[flip, :, 0] = -q[flip, :, 0]
+        stacks[size] = q
+    return BlockOrthogonal._from_stacks(m, stacks)
 
 
 def sample_gamma(dec: SpectralDecomposition, seed: int) -> np.ndarray:

@@ -27,6 +27,18 @@ def symmetric_matrices(draw, max_n=6):
     return (m + m.T) / 2.0
 
 
+@st.composite
+def block_sizes(draw, max_n=70):
+    """A multiplicity vector of blocks of size 1-4, sizes mixed in any
+    order, summing to at most max_n."""
+    left = draw(st.integers(0, max_n))
+    out = []
+    while left:
+        out.append(draw(st.integers(1, min(4, left))))
+        left -= out[-1]
+    return tuple(out)
+
+
 def haar_orthogonal(rng, n):
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     return q * np.sign(np.diag(r))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,6 +45,21 @@ def test_graph_validation():
         Graph(np.array([[0, 1], [0, 0]]))  # asymmetric
     with pytest.raises(StructureError):
         Graph.from_edges([(0, 0)])
+
+
+def test_building_a_sparse_graph_holds_one_dense_int64_array():
+    # a path's edge list is tiny; the dense adjacency it becomes is n^2
+    # int64 entries, and building it may hold little more than that
+    n = 2000
+    edges = [(i, i + 1) for i in range(n - 1)]
+    tracemalloc.start()
+    try:
+        g = Graph.from_edges(edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.adjacency.dtype == np.int64 and int(g.adjacency.sum()) == 2 * (n - 1)
+    assert peak < 1.5 * n * n * 8
 
 
 def test_graph_from_edges():

@@ -22,6 +22,7 @@ from orthosym.spectral import align_basis, eig_sym
 
 from helpers import (
     MASTER_SEED,
+    block_sizes,
     haar_orthogonal,
     planted_matrix,
     set_distance,
@@ -54,6 +55,30 @@ def test_block_orthogonal_validation():
         BlockOrthogonal((2,), (np.array([[1.0, 1.0], [0.0, 1.0]]),))
     with pytest.raises(StructureError):
         BlockOrthogonal((2,), (np.eye(3),))
+
+
+def test_block_orthogonal_reports_an_earlier_non_orthogonal_block_first():
+    skew = np.array([[1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(StructureError, match=r"^block of size 2 is not orthogonal$"):
+        BlockOrthogonal((1, 2, 3), (np.eye(1), skew, np.eye(2)))
+
+
+def test_block_orthogonal_reports_an_earlier_misshapen_block_first():
+    skew = np.array([[1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(
+        StructureError, match=r"^block of shape \(2, 2\) does not match multiplicity 3$"
+    ):
+        BlockOrthogonal((1, 3, 2), (np.eye(1), np.eye(2), skew))
+
+
+def test_block_orthogonal_names_the_first_of_two_non_orthogonal_blocks():
+    # the size-3 block fails first in m order although its size group comes
+    # second in the order sizes first appear
+    skew = np.array([[1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(StructureError, match=r"^block of size 3 is not orthogonal$"):
+        BlockOrthogonal((2, 3, 2), (np.eye(2), 2.0 * np.eye(3), skew))
+    with pytest.raises(StructureError, match=r"^block of size 2 is not orthogonal$"):
+        BlockOrthogonal((3, 2, 3), (np.eye(3), skew, 2.0 * np.eye(3)))
 
 
 def test_block_orthogonal_compose_full():
@@ -320,3 +345,48 @@ def test_haar_covers_both_components():
         b = sample_block_orthogonal((2,), np.random.default_rng(seed))
         dets.add(int(round(np.linalg.det(b.blocks[0]))))
     assert dets == {-1, 1}
+
+
+def loop_sample_block_orthogonal(m, rng):
+    """The per-block sampler the stacked one must reproduce bit for bit:
+    one normal draw, QR, sign fix and uniform draw per block, in m order."""
+    blocks = []
+    for size in m:
+        g = rng.standard_normal((size, size))
+        q, r = np.linalg.qr(g)
+        q = q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
+        if rng.random() < 0.5:
+            q = q.copy()
+            q[:, 0] = -q[:, 0]
+        blocks.append(q)
+    return blocks
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=block_sizes(), seed=st.integers(0, 2**32 - 1))
+def test_stacked_sampler_matches_the_loop_bit_for_bit(m, seed):
+    # procrustes family draws sigma_A and then sigma_B from one generator,
+    # so the generator must also be left where the loop leaves it
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    sigma = sample_block_orthogonal(m, rng)
+    ref = loop_sample_block_orthogonal(m, ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert sigma.m == m
+    assert [b.tobytes() for b in sigma.blocks] == [b.tobytes() for b in ref]
+    assert all(b.shape == (s, s) and not b.flags.writeable for s, b in zip(m, sigma.blocks))
+    other = loop_sample_block_orthogonal(m, rng)
+    product = sigma.transposed().compose(BlockOrthogonal(m, tuple(other)))
+    assert [b.tobytes() for b in product.blocks] == [
+        (np.array(a.T) @ b).tobytes() for a, b in zip(ref, other)
+    ]
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+def test_stacked_qr_equals_one_qr_per_matrix(size):
+    # the stacked sampler is byte-stable only while LAPACK treats each matrix
+    # of a stack as it treats the matrix alone
+    g = np.random.default_rng(MASTER_SEED + size).standard_normal((9, size, size))
+    q, r = np.linalg.qr(g)
+    for k in range(len(g)):
+        qk, rk = np.linalg.qr(g[k])
+        assert q[k].tobytes() == qk.tobytes() and r[k].tobytes() == rk.tobytes()
