@@ -71,7 +71,7 @@ def _emit(args, payload, table=None, text=None):
     human-readable string; json is always available."""
     fmt = args.format
     if fmt == "json":
-        out = json.dumps(payload, sort_keys=True) + "\n"
+        out = json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
     elif fmt == "csv":
         if table is None:
             raise _UsageError(f"subcommand {args.command!r} has no csv form")
@@ -80,7 +80,9 @@ def _emit(args, payload, table=None, text=None):
         lines += [",".join(str(c) for c in row) for row in rows]
         out = "\n".join(lines) + "\n"
     else:
-        out = (text if text is not None else json.dumps(payload, sort_keys=True, indent=2)) + "\n"
+        out = (
+            text if text is not None else json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+        ) + "\n"
     _write(args, (out,))
 
 
@@ -172,6 +174,8 @@ def _cmd_isotropy(args):
         else:
             _emit(args, None, text=f"{count} sign-group elements")
     elif args.action == "sample":
+        if args.count < 0:
+            raise _UsageError(f"count must be nonnegative, got {args.count}")
         samples = []
         for k in range(args.count):
             seed = derive_seed(args.seed, k)

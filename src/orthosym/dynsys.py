@@ -202,8 +202,8 @@ def integrate(x0, mu: float, dt: float = 1e-2, steps: int = 10000) -> np.ndarray
     Raises DivergenceError (with the step index) if the state leaves the
     finite floating-point range.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt:g}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt:g}")
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
     a = guiding_matrix(mu).entries
@@ -213,6 +213,8 @@ def integrate(x0, mu: float, dt: float = 1e-2, steps: int = 10000) -> np.ndarray
 
     traj = np.empty((steps + 1, 3))
     x = np.asarray(x0, dtype=float).copy()
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"x0 must be finite, got {x.tolist()}")
     traj[0] = x
     # overflow inside a blown-up step is expected and reported as an error
     with np.errstate(over="ignore", invalid="ignore"):
@@ -250,6 +252,8 @@ def sweep(mu_from: float, mu_to: float, samples: int) -> list[SweepRow]:
     """
     if samples < 2:
         raise ValueError(f"samples must be at least 2, got {samples}")
+    if not (math.isfinite(mu_from) and math.isfinite(mu_to)):
+        raise ValueError(f"the mu range must be finite, got {mu_from:g} to {mu_to:g}")
     rows: list[SweepRow] = []
     previous = None
     for mu in np.linspace(mu_from, mu_to, samples):

@@ -22,6 +22,10 @@ from .spectral import SpectralDecomposition, as_matrix, eig_sym, isospectral
 EXACT_SEARCH_MAX_N = 12
 PERMUTATION_TOL = 1e-6
 DEFAULT_AUT_LIMIT = 10000
+# the graph search: about how many entries the arrays of one step hold, and
+# how many int32 images (4 MiB) its stack of levels holds
+_BATCH = 1 << 16
+_HOLD = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -120,21 +124,18 @@ class Permutation:
         return p
 
 
-def _neighbours_and_signatures(a: np.ndarray) -> tuple[list[list[int]], list[tuple]]:
-    """Ascending neighbour lists, and per vertex its degree plus sorted
-    neighbour degrees: an exact invariant used only to prune candidate
-    images, never to accept one."""
+def _signatures(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
+    """Ascending neighbours (those of v are ``cols[ptr[v]:ptr[v + 1]]``),
+    and per vertex its degree plus sorted neighbour degrees: an exact
+    invariant used only to prune candidate images, never to accept one."""
     rows, cols = np.nonzero(a)
     deg = np.bincount(rows, minlength=a.shape[0])
-    bounds = np.concatenate(([0], np.cumsum(deg))).tolist()
-    cols_l = cols.tolist()
+    ptr = np.concatenate(([0], np.cumsum(deg)))
     # neighbour degrees sorted within each row (rows is already ascending)
     nbr_deg = deg[cols][np.lexsort((deg[cols], rows))].tolist()
-    neighbours = [cols_l[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    signatures = [
-        (hi - lo, tuple(nbr_deg[lo:hi])) for lo, hi in zip(bounds, bounds[1:])
-    ]
-    return neighbours, signatures
+    bounds = ptr.tolist()
+    signatures = [(hi - lo, tuple(nbr_deg[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
+    return cols.astype(np.int32), ptr, signatures
 
 
 def _search_maps(a: np.ndarray, b: np.ndarray, limit: int | None, first_only: bool):
@@ -142,80 +143,121 @@ def _search_maps(a: np.ndarray, b: np.ndarray, limit: int | None, first_only: bo
 
     Vertices of ``a`` are placed in order of descending degree (ties by
     index), each trying the images ``w`` of equal signature in ascending
-    order.  Position ``pos`` accepts ``w`` iff it is unused and its edges
-    to the images of positions 0..pos-1 equal the edges of ``order[pos]``
-    to those vertices.  Both sides are bitmasks over positions: bit j of
-    ``pattern[pos]`` is a[order[pos], order[j]], bit j of ``seen[w]`` is
-    b[w, image of order[j]], kept up to date as images are placed and
-    removed, so the test is one integer comparison.  The search runs on an
-    explicit stack, so the size of the graph meets no recursion limit.
-    Exact integer arithmetic throughout."""
+    order.  A partial map m at position ``pos`` accepts ``w`` iff ``w`` is
+    unused, is adjacent in ``b`` to m(order[j]) for every earlier position
+    j adjacent in ``a`` to order[pos], and has no other placed image as a
+    neighbour.  Exact integer arithmetic throughout.
+
+    The search is depth-first over partial maps, held as rows of int32
+    images in position order on an explicit stack with one level per depth,
+    so the size of the graph meets no recursion limit.  One numpy step tests
+    every candidate of a slice of rows of the deepest level at once and
+    pushes the accepted children, by parent and then by ascending ``w``, as
+    the next level.  So the tree, the order of its leaves, the first map
+    found and the point where LimitExceededError is raised are those of
+    placing one image at a time.
+
+    Memory: a level holds at most ``max(_HOLD // n, pos + 1)`` images (a
+    step keeps at most that many children, but at least one, and the next
+    step resumes after the last child kept), and it is dropped as soon as
+    its last row is expanded.  The stack therefore holds at most
+    ``_HOLD + n(n + 1)/2`` images, and O(1) levels for a chain-shaped tree
+    such as a long path's.  A step expands about ``_BATCH // max(n, class
+    size * degree)`` rows, so its arrays hold O(max(_BATCH, n, edges of b))
+    entries."""
     n = a.shape[0]
-    nbrs_a, sig_a = _neighbours_and_signatures(a)
-    nbrs_b, sig_b = (nbrs_a, sig_a) if b is a else _neighbours_and_signatures(b)
-    order = sorted(range(n), key=lambda v: (-sig_a[v][0], v))
-    rank = [0] * n
-    for pos, v in enumerate(order):
-        rank[v] = pos
-    pattern = [
-        sum(1 << rank[u] for u in nbrs_a[v] if rank[u] < pos) for pos, v in enumerate(order)
-    ]
+    cols_a, ptr_a, sig_a = _signatures(a)
+    cols_b, ptr_b, sig_b = (cols_a, ptr_a, sig_a) if b is a else _signatures(b)
+    order = np.argsort(-np.diff(ptr_a), kind="stable")
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    # earlier[pos]: the positions j < pos adjacent in ``a`` to order[pos]
+    src = rank[np.repeat(np.arange(n), np.diff(ptr_a))]
+    dst = rank[cols_a]
+    back = dst < src
+    src, dst = src[back], dst[back]
+    bounds = np.cumsum(np.bincount(src, minlength=n))[:-1]
+    earlier = np.split(dst[np.argsort(src, kind="stable")], bounds)
+    # per signature of ``b``: its vertices ascending, and their neighbours
+    # as one (degree, size) table, since the signature fixes the degree
     by_sig: dict[tuple, list[int]] = {}
     for w, sig in enumerate(sig_b):
         by_sig.setdefault(sig, []).append(w)
-    candidates = [by_sig.get(sig_a[v], []) for v in order]
+    classes = {}
+    for sig, ws in by_sig.items():
+        cand = np.array(ws, dtype=np.int32)
+        classes[sig] = (cand, cols_b[ptr_b[cand] + np.arange(sig[0])[:, None]])
+    if any(sig not in classes for sig in sig_a):
+        return []  # a vertex with no candidate image
+    # per position: candidates, their neighbours, e = earlier[pos], how many
+    # maps one step expands, and how many children it keeps
+    steps = []
+    for pos, v in enumerate(order.tolist()):
+        cand, nbrs = classes[sig_a[v]]
+        keep = max(1, _HOLD // (n * (pos + 1)))
+        width = min(keep, max(1, _BATCH // max(n, nbrs.size)))
+        steps.append((cand, nbrs, earlier[pos], width, keep))
 
-    seen = [0] * n
-    used = [False] * n
-    mapping = [-1] * n
-    tried = [0] * n  # tried[pos]: how many of candidates[pos] were tried
     results: list[tuple[int, ...]] = []
-    pos = 0
-    while True:
+    vertices = list(range(n))
+    rows = np.arange(max((step[3] for step in steps), default=1))[:, None]
+    levels = [[np.zeros((1, 0), dtype=np.int32), 0]]  # [maps, next (map, candidate) pair]
+    while levels:
+        level = levels[-1]
+        maps, start = level
+        pos = maps.shape[1]
         if pos == n:
-            results.append(tuple(mapping))
+            levels.pop()
+            leaves = maps[:1] if first_only else maps
+            # row entries are images by position; vertex v sits at rank[v].
+            # All maps share one int object per vertex: a large group's
+            # maps would otherwise hold one per entry
+            results += (tuple(map(vertices.__getitem__, m)) for m in leaves[:, rank].tolist())
             if limit is not None and len(results) > limit:
                 raise LimitExceededError(
                     f"more than {limit} automorphisms found; raise the limit"
                 )
             if first_only:
                 return results
+            continue
+        cand, nbrs, e, width, keep = steps[pos]
+        size = len(cand)
+        first, skip = divmod(start, size)
+        parents = maps[first : first + width]
+        k = len(parents)
+        # per parent and vertex of b: 1 for the image of a position in e, n
+        # for any other placed image, 0 if unplaced; so the sum over the
+        # neighbours of w is len(e) iff w is adjacent to every image of e
+        # and to no other placed image
+        weight = np.full(pos, n, dtype=np.int32)
+        weight[e] = 1
+        mark = np.zeros((k, n), dtype=np.int32)
+        mark[rows[:k], parents] = weight
+        ok = mark[:, nbrs].sum(axis=1) == len(e)
+        ok &= mark[:, cand] == 0
+        ok[0, :skip] = False  # tried by the previous step
+        parent, w = np.nonzero(ok)
+        if len(w) > keep:
+            parent, w = parent[:keep], w[:keep]
+            level[1] = (first + int(parent[-1])) * size + int(w[-1]) + 1
         else:
-            cands = candidates[pos]
-            want = pattern[pos]
-            start = tried[pos]
-            tried[pos] = 0
-            for i in range(start, len(cands)):
-                w = cands[i]
-                if seen[w] == want and not used[w]:
-                    tried[pos] = i + 1
-                    mapping[order[pos]] = w
-                    used[w] = True
-                    bit = 1 << pos
-                    for x in nbrs_b[w]:
-                        seen[x] |= bit
-                    break
-            if tried[pos]:
-                pos += 1
-                continue
-        # backtrack: take back the image placed at the previous position
-        pos -= 1
-        if pos < 0:
-            return results
-        w = mapping[order[pos]]
-        used[w] = False
-        bit = ~(1 << pos)
-        for x in nbrs_b[w]:
-            seen[x] &= bit
+            level[1] = (first + k) * size
+        if level[1] == len(maps) * size:
+            levels.pop()
+        if len(w):
+            levels.append([np.concatenate((parents[parent], cand[w][:, None]), axis=1), 0])
+    return results
 
 
 def automorphisms(graph: Graph, limit: int = DEFAULT_AUT_LIMIT) -> list[Permutation]:
     """All permutations P with P A = A P, exactly, in ascending order.
 
-    Degree-ordered backtracking with signature pruning and an O(1) bitmask
-    consistency test per candidate (exact for any n, practical at desk
-    scale); it has no recursion limit.  Aborts with LimitExceededError if
-    more than ``limit`` automorphisms exist.
+    Degree-ordered backtracking with signature pruning, run a batch of
+    partial maps per numpy step over the same search tree, in the same leaf
+    order, as placing one image at a time (exact for any n, practical at
+    desk scale).  It has no recursion limit, and its stack holds at most
+    2^20 + n(n + 1)/2 int32 images.  Aborts with LimitExceededError
+    if more than ``limit`` automorphisms exist.
     """
     maps = _search_maps(graph.adjacency, graph.adjacency, limit, first_only=False)
     return [Permutation(m) for m in sorted(maps)]
@@ -226,7 +268,10 @@ def find_isomorphism(ga: Graph, gb: Graph) -> Optional[Permutation]:
 
     Isospectrality is checked first (necessary for isomorphism), within
     1e-8 * max(1, ||A||_F); the exact backtracking search runs only when the
-    spectra agree.  Capped at n <= 12.
+    spectra agree.  The map returned is the first leaf of the search tree in
+    depth-first order; the search expands a batch of partial maps per numpy
+    step, with the tree, the leaf order and the memory bound of
+    ``automorphisms``.  Capped at n <= 12.
     """
     if ga.n != gb.n:
         return None

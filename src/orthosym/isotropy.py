@@ -9,6 +9,7 @@ and tests membership directly through the commutation characterization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -257,7 +258,12 @@ def is_member(
 
     ``dec`` is a decomposition, whose matrix is rebuilt, or the symmetric
     matrix itself, which needs no decomposition at all."""
+    # an infinite tol accepts anything and a NaN one rejects everything
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol:g}")
     gm = as_matrix(g)
+    if not np.all(np.isfinite(gm)):
+        raise ValueError("candidate entries must be finite")
     a = dec.reconstruct() if isinstance(dec, SpectralDecomposition) else as_matrix(dec)
     if gm.shape != a.shape:
         raise DimensionError(f"shape mismatch: {a.shape} vs {gm.shape}")

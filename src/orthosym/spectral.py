@@ -110,8 +110,9 @@ def cluster_eigenvalues(lambdas, cluster_tol: float) -> tuple[int, ...]:
 
 def _multiplicities(gaps: list[float], cluster_tol: float) -> tuple[int, ...]:
     # the clustering rule itself, applied to the gaps of sorted eigenvalues
-    if cluster_tol < 0:
-        raise ValueError(f"cluster_tol must be nonnegative, got {cluster_tol:g}")
+    # NaN passes a plain ``< 0`` test and would merge every eigenvalue
+    if not (math.isfinite(cluster_tol) and cluster_tol >= 0):
+        raise ValueError(f"cluster_tol must be finite and nonnegative, got {cluster_tol:g}")
     m = [1]
     for g in gaps:
         if g > cluster_tol:

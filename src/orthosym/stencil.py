@@ -59,9 +59,12 @@ def default_step(x) -> float:
 def hessian_fd(f: ScalarField, x, step: float | None = None) -> SymMatrix:
     """Central-difference Hessian, symmetrized as (H + H^T)/2."""
     pt = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(pt)):
+        raise ValueError(f"x must be finite, got {pt.tolist()}")
     s = default_step(pt) if step is None else float(step)
-    if s <= 0:
-        raise ValueError(f"step must be positive, got {s:g}")
+    # the difference quotient divides by 4 s^2, which must not underflow
+    if not (math.isfinite(s) and s > 0 and s * s > 0):
+        raise ValueError(f"step must be positive and finite, with a nonzero square, got {s:g}")
     n = pt.size
     h = np.zeros((n, n))
     eye = np.eye(n)
@@ -120,6 +123,8 @@ def _checked_symmetries(hessian, g1, g2, h) -> tuple[np.ndarray, np.ndarray, np.
     g1 = _require_member(hess, g1, "gamma1")
     g2 = _require_member(hess, g2, "gamma2")
     h = np.asarray(h, dtype=float)
+    if not np.all(np.isfinite(h)):
+        raise ValueError(f"h must be finite, got {h.tolist()}")
     if np.allclose(g1, g2, atol=1e-12) or np.allclose(g1, -g2, atol=1e-12):
         warnings.warn(
             "gamma1 = +/-gamma2: the probe cancels identically and carries "

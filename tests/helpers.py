@@ -11,6 +11,8 @@ import numpy as np
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from orthosym.errors import LimitExceededError
+
 MASTER_SEED = 20260810
 
 
@@ -57,6 +59,18 @@ def set_distance(target, elements):
     return min(float(np.max(np.abs(np.asarray(e) - target))) for e in elements)
 
 
+def random_cubic(rng, n):
+    """Adjacency of a uniform 3-regular simple graph on n vertices (n even):
+    the configuration model, drawn again until no loop or double edge."""
+    while True:
+        points = rng.permutation(np.repeat(np.arange(n), 3)).reshape(-1, 2)
+        u, v = points.min(axis=1), points.max(axis=1)
+        if np.all(u != v) and len(set(zip(u.tolist(), v.tolist()))) == len(u):
+            a = np.zeros((n, n), dtype=np.int64)
+            a[u, v] = a[v, u] = 1
+            return a
+
+
 def brute_force_isomorphisms(a, b):
     """Every permutation p with a[p][:, p] == b, found by checking all n!
     of them; ``brute_force_isomorphisms(a, a)`` lists the automorphisms."""
@@ -67,6 +81,91 @@ def brute_force_isomorphisms(a, b):
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp).reshape(-1, n)
     match = (a[perms[:, :, None], perms[:, None, :]] == b).all(axis=(1, 2))
     return [tuple(map(int, p)) for p in perms[match]]
+
+
+def scalar_search_maps(a, b, limit, first_only, placed=None):
+    """Test-only copy of the one-map-at-a-time backtracking search that
+    ``graphsym._search_maps`` replaced: the reference for its results,
+    their order, and where it raises LimitExceededError.  Each image placed,
+    one per node of the search tree below the root, appends its position to
+    the list ``placed`` if one is given.
+
+    Vertices of ``a`` are placed in order of descending degree (ties by
+    index), each trying the images ``w`` of equal signature (degree plus
+    sorted neighbour degrees) in ascending order.  Position ``pos`` accepts
+    ``w`` iff it is unused and its edges to the images of positions
+    0..pos-1 equal the edges of ``order[pos]`` to those vertices, kept as
+    one bitmask over positions per vertex of ``b``."""
+
+    def neighbours_and_signatures(m):
+        rows, cols = np.nonzero(m)
+        deg = np.bincount(rows, minlength=m.shape[0])
+        bounds = np.concatenate(([0], np.cumsum(deg))).tolist()
+        cols_l = cols.tolist()
+        nbr_deg = deg[cols][np.lexsort((deg[cols], rows))].tolist()
+        neighbours = [cols_l[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        signatures = [(hi - lo, tuple(nbr_deg[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
+        return neighbours, signatures
+
+    n = a.shape[0]
+    nbrs_a, sig_a = neighbours_and_signatures(a)
+    nbrs_b, sig_b = (nbrs_a, sig_a) if b is a else neighbours_and_signatures(b)
+    order = sorted(range(n), key=lambda v: (-sig_a[v][0], v))
+    rank = [0] * n
+    for pos, v in enumerate(order):
+        rank[v] = pos
+    pattern = [
+        sum(1 << rank[u] for u in nbrs_a[v] if rank[u] < pos) for pos, v in enumerate(order)
+    ]
+    by_sig = {}
+    for w, sig in enumerate(sig_b):
+        by_sig.setdefault(sig, []).append(w)
+    candidates = [by_sig.get(sig_a[v], []) for v in order]
+
+    seen = [0] * n
+    used = [False] * n
+    mapping = [-1] * n
+    tried = [0] * n  # tried[pos]: how many of candidates[pos] were tried
+    results = []
+    pos = 0
+    while True:
+        if pos == n:
+            results.append(tuple(mapping))
+            if limit is not None and len(results) > limit:
+                raise LimitExceededError(
+                    f"more than {limit} automorphisms found; raise the limit"
+                )
+            if first_only:
+                return results
+        else:
+            cands = candidates[pos]
+            want = pattern[pos]
+            start = tried[pos]
+            tried[pos] = 0
+            for i in range(start, len(cands)):
+                w = cands[i]
+                if seen[w] == want and not used[w]:
+                    if placed is not None:
+                        placed.append(pos)
+                    tried[pos] = i + 1
+                    mapping[order[pos]] = w
+                    used[w] = True
+                    bit = 1 << pos
+                    for x in nbrs_b[w]:
+                        seen[x] |= bit
+                    break
+            if tried[pos]:
+                pos += 1
+                continue
+        # backtrack: take back the image placed at the previous position
+        pos -= 1
+        if pos < 0:
+            return results
+        w = mapping[order[pos]]
+        used[w] = False
+        bit = ~(1 << pos)
+        for x in nbrs_b[w]:
+            seen[x] &= bit
 
 
 def newton_equilibrium(a, x0, max_iter=100, step_tol=1e-13):

@@ -1,4 +1,5 @@
 import math
+import signal
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,7 @@ from orthosym.graphsym import (
 )
 from orthosym.isotropy import commutator_residual, is_member
 
-from helpers import MASTER_SEED, brute_force_isomorphisms
+from helpers import MASTER_SEED, brute_force_isomorphisms, random_cubic, scalar_search_maps
 
 PATH3 = Graph.from_edges([(0, 1), (1, 2)])
 K4 = Graph.from_edges([(i, j) for i in range(4) for j in range(i + 1, 4)])
@@ -158,6 +159,174 @@ def test_search_agrees_with_brute_force_on_seeded_pairs():
             continue
         assert sorted(graphsym._search_maps(a, b, None, False)) == brute_force_isomorphisms(b, a)
         checked += 1
+
+
+def search_or_error(search, a, b, limit, first_only):
+    try:
+        return search(a, b, limit, first_only)
+    except LimitExceededError as exc:
+        return f"LimitExceededError: {exc}"
+
+
+def assert_search_matches_the_oracle(a, b, limits):
+    # the same maps in the same order, or the same error at the same leaf;
+    # ``b is a`` is the shortcut automorphisms takes, so it is kept
+    for limit in limits:
+        for first_only in (False, True):
+            got = search_or_error(graphsym._search_maps, a, b, limit, first_only)
+            assert got == search_or_error(scalar_search_maps, a, b, limit, first_only), (limit, first_only)
+
+
+def search_partners(a, rng_perm, toggle):
+    """``a`` itself, a relabelled copy and, for 2 <= n <= 9, a copy with one
+    vertex pair toggled.  That copy is never isomorphic, so no limit cuts
+    its search short: on an empty graph it visits about (n - 2)! partial
+    maps."""
+    n = a.shape[0]
+    p = np.asarray(rng_perm, dtype=np.intp)
+    partners = [a, a[np.ix_(p, p)]]
+    if 2 <= n <= 9:
+        u, v = toggle
+        c = a.copy()
+        c[u, v] = c[v, u] = 1 - c[u, v]
+        partners.append(c)
+    return partners
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=relabelled_graphs(max_n=12), data=st.data())
+def test_batched_search_matches_the_one_map_at_a_time_oracle(case, data):
+    g, perm = case
+    a = g.adjacency
+    toggle = data.draw(st.permutations(range(g.n)))[:2]
+    # a full listing is bounded only at small n, where n! stays small
+    limits = (None, 0, 3) if g.n <= 7 else (0, 3, 1000)
+    for b in search_partners(a, perm.mapping, toggle):
+        assert_search_matches_the_oracle(a, b, limits)
+
+
+def petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph.from_edges(outer + inner + [(i, i + 5) for i in range(5)])
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        Graph(np.zeros((0, 0), dtype=int)),
+        Graph(np.zeros((1, 1), dtype=int)),
+        *[Graph.from_edges([(i, (i + 1) % k) for i in range(k)]) for k in (5, 6, 7, 8)],
+        Graph.from_edges([(u, u ^ bit) for u in range(8) for bit in (1, 2, 4) if u < u ^ bit]),
+        petersen(),
+    ],
+    ids=["n0", "n1", "C5", "C6", "C7", "C8", "Q3", "petersen"],
+)
+def test_batched_search_matches_the_oracle_on_examples(graph):
+    rng = np.random.default_rng(MASTER_SEED + 33)
+    toggle = rng.permutation(graph.n)[:2]
+    for b in search_partners(graph.adjacency, rng.permutation(graph.n), toggle):
+        assert_search_matches_the_oracle(graph.adjacency, b, (None, 0, 3))
+
+
+@pytest.mark.parametrize("name", ["C6", "Q3", "petersen", "cubic12", "asymmetric"])
+def test_batched_search_visits_the_same_tree(monkeypatch, name):
+    # node for node: the batched search creates exactly the partial maps
+    # that placing one image at a time visits (fewer only when a vertex
+    # has no candidate image at all, where it stops at once).  The count
+    # condition, for one, only prunes: degree signatures already force the
+    # same leaves, so only the size of the tree shows it.
+    graphs = {
+        "C6": Graph.from_edges([(i, (i + 1) % 6) for i in range(6)]),
+        "Q3": Graph.from_edges([(u, u ^ bit) for u in range(8) for bit in (1, 2, 4) if u < u ^ bit]),
+        "petersen": petersen(),
+        "cubic12": Graph(random_cubic(np.random.default_rng(MASTER_SEED + 41), 12)),
+        "asymmetric": fixtures.asymmetric_graph(),
+    }
+    a = graphs[name].adjacency
+    rng = np.random.default_rng(MASTER_SEED + 34)
+    created = []
+    concatenate = np.concatenate
+
+    def counting(arrays, axis=0, **kwargs):
+        out = concatenate(arrays, axis=axis, **kwargs)
+        if axis == 1:  # the children of one step, as (parent images, image) rows
+            created.append(len(out))
+        return out
+
+    partners = search_partners(a, rng.permutation(len(a)), rng.permutation(len(a))[:2])
+    for i, b in enumerate(partners):
+        placed = []
+        expected = scalar_search_maps(a, b, None, False, placed)
+        monkeypatch.setattr(np, "concatenate", counting)
+        created.clear()
+        got = graphsym._search_maps(a, b, None, False)
+        monkeypatch.setattr(np, "concatenate", concatenate)
+        assert got == expected
+        if i < 2:  # a itself and the relabelled copy
+            assert sum(created) == len(placed) > 0
+        else:
+            assert sum(created) <= len(placed)
+
+
+def test_search_on_a_long_path_holds_less_than_n_squared_bytes():
+    # a path's search tree is a chain: the batched search must drop each
+    # level once expanded, or it holds O(n^2) images per level
+    n = 2000
+    path = Graph.from_edges([(i, i + 1) for i in range(n - 1)])
+    tracemalloc.start()
+    try:
+        auts = automorphisms(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(auts) == 2
+    assert peak < n * n
+
+
+def test_search_on_a_wide_deep_tree_stays_within_its_stack_bound():
+    # 100 disjoint triangles: 300 levels, each with up to 300 candidates per
+    # partial map; the first 101 leaves lie far below the root.  The stack
+    # bound is (_HOLD + n(n + 1)/2) int32 images, 4.4 MB here, and 2 MB is
+    # left for one step's arrays and the 101 maps.  Keeping every child
+    # instead peaks at about 670 MB.
+    triangles = Graph.from_edges([(3 * t + i, 3 * t + (i + 1) % 3) for t in range(100) for i in range(3)])
+    n = triangles.n
+    tracemalloc.start()
+    try:
+        with pytest.raises(LimitExceededError):
+            automorphisms(triangles, limit=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * (graphsym._HOLD + n * (n + 1) // 2) + 2 * 2**20
+
+
+class _Cut(BaseException):
+    pass
+
+
+def test_a_stalled_search_stays_small():
+    # a random cubic graph on 30 vertices: degree signatures prune nothing,
+    # and the search runs far past 1 s; what it holds must stay bounded
+    a = random_cubic(np.random.default_rng(MASTER_SEED + 40), 30)
+
+    def cut(signum, frame):
+        raise _Cut
+
+    previous = signal.signal(signal.SIGALRM, cut)
+    tracemalloc.start()
+    timer = (0.0, 0.0)
+    try:
+        timer = signal.setitimer(signal.ITIMER_REAL, 1.0)
+        with pytest.raises(_Cut):
+            graphsym._search_maps(a, a, None, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, *timer)
+        signal.signal(signal.SIGALRM, previous)
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 @settings(max_examples=100, deadline=None)

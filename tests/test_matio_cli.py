@@ -1,11 +1,14 @@
+import contextlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orthosym import cli, dynsys, fixtures, spectral, stencil, verify
+from orthosym import cli, dynsys, fixtures, isotropy, spectral, stencil, verify
 from orthosym.cli import EXIT_VERIFY, run
 from orthosym.errors import InputFormatError, StructureError
 from orthosym.isotropy import commutator_residual, gamma2_elements
@@ -622,3 +625,202 @@ def test_cli_reuses_one_parser_with_unchanged_results(monkeypatch, capsys, a0_fi
     assert codes == [0, 1, 0, 0, 1, 0, 1, 0]
     assert shared[0][7] == shared[0][0]  # nothing carries over between calls
     assert shared[0][3][1] == ""  # --output leaves stdout empty
+
+
+# ------------------------------------------------ option values out of range
+
+def run_quiet(argv):
+    """``run(argv)`` with stdout and stderr captured, for tests that draw
+    many examples in one test function."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def diag21_files(tmp_path_factory):
+    """diag(2, 1); the swap of its two coordinates, which does not commute
+    with it; a candidate with an infinite entry; and a one-edge graph."""
+    root = tmp_path_factory.mktemp("diag21")
+    (root / "a.txt").write_text("2 0\n0 1\n")
+    (root / "swap.txt").write_text("0 1\n1 0\n")
+    (root / "edge.txt").write_text("0 1\n")
+    (root / "inf.txt").write_text("0 1\n1 inf\n")
+    return root
+
+
+bad_cluster_tols = st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(
+    max_value=0.0, exclude_max=True, allow_infinity=False
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(tol=bad_cluster_tols)
+def test_non_finite_or_negative_cluster_tol_is_an_input_error(diag21_files, tol):
+    # NaN passed the old ``< 0`` test and merged every eigenvalue: diag(2, 1)
+    # came out with multiplicities (2,), a claimed O(2) symmetry
+    with pytest.raises(ValueError, match="cluster_tol must be finite and nonnegative"):
+        spectral.eig_sym(np.diag([2.0, 1.0]), cluster_tol=tol)
+    a, edge = str(diag21_files / "a.txt"), str(diag21_files / "edge.txt")
+    for argv in (
+        ["eig", "--input", a],
+        ["isotropy", "sample", "--input", a],
+        ["graph", "spectrum", "--input", edge],
+    ):
+        code, out, err = run_quiet(argv + [f"--cluster-tol={tol!r}"])
+        assert (code, out) == (1, ""), argv
+        assert f"got {tol:g}" in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["isotropy", "check", "--input", "A", "--candidate", "SWAP", "--tol=inf"], "tol must be finite and nonnegative, got inf"),
+        (["isotropy", "check", "--input", "A", "--candidate", "SWAP", "--tol=nan"], "tol must be finite and nonnegative, got nan"),
+        (["isotropy", "check", "--input", "A", "--candidate", "SWAP", "--tol=-1e-8"], "tol must be finite and nonnegative, got -1e-08"),
+        (["dynsys", "integrate", "--steps", "5", "--dt=nan"], "dt must be positive and finite, got nan"),
+        (["dynsys", "integrate", "--steps", "5", "--dt=inf"], "dt must be positive and finite, got inf"),
+        (["stencil", "probe", *_PROBE, "--step=inf"], "step must be positive and finite, with a nonzero square, got inf"),
+        (["stencil", "probe", *_PROBE, "--step=nan"], "step must be positive and finite, with a nonzero square, got nan"),
+        (["isotropy", "sample", "--input", "A", "--count=-1"], "count must be nonnegative, got -1"),
+        # found by test_cli_fuzz_exits_cleanly_with_strict_json
+        (["stencil", "order", *_PROBE, "--step=5e-324"], "with a nonzero square, got 4.94066e-324"),
+        (["stencil", "probe", *_PROBE[:4], "--h=0,0,inf"], "h must be finite, got [0.0, 0.0, inf]"),
+        (["stencil", "probe", "--function", "quadratic", "--x=inf,1,1", *_PROBE[4:]], "x must be finite, got [inf, 1.0, 1.0]"),
+        (["dynsys", "integrate", "--steps", "5", "--x0=nan,0,0"], "x0 must be finite, got [nan, 0.0, 0.0]"),
+        (["dynsys", "sweep", "--samples", "3", "--from=-inf"], "the mu range must be finite, got -inf to 1.5"),
+        (["isotropy", "check", "--input", "A", "--candidate", "INF"], "candidate entries must be finite"),
+    ],
+    ids=[
+        "tol-inf", "tol-nan", "tol-negative", "dt-nan", "dt-inf", "step-inf", "step-nan",
+        "count-negative", "step-underflow", "h-inf", "x-inf", "x0-nan", "from-inf", "candidate-inf",
+    ],
+)
+def test_option_out_of_range_is_an_input_error(diag21_files, argv, message):
+    # before: --tol inf called the non-commuting swap a member and --tol nan
+    # rejected it, both with exit 0; a NaN or infinite dt "diverged at
+    # step 1" (exit 2); an infinite step hit a math domain error; and
+    # count -1 printed an empty sample.  The rest raised an uncaught
+    # ZeroDivisionError or a numpy RuntimeWarning, or, for x0, reported a
+    # divergence (exit 2)
+    files = {k: str(diag21_files / f) for k, f in (("A", "a.txt"), ("SWAP", "swap.txt"), ("INF", "inf.txt"))}
+    code, out, err = run_quiet([files.get(arg, arg) for arg in argv])
+    assert (code, out) == (1, "")
+    assert message in err
+
+
+def test_library_rules_reject_non_finite_values():
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for tol in (math.inf, math.nan, -1.0):
+        with pytest.raises(ValueError, match="tol must be finite"):
+            isotropy.is_member(np.diag([2.0, 1.0]), swap, tol=tol)
+    for dt in (math.inf, math.nan, 0.0):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            dynsys.integrate([0.1, 0.1, 0.1], 0.0, dt=dt, steps=2)
+    field = stencil.BUILTIN_FIELDS["quadratic"]
+    for step in (math.inf, math.nan, -1e-3):
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            stencil.hessian_fd(field, np.ones(3), step=step)
+
+
+def test_json_output_refuses_non_finite_numbers(monkeypatch, capsys, a0_file):
+    # RFC 8259 has no NaN or Infinity token: such a result is exit 1 with
+    # nothing written, never a file that strict JSON parsers reject
+    monkeypatch.setattr(isotropy, "commutator_residual", lambda a, g: math.inf)
+    argv = ["isotropy", "sample", "--input", a0_file]
+    code, out, err = run_capture(capsys, argv)
+    assert (code, out) == (1, "")
+    assert "not JSON compliant" in err
+    assert run_capture(capsys, argv + ["--format", "text"])[:2] == (0, "1 sampled symmetries\n")
+
+
+# ------------------------------------------------------------------ fuzzing
+
+_NUMBERS = ["0", "1", "-1", "2.5", "0.5", "3", "1e-3"]
+_ODD = ["inf", "-inf", "nan", "1e400", "5e-324", "-0.0", "junk", "1,"]
+_tokens = st.sampled_from(_NUMBERS + _ODD)
+
+
+@st.composite
+def _matrix_text(draw, bits=False):
+    """n lines of n tokens; half the files hold plain numbers only (0/1
+    with a zero diagonal for a graph), so that requests also get past
+    validation.  Sometimes one line is too short."""
+    n = draw(st.integers(1, 4))
+    pool = ["0", "1"] if bits else _NUMBERS
+    if draw(st.booleans()):
+        pool = pool + _ODD
+    rows = [[draw(st.sampled_from(pool)) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):  # symmetric
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        if bits:
+            for i in range(n):
+                rows[i][i] = "0"
+    if n > 1 and draw(st.integers(0, 9)) == 0:
+        rows[-1] = rows[-1][:-1]
+    return "\n".join(" ".join(r) for r in rows) + "\n"
+
+
+def _vector(draw):
+    pool = st.sampled_from(_NUMBERS) if draw(st.booleans()) else _tokens
+    return ",".join(draw(pool) for _ in range(3))
+
+
+@st.composite
+def _argv(draw):
+    """One argv for each subcommand and action, with option values drawn
+    from numbers, non-finite tokens and junk; file arguments name M, M2, G
+    and G2, written by the test."""
+    value = _tokens
+    count = st.sampled_from(["-1", "0", "2", "junk"])
+    fmt = ["--format", draw(st.sampled_from(["json", "text", "csv"]))]
+    shape = draw(st.sampled_from([
+        "eig", "isotropy gamma2", "isotropy sample", "isotropy check", "procrustes solve",
+        "procrustes family", "graph spectrum", "graph aut", "graph iso", "graph hidden",
+        "stencil probe", "stencil order", "dynsys equilibria", "dynsys sweep", "dynsys integrate",
+    ]))
+    argv = shape.split()
+    command = argv[0]
+    opt = lambda name, strategy: [f"--{name}={draw(strategy)}"] if draw(st.booleans()) else []  # noqa: E731
+    if command in ("eig", "isotropy"):
+        argv += ["--input", "M"] + opt("cluster-tol", value)
+        if shape == "isotropy check":
+            argv += ["--candidate", "M2"] + opt("tol", value)
+        argv += opt("count", count)
+    elif command == "procrustes":
+        argv += ["--input-a", "M", "--input-b", "M2"] + opt("count", count)
+    elif command == "graph":
+        argv += ["--input-a", "G", "--input-b", "G2"] if shape == "graph iso" else ["--input", "G"]
+        argv += opt("cluster-tol", value) + opt("limit", count)
+    elif command == "stencil":
+        argv += ["--function", draw(st.sampled_from(["quadratic", "trig-quartic", "nope"]))]
+        argv += [f"--x={_vector(draw)}", f"--h={_vector(draw)}", "--levels", "3"] + opt("step", value)
+    else:
+        argv += opt("mu", value) + opt("from", value) + ["--samples", "3", "--steps", "5"]
+        argv += opt("dt", value) + [f"--x0={_vector(draw)}"]
+    return argv + fmt
+
+
+def _no_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_argv(), m=_matrix_text(), m2=_matrix_text(), g=_matrix_text(bits=True), g2=_matrix_text(bits=True))
+def test_cli_fuzz_exits_cleanly_with_strict_json(fuzz_dir, argv, m, m2, g, g2):
+    files = {"M": m, "M2": m2, "G": g, "G2": g2}
+    for name, text in files.items():
+        (fuzz_dir / name).write_text(text)
+    argv = [str(fuzz_dir / arg) if arg in files else arg for arg in argv]
+    code, out, err = run_quiet(argv)
+    assert code in (0, 1, 2, 3), err
+    if code != 0:
+        assert out == ""
+    elif argv[-1] == "json":
+        json.loads(out, parse_constant=_no_constant)
