@@ -8,7 +8,9 @@ Procrustes problem, graph symmetry detection, fourth-order Taylor probes,
 and the equilibrium structure of an equivariant model ODE.
 """
 
-from . import cli, dynsys, fixtures, graphsym, isotropy, matio, procrustes, spectral, stencil, verify
+# ``cli`` is left to load on demand: imported here, it would already be in
+# sys.modules when ``python -m orthosym.cli`` runs it, and runpy warns
+from . import dynsys, fixtures, graphsym, isotropy, matio, procrustes, spectral, stencil, verify
 from .errors import OrthosymError
 from .graphsym import Graph, Permutation
 from .isotropy import BlockOrthogonal

@@ -24,10 +24,6 @@ class StructureError(OrthosymError):
 class ConvergenceError(OrthosymError):
     """The eigensolver failed to converge."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class SizeCapError(OrthosymError):
     """Problem size exceeds the hard cap of the requested algorithm."""

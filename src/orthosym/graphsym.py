@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionError, LimitExceededError, SizeCapError, StructureError
 from .isotropy import sample_gamma
-from .spectral import SpectralDecomposition, as_matrix, eig_sym, isospectral
+from .spectral import SpectralDecomposition, eig_sym, isospectral
 
 EXACT_SEARCH_MAX_N = 12
 PERMUTATION_TOL = 1e-6
@@ -79,9 +79,6 @@ class Graph:
         iu, ju = np.nonzero(np.triu(self.adjacency))
         return [(int(u), int(v)) for u, v in zip(iu, ju)]
 
-    def degrees(self) -> np.ndarray:
-        return self.adjacency.sum(axis=1)
-
 
 @dataclass(frozen=True)
 class Permutation:
@@ -95,24 +92,8 @@ class Permutation:
             raise StructureError(f"not a bijection on 0..{len(m) - 1}: {m}")
         object.__setattr__(self, "mapping", m)
 
-    @classmethod
-    def identity(cls, n: int) -> Permutation:
-        return cls(tuple(range(n)))
-
     def __len__(self) -> int:
         return len(self.mapping)
-
-    def compose(self, other: Permutation) -> Permutation:
-        """self after other: (self * other)(i) = self(other(i))."""
-        if len(self) != len(other):
-            raise DimensionError("permutation sizes differ")
-        return Permutation(tuple(self.mapping[j] for j in other.mapping))
-
-    def inverse(self) -> Permutation:
-        inv = [0] * len(self)
-        for i, j in enumerate(self.mapping):
-            inv[j] = i
-        return Permutation(tuple(inv))
 
     def to_matrix(self) -> np.ndarray:
         """Matrix P with P e_i = e_{mapping[i]}; P A = A P iff self is an
@@ -299,7 +280,7 @@ def is_permutation(p, tol: float = PERMUTATION_TOL) -> Optional[Permutation]:
     Succeeds iff every entry is within ``tol`` of 0 or 1 and there is exactly
     one 1 per row and per column.
     """
-    m = as_matrix(p)
+    m = np.asarray(p, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return None
     near_one = np.abs(m - 1.0) <= tol

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DimensionError, SizeCapError, StructureError
-from .spectral import SpectralDecomposition, SymMatrix, as_matrix
+from .spectral import SpectralDecomposition, SymMatrix
 
 # the elements alone take 2^n * n^2 * 8 bytes, 25.7 MB at n = 14 and 3.4 GB
 # at n = 20, and their JSON takes about 2.7 times as much
@@ -75,10 +75,6 @@ class BlockOrthogonal:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "blocks", tuple(next(rows[s]) for s in m))
         object.__setattr__(self, "_stacks", stacks)
-
-    @classmethod
-    def identity(cls, m: tuple[int, ...]) -> BlockOrthogonal:
-        return cls(tuple(m), tuple(np.eye(size) for size in m))
 
     @property
     def n(self) -> int:
@@ -150,10 +146,11 @@ def conjugate(dec: SpectralDecomposition, sigma: BlockOrthogonal) -> np.ndarray:
     orth = float(np.linalg.norm(gamma @ gamma.T - np.eye(n)))
     if orth > 1e-9 * n:
         raise StructureError(f"conjugated element lost orthogonality ({orth:.2e})")
-    a = dec.reconstruct()
-    comm = float(np.linalg.norm(gamma @ a - a @ gamma))
-    if comm > 1e-8 * max(1.0, float(np.linalg.norm(a))):
-        raise StructureError(f"conjugated element fails to commute ({comm:.2e})")
+    comm, bound, shift = _commutator(dec.reconstruct(), gamma)
+    if comm > 1e-8 * bound:
+        raise StructureError(
+            f"conjugated element fails to commute ({_unscaled(comm, shift):.2e})"
+        )
     gamma.setflags(write=False)
     return gamma
 
@@ -235,15 +232,41 @@ def rotate_basis(
     return replace(dec, v=sigma.full() @ dec.v)
 
 
+def _commutator(a: np.ndarray, g: np.ndarray) -> tuple[float, float, int]:
+    """||GA - AG||_F / 2^s, max(1, ||A||_F) / 2^s and s.
+
+    Both norms are taken of A / 2^s, with s >= 0 the least shift that
+    brings every |A_ij| below 1, so neither overflows where ||A||_F itself
+    would (entries from about 1e154 on).  A power-of-two scaling is exact:
+    the values are those of the unscaled norms divided by 2^s, bit for bit,
+    unless a scaled entry falls into the subnormal range."""
+    _, shift = math.frexp(float(np.abs(a).max(initial=0.0)))
+    shift = max(shift, 0)
+    a = np.ldexp(a, -shift)
+    comm = float(np.linalg.norm(g @ a - a @ g))
+    # for s >= 1 the bound is ||A / 2^s||_F, which is at least 1/2
+    return comm, max(math.ldexp(1.0, -shift), float(np.linalg.norm(a))), shift
+
+
+def _unscaled(x: float, shift: int) -> float:
+    """x * 2^shift, infinite past the float range."""
+    try:
+        return math.ldexp(x, shift)
+    except OverflowError:
+        return math.inf
+
+
 def commutator_residual(a, g) -> float:
-    """||GA - AG||_F."""
-    am = as_matrix(a)
-    gm = as_matrix(g)
+    """||GA - AG||_F.  For an orthogonal G it is infinite only where the
+    residual itself is past the float range, whatever the scale of A."""
+    am = np.asarray(a, dtype=float)
+    gm = np.asarray(g, dtype=float)
     if am.ndim != 2 or am.shape[0] != am.shape[1]:
         raise DimensionError(f"expected square matrix, got shape {am.shape}")
     if gm.shape != am.shape:
         raise DimensionError(f"shape mismatch: {am.shape} vs {gm.shape}")
-    return float(np.linalg.norm(gm @ am - am @ gm))
+    comm, _, shift = _commutator(am, gm)
+    return _unscaled(comm, shift)
 
 
 def is_member(
@@ -252,27 +275,25 @@ def is_member(
     tol: float = MEMBER_TOL,
 ) -> bool:
     """Membership test via the commutation characterization: G belongs to the
-    symmetry group iff it is orthogonal and commutes with the matrix.
-    Checked directly (no recovery of the block factor), which is immune to
-    basis choices inside degenerate eigenspaces.
+    symmetry group iff it is orthogonal and commutes with the matrix A,
+    ||GA - AG||_F <= tol * max(1, ||A||_F).  Checked directly (no recovery
+    of the block factor), which is immune to basis choices inside
+    degenerate eigenspaces, and at every scale of A: the verdict for 2^k A
+    is that for A whenever ||A||_F >= 1.
 
     ``dec`` is a decomposition, whose matrix is rebuilt, or the symmetric
     matrix itself, which needs no decomposition at all."""
     # an infinite tol accepts anything and a NaN one rejects everything
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol:g}")
-    gm = as_matrix(g)
+    gm = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(gm)):
         raise ValueError("candidate entries must be finite")
-    a = dec.reconstruct() if isinstance(dec, SpectralDecomposition) else as_matrix(dec)
+    a = dec.reconstruct() if isinstance(dec, SpectralDecomposition) else np.asarray(dec, dtype=float)
     if gm.shape != a.shape:
         raise DimensionError(f"shape mismatch: {a.shape} vs {gm.shape}")
     n = a.shape[0]
     if float(np.linalg.norm(gm @ gm.T - np.eye(n))) > tol * n:
         return False
-    return commutator_residual(a, gm) <= tol * max(1.0, float(np.linalg.norm(a)))
-
-
-def is_finite(dec: SpectralDecomposition) -> bool:
-    """True iff the symmetry group is finite, i.e. all eigenvalues simple."""
-    return all(m == 1 for m in dec.multiplicities)
+    comm, bound, _ = _commutator(a, gm)
+    return comm <= tol * bound

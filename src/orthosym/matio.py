@@ -9,7 +9,6 @@ emit/parse cycle reproduces every entry exactly.
 
 from __future__ import annotations
 
-import io
 from pathlib import Path
 
 import numpy as np
@@ -56,10 +55,6 @@ def parse_matrix(source) -> np.ndarray:
         except ValueError as exc:
             raise InputFormatError(f"non-numeric token: {exc}", line=lineno) from None
     return np.array(rows)
-
-
-def parse_matrix_text(text: str) -> np.ndarray:
-    return parse_matrix(io.StringIO(text))
 
 
 def format_matrix(a) -> str:

@@ -3,9 +3,9 @@
 Minimizes ||PA - BP||_F over orthogonal P.  With eigendecompositions
 D_A = V_A A V_A^T and D_B = V_B B V_B^T (both spectra sorted the same way)
 the canonical optimum is P = V_B^T V_A, and the full family of solutions of
-this form is obtained by inserting symmetry factors of A and B:
-P = V_B^T sigma_B^T sigma_A V_A.  Every member attains the same cost
-||D_A - D_B||_F.
+this form is obtained by inserting block symmetry factors sigma_A, sigma_B
+of A and B: P = V_B^T sigma_B^T sigma_A V_A.  Every member attains the same
+cost ||D_A - D_B||_F.  A solution keeps only P, not the factors.
 """
 
 from __future__ import annotations
@@ -15,21 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, StructureError
-from .isotropy import BlockOrthogonal, sample_block_orthogonal
-from .spectral import SpectralDecomposition, as_matrix, as_sym, eig_sym
+from .isotropy import sample_block_orthogonal
+from .spectral import SpectralDecomposition, as_sym, eig_sym
 
 
 @dataclass(frozen=True)
 class ProcrustesSolution:
-    """An orthogonal minimizer with its achieved cost, the spectral lower
-    bound, and the block factors used to generate it (identity blocks for
-    the canonical solution)."""
+    """An orthogonal minimizer P with its achieved cost and the spectral
+    lower bound."""
 
     p: np.ndarray
     cost: float
     lower_bound: float
-    sigma_a: BlockOrthogonal
-    sigma_b: BlockOrthogonal
 
     def __post_init__(self):
         p = np.array(self.p, dtype=float)
@@ -39,7 +36,7 @@ class ProcrustesSolution:
 
 def cost(a, b, p) -> float:
     """||PA - BP||_F."""
-    am, bm, pm = as_matrix(a), as_matrix(b), as_matrix(p)
+    am, bm, pm = (np.asarray(x, dtype=float) for x in (a, b, p))
     if am.shape != bm.shape or am.shape != pm.shape:
         raise DimensionError(
             f"operand shapes disagree: {am.shape}, {bm.shape}, {pm.shape}"
@@ -68,8 +65,6 @@ def solve(a, b, order: str = "ascending") -> ProcrustesSolution:
         p=p,
         cost=cost(a, b, p),
         lower_bound=float(np.linalg.norm(da.lambdas - db.lambdas)),
-        sigma_a=BlockOrthogonal.identity(da.multiplicities),
-        sigma_b=BlockOrthogonal.identity(db.multiplicities),
     )
 
 
@@ -96,14 +91,6 @@ def family_sample(a, b, seed: int, count: int) -> list[ProcrustesSolution]:
         sigma_a = sample_block_orthogonal(da.multiplicities, rng)
         sigma_b = sample_block_orthogonal(db.multiplicities, rng)
         p = db.v.T @ sigma_b.transposed().compose(sigma_a).full() @ da.v
-        out.append(
-            ProcrustesSolution(
-                p=p,
-                cost=cost(a, b, p),
-                lower_bound=lower,
-                sigma_a=sigma_a,
-                sigma_b=sigma_b,
-            )
-        )
+        out.append(ProcrustesSolution(p=p, cost=cost(a, b, p), lower_bound=lower))
     return out
 

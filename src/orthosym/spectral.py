@@ -21,16 +21,9 @@ from .errors import ConvergenceError, DimensionError, SymmetryError
 DEFAULT_SYMTOL = 1e-10
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce input (array-like or SymMatrix) to a float ndarray."""
-    if isinstance(a, SymMatrix):
-        return a.entries
-    return np.asarray(a, dtype=float)
-
-
 def check_symmetric(a) -> bool:
     """True iff ||A - A^T||_F <= DEFAULT_SYMTOL * max(1, ||A||_F)."""
-    m = as_matrix(a)
+    m = np.asarray(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     scale = float(np.max(np.abs(m), initial=0.0))
@@ -64,9 +57,13 @@ class SymMatrix:
         return self.entries.shape[0]
 
     def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return self.entries.astype(dtype)
-        return self.entries
+        # the read-only entries themselves unless a copy or another dtype
+        # is asked for, so np.asarray(m, dtype=float) copies nothing and
+        # np.array(m) returns a writable copy
+        dtype = np.dtype(float if dtype is None else dtype)
+        if copy is False and dtype != self.entries.dtype:
+            raise ValueError("converting a SymMatrix to another dtype needs a copy")
+        return self.entries.astype(dtype, copy=bool(copy))
 
 
 def _validated(m: np.ndarray) -> np.ndarray:
@@ -84,28 +81,13 @@ def _validated(m: np.ndarray) -> np.ndarray:
 
 
 def as_sym(a) -> SymMatrix:
-    return a if isinstance(a, SymMatrix) else SymMatrix(as_matrix(a))
+    return a if isinstance(a, SymMatrix) else SymMatrix(a)
 
 
 def default_cluster_tol(lambdas) -> float:
     """1e-8 relative to the largest |lambda|, so that scaling the matrix
     scales the tolerance with it; the zero matrix gets 0 (one cluster)."""
     return 1e-8 * float(np.abs(np.asarray(lambdas, dtype=float)).max())
-
-
-def cluster_eigenvalues(lambdas, cluster_tol: float) -> tuple[int, ...]:
-    """Greedy left-to-right grouping of sorted eigenvalues.
-
-    A new cluster starts whenever the gap to the previous eigenvalue exceeds
-    ``cluster_tol``.  Returns the multiplicity vector m with sum(m) = n.
-    """
-    lam = np.asarray(lambdas, dtype=float)
-    if lam.ndim != 1 or lam.size == 0:
-        raise ValueError("expected a nonempty 1-d array of eigenvalues")
-    gaps = np.diff(lam)
-    if gaps.size and float(gaps.min()) < 0:
-        raise ValueError("eigenvalues must be nondecreasing")
-    return _multiplicities(gaps.tolist(), cluster_tol)
 
 
 def _multiplicities(gaps: list[float], cluster_tol: float) -> tuple[int, ...]:
@@ -289,7 +271,7 @@ def align_basis(dec: SpectralDecomposition, target) -> SpectralDecomposition:
     the target.  Useful for reproducing reference symmetry elements
     that depend on the basis chosen inside degenerate eigenspaces.
     """
-    t = as_matrix(target)
+    t = np.asarray(target, dtype=float)
     if t.shape != dec.v.shape:
         raise DimensionError(
             f"target basis shape {t.shape} does not match decomposition "

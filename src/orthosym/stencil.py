@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateProbeError, EvaluationError, MembershipError
 from .isotropy import is_member
-from .spectral import SpectralDecomposition, SymMatrix, as_matrix, as_sym, eig_sym
+from .spectral import SpectralDecomposition, SymMatrix, as_sym, eig_sym
 
 MEMBERSHIP_TOL = 1e-6  # looser than the group default: the FD Hessian itself
                        # carries noise of order 1e-5 .. 1e-6
@@ -84,7 +84,7 @@ def hessian_decomposition(
 
 
 def _require_member(hess: SymMatrix, gamma, label: str) -> np.ndarray:
-    g = as_matrix(gamma)
+    g = np.asarray(gamma, dtype=float)
     if not is_member(hess, g, tol=MEMBERSHIP_TOL):
         raise MembershipError(
             f"{label} is not a symmetry of the Hessian at tolerance "

@@ -24,7 +24,7 @@ from orthosym.isotropy import (
     sample_block_orthogonal,
     sample_gamma,
 )
-from orthosym.matio import format_matrix, parse_matrix_text
+from orthosym.matio import format_matrix, parse_matrix
 from orthosym.procrustes import cost, family_sample, solve
 from orthosym.spectral import align_basis, eig_sym
 from orthosym.stencil import BUILTIN_FIELDS, fourth_order_probe, hessian_fd
@@ -267,7 +267,7 @@ def test_criterion_11_property_suite(tmp_path):
     for _ in range(500):
         n = int(rng.integers(1, 9))
         a = random_symmetric(rng, n)
-        ok = ok and parse_matrix_text(format_matrix(a)).tobytes() == a.tobytes()
+        ok = ok and parse_matrix(io.StringIO(format_matrix(a))).tobytes() == a.tobytes()
     assert ok, "round-trip failed"
 
     # CLI seed determinism, 500 paired runs

@@ -1,8 +1,10 @@
+import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orthosym import dynsys, fixtures
@@ -12,7 +14,6 @@ from orthosym.isotropy import (
     commutator_residual,
     conjugate,
     gamma2_elements,
-    is_finite,
     is_member,
     rotate_basis,
     sample_block_orthogonal,
@@ -90,11 +91,14 @@ def test_block_orthogonal_compose_full():
         b1.compose(b2).full(), b1.full() @ b2.full(), atol=1e-12
     )
     np.testing.assert_allclose(b1.transposed().full(), b1.full().T, atol=0)
-    np.testing.assert_allclose(BlockOrthogonal.identity(m).full(), np.eye(3), atol=0)
+    ident = BlockOrthogonal(m, tuple(np.eye(s) for s in m))
+    np.testing.assert_allclose(ident.full(), np.eye(3), atol=0)
 
 
 def test_conjugate_identity_and_center(dec_mu0):
-    ident = BlockOrthogonal.identity(dec_mu0.multiplicities)
+    ident = BlockOrthogonal(
+        dec_mu0.multiplicities, tuple(np.eye(m) for m in dec_mu0.multiplicities)
+    )
     g = conjugate(dec_mu0, ident)
     assert g.shape == (3, 3) and not g.flags.writeable
     np.testing.assert_allclose(g, np.eye(3), atol=1e-12)
@@ -106,7 +110,7 @@ def test_conjugate_identity_and_center(dec_mu0):
 
 
 def test_conjugate_structure_mismatch(dec_mu0):
-    wrong = BlockOrthogonal.identity((1, 1, 1))  # dec has m = (1, 2)
+    wrong = BlockOrthogonal((1, 1, 1), (np.eye(1),) * 3)  # dec has m = (1, 2)
     with pytest.raises(StructureError):
         conjugate(dec_mu0, wrong)
 
@@ -129,6 +133,20 @@ def test_conjugate_rejects_a_block_across_distinct_eigenvalues():
     assert dec.multiplicities == (2,)
     with pytest.raises(StructureError, match="fails to commute"):
         sample_gamma(dec, 0)
+
+
+def test_conjugate_checks_commutation_past_norm_overflow():
+    # ||A||_F of this matrix overflows; the check must still see the mixing
+    big = 2.0**1000
+    dec = eig_sym(big * np.diag([1.0, 1.2]), cluster_tol=0.5 * big)
+    assert dec.multiplicities == (2,)
+    with pytest.raises(StructureError, match="fails to commute"):
+        sample_gamma(dec, 0)
+    # and a true symmetry of a huge matrix passes, with a finite residual
+    a = big * np.diag([1.0, 1.0, 3.0])
+    g = sample_gamma(eig_sym(a), 0)
+    assert is_member(a, g)
+    assert math.isfinite(commutator_residual(a, g))
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -293,14 +311,42 @@ def test_is_member_rejects_nonorthogonal(dec_mu0):
     assert not is_member(dec_mu0, 2.0 * np.eye(3))
 
 
-def test_is_finite_cases(dec_16):
+def test_multiplicities_of_finite_and_continuous_groups(dec_16):
+    # the group is finite iff every eigenvalue is simple
     rng = np.random.default_rng(MASTER_SEED + 12)
     a, _ = planted_matrix(rng, [1.0, 2.0, 3.0])
-    assert is_finite(eig_sym(a))
-    assert not is_finite(eig_sym(dynsys.guiding_matrix(-0.25)))
+    assert eig_sym(a).multiplicities == (1, 1, 1)
+    assert eig_sym(dynsys.guiding_matrix(-0.25)).multiplicities == (1, 2)
     m = dec_16.multiplicities
-    assert not is_finite(dec_16)
     assert sorted(m).count(1) == 8 and sorted(m).count(2) == 4
+
+
+@settings(max_examples=200, deadline=None)
+@example(a=np.diag([1.0, 2.0, 3.0, 4.0]), k=900, kind="swap", seed=0)
+@given(
+    a=symmetric_matrices(),
+    k=st.integers(0, 1100),
+    kind=st.sampled_from(["swap", "sign", "haar"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_membership_is_the_same_at_every_power_of_two_scale(a, k, kind, seed):
+    # the bound tol * max(1, ||A||_F) is homogeneous once ||A||_F >= 1, so
+    # scaling A by 2^k changes no verdict, also where ||2^k A||_F overflows
+    assume(np.linalg.norm(a) >= 1.0)
+    n = len(a)
+    k = min(k, 1024 - math.frexp(np.abs(a).max())[1])  # 2^k A stays finite
+    if kind == "swap":
+        g = np.eye(n)
+        g[[0, -1]] = g[[-1, 0]]
+    elif kind == "sign":
+        dec = eig_sym(a)
+        signs = np.random.default_rng(seed).choice([-1.0, 1.0], n)
+        g = (dec.v.T * signs) @ dec.v
+    else:
+        g = haar_orthogonal(np.random.default_rng(seed), n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert is_member(np.ldexp(a, k), g) == is_member(a, g)
 
 
 def test_dihedral_generators_are_members(dec_16):
@@ -327,7 +373,7 @@ def test_basis_independence_of_membership():
 
 def test_rotate_basis_structure_mismatch(dec_mu0):
     with pytest.raises(StructureError):
-        rotate_basis(dec_mu0, BlockOrthogonal.identity((1, 1, 1)))
+        rotate_basis(dec_mu0, BlockOrthogonal((1, 1, 1), (np.eye(1),) * 3))
 
 
 def test_haar_block_determinism():

@@ -2,22 +2,22 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orthosym
 from orthosym import cli, dynsys, fixtures, isotropy, spectral, stencil, verify
 from orthosym.cli import EXIT_VERIFY, run
 from orthosym.errors import InputFormatError, StructureError
 from orthosym.isotropy import commutator_residual, gamma2_elements
-from orthosym.matio import (
-    format_matrix,
-    parse_graph,
-    parse_matrix,
-    parse_matrix_text,
-)
+from orthosym.matio import format_matrix, parse_graph, parse_matrix
 
 from helpers import MASTER_SEED, random_symmetric, symmetric_matrices
 
@@ -31,35 +31,35 @@ def run_capture(capsys, argv):
 # ------------------------------------------------------------------- matio
 
 def test_parse_identity():
-    np.testing.assert_array_equal(parse_matrix_text("1 0\n0 1"), np.eye(2))
+    np.testing.assert_array_equal(parse_matrix(io.StringIO("1 0\n0 1")), np.eye(2))
 
 
 def test_parse_commas_and_comments():
     text = "# a comment\n1, 0\n0, 1\n"
-    np.testing.assert_array_equal(parse_matrix_text(text), np.eye(2))
+    np.testing.assert_array_equal(parse_matrix(io.StringIO(text)), np.eye(2))
 
 
 def test_parse_ragged_row_names_line():
     with pytest.raises(InputFormatError) as err:
-        parse_matrix_text("1 2 3\n4 5 6\n7 8")
+        parse_matrix(io.StringIO("1 2 3\n4 5 6\n7 8"))
     assert "row 3" in str(err.value)
 
 
 def test_parse_non_numeric_reports_line():
     with pytest.raises(InputFormatError) as err:
-        parse_matrix_text("1 2\n3 four")
+        parse_matrix(io.StringIO("1 2\n3 four"))
     assert err.value.line == 2
 
 
 def test_parse_empty():
     with pytest.raises(InputFormatError):
-        parse_matrix_text("# only a comment\n")
+        parse_matrix(io.StringIO("# only a comment\n"))
 
 
 def test_roundtrip_exact():
     rng = np.random.default_rng(MASTER_SEED + 60)
     a = random_symmetric(rng, 5)
-    b = parse_matrix_text(format_matrix(a))
+    b = parse_matrix(io.StringIO(format_matrix(a)))
     assert a.tobytes() == b.tobytes()
 
 
@@ -279,6 +279,38 @@ def test_cli_isotropy_sample_rejects_merged_eigenspaces(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert "fails to commute" in err
+
+
+def test_cli_isotropy_sample_of_entries_near_1e300(capsys, tmp_path):
+    # ||A||_F overflows; the residuals are still finite and no numpy
+    # overflow warning is raised (tier-1 turns one into an error)
+    path = tmp_path / "big.txt"
+    path.write_text("1e300 0 0\n0 1e300 0\n0 0 3e300\n")
+    code, out, err = run_capture(
+        capsys, ["isotropy", "sample", "--input", str(path), "--count", "3"]
+    )
+    assert code == 0 and err == ""
+    residuals = [e["commutator_residual"] for e in json.loads(out)["elements"]]
+    assert all(r <= 1e-8 * 3.4e300 for r in residuals)
+
+
+def test_python_m_orthosym_cli_runs_without_a_warning(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("2 -1 0\n-1 2 -1\n0 -1 2\n")
+    src = str(Path(orthosym.__file__).resolve().parents[1])
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p),
+    )
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "orthosym.cli", "eig", "--input", str(path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0 and done.stderr == ""
+    assert json.loads(done.stdout)["multiplicities"] == [1, 1, 1]
 
 
 def test_cli_isotropy_gamma2_refuses_past_the_cap(capsys, tmp_path):

@@ -19,7 +19,6 @@ from orthosym.spectral import (
     _fix_signs,
     align_basis,
     check_symmetric,
-    cluster_eigenvalues,
     eig_sym,
 )
 
@@ -60,6 +59,24 @@ def test_sym_matrix_is_readonly():
         m.entries[0, 0] = 5.0
 
 
+def test_sym_matrix_array_is_a_writable_copy():
+    m = SymMatrix(np.eye(2))
+    copy = np.array(m)
+    assert copy.flags.writeable and not np.shares_memory(copy, m.entries)
+    copy[0, 0] = 5.0
+    assert m.entries[0, 0] == 1.0
+
+
+def test_sym_matrix_asarray_shares_the_entries():
+    m = SymMatrix(np.eye(2))
+    assert np.asarray(m, dtype=float) is m.entries
+    assert np.asarray(m) is m.entries
+    single = np.asarray(m, dtype=np.float32)
+    assert single.dtype == np.float32 and not np.shares_memory(single, m.entries)
+    with pytest.raises(ValueError):
+        np.asarray(m, dtype=np.float32, copy=False)
+
+
 def test_eig_guiding_mu0():
     dec = eig_sym(dynsys.guiding_matrix(0.0))
     np.testing.assert_allclose(dec.lambdas, [0.0, 4.0, 4.0], atol=1e-8)
@@ -96,17 +113,12 @@ def test_eig_reconstruction_random_8x8():
     ],
 )
 def test_cluster_examples(lambdas, tol, expected):
-    assert cluster_eigenvalues(lambdas, tol) == expected
+    assert eig_sym(np.diag(lambdas), cluster_tol=tol).multiplicities == expected
 
 
 def test_cluster_rejects_negative_tol():
     with pytest.raises(ValueError):
-        cluster_eigenvalues((1.0, 2.0), -1e-8)
-
-
-def test_cluster_rejects_unsorted():
-    with pytest.raises(ValueError):
-        cluster_eigenvalues((2.0, 1.0), 1e-8)
+        eig_sym(np.diag([1.0, 2.0]), cluster_tol=-1e-8)
 
 
 def test_residuals_on_random_matrices():
