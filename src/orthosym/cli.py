@@ -86,8 +86,8 @@ def _emit(args, payload, table=None, text=None):
     _write(args, (out,))
 
 
-def _load_sym(path) -> spectral.SymMatrix:
-    return spectral.SymMatrix(matio.parse_matrix(path))
+def _load_sym(path) -> np.ndarray:
+    return spectral.as_sym(matio.parse_matrix(path))
 
 
 def _mat(a) -> list:
@@ -164,9 +164,8 @@ def _gamma2_json(elements, multiplicities):
 
 
 def _cmd_isotropy(args):
-    sym = _load_sym(args.input)
-    dec = spectral.eig_sym(sym, cluster_tol=args.cluster_tol)
-    a = np.asarray(sym)
+    a = _load_sym(args.input)
+    dec = spectral.eig_sym(a, cluster_tol=args.cluster_tol)
     if args.action == "gamma2":
         count = isotropy.gamma2_order(dec.n)
         if args.format == "json":
@@ -195,7 +194,7 @@ def _cmd_isotropy(args):
         payload = {
             "member": member,
             "tol": args.tol,
-            "orthogonality_residual": float(np.linalg.norm(g @ g.T - np.eye(dec.n))),
+            "orthogonality_residual": isotropy._orthogonality_residual(g),
             "commutator_residual": isotropy.commutator_residual(a, g),
         }
         _emit(args, payload, text=f"member: {member}")
@@ -332,9 +331,9 @@ def _cmd_stencil(args):
 
 def _component_payload(c) -> dict:
     out = {"kind": c.kind, "radius": float(c.radius)}
-    if isinstance(c, dynsys.PointPair):
-        out["direction"] = _mat(c.direction)
-    elif isinstance(c, (dynsys.Circle, dynsys.Sphere)):
+    if len(c.basis) == 1:
+        out["direction"] = _mat(c.basis[0])
+    elif len(c.basis) > 1:
         out["basis"] = _mat(c.basis)
     return out
 

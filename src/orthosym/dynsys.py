@@ -13,23 +13,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Union
 
 import numpy as np
 
 from .errors import DivergenceError
-from .spectral import SymMatrix, eig_sym
+from .spectral import as_sym, eig_sym
 
 #: The coordinate swap commuting with the coefficient matrix for every mu.
 SWAP_23 = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
 SWAP_23.setflags(write=False)
 
 
-def guiding_matrix(mu: float) -> SymMatrix:
-    """The 3x3 coefficient matrix of the guiding system."""
+def guiding_matrix(mu: float) -> np.ndarray:
+    """The 3x3 coefficient matrix of the guiding system, as ``as_sym`` returns it."""
     c = 2.0 * mu - 1.0
     r = math.sqrt(2.0) * c
-    return SymMatrix(
+    return as_sym(
         np.array(
             [
                 [2.0, r, r],
@@ -49,101 +48,61 @@ def spectrum_formula(mu: float) -> tuple[float, float]:
 def rhs(x, mu: float) -> np.ndarray:
     """A(mu) x - ||x||^2 x."""
     xv = np.asarray(x, dtype=float)
-    return guiding_matrix(mu).entries @ xv - float(xv @ xv) * xv
+    return guiding_matrix(mu) @ xv - float(xv @ xv) * xv
+
+
+# component kinds by the dimension m of the eigenspace they span
+_KINDS = ("origin", "point-pair", "circle", "sphere")
 
 
 @dataclass(frozen=True)
-class Origin:
-    kind: ClassVar[str] = "origin"
-    radius: float = 0.0
+class Component:
+    """One orbit of equilibria: the sphere of ``radius`` in the span of the
+    m orthonormal rows of ``basis`` (shape (m, 3)), on which the symmetry
+    group acts as O(m).  Its kind is read off m: the origin (m = 0, radius
+    0), a point pair, a circle or a sphere."""
 
-    def points(self, count: int = 1) -> np.ndarray:
-        return np.zeros((1, 3))
-
-    def distance(self, x) -> float:
-        return float(np.linalg.norm(x))
-
-
-@dataclass(frozen=True)
-class PointPair:
-    """The two equilibria +/- radius * direction on a simple eigendirection."""
-
-    direction: np.ndarray
+    basis: np.ndarray
     radius: float
-    kind: ClassVar[str] = "point-pair"
 
     def __post_init__(self):
-        d = np.array(self.direction, dtype=float)
-        d.setflags(write=False)
-        object.__setattr__(self, "direction", d)
-
-    def points(self, count: int = 2) -> np.ndarray:
-        p = self.radius * self.direction
-        return np.array([p, -p])
-
-    def distance(self, x) -> float:
-        p = self.radius * self.direction
-        return min(float(np.linalg.norm(x - p)), float(np.linalg.norm(x + p)))
-
-
-def _subspace_distance(x, basis: np.ndarray, radius: float) -> float:
-    # distance to the radius-sphere inside span(basis rows); the off-plane
-    # part is formed explicitly to avoid cancellation for on-sphere points
-    y = basis @ x
-    in_plane = float(np.linalg.norm(y))
-    off_plane = float(np.linalg.norm(x - basis.T @ y))
-    return math.hypot(off_plane, in_plane - radius)
-
-
-@dataclass(frozen=True)
-class Circle:
-    """A circle of equilibria inside a two-dimensional eigenspace."""
-
-    basis: np.ndarray  # (2, 3), orthonormal rows spanning the plane
-    radius: float
-    kind: ClassVar[str] = "circle"
-
-    def __post_init__(self):
-        b = np.array(self.basis, dtype=float)
+        b = np.atleast_2d(np.array(self.basis, dtype=float))
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
+
+    @property
+    def kind(self) -> str:
+        return _KINDS[len(self.basis)]
 
     def points(self, count: int = 16) -> np.ndarray:
-        theta = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
-        coords = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        """The origin, the two points of a pair, ``count`` evenly spaced
+        points of a circle or a ``count``-point golden-angle spiral on a
+        sphere."""
+        m = len(self.basis)
+        if m == 0:
+            coords = np.zeros((1, 0))
+        elif m == 1:
+            coords = np.array([[1.0], [-1.0]])
+        elif m == 2:
+            theta = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
+            coords = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        else:
+            k = np.arange(count, dtype=float)
+            z = 1.0 - 2.0 * (k + 0.5) / count
+            phi = k * math.pi * (3.0 - math.sqrt(5.0))
+            rho = np.sqrt(np.maximum(1.0 - z * z, 0.0))
+            coords = np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
         return self.radius * coords @ self.basis
 
     def distance(self, x) -> float:
-        return _subspace_distance(np.asarray(x, dtype=float), self.basis, self.radius)
-
-
-@dataclass(frozen=True)
-class Sphere:
-    """A full sphere of equilibria (threefold eigenvalue)."""
-
-    basis: np.ndarray  # (3, 3), orthonormal rows
-    radius: float
-    kind: ClassVar[str] = "sphere"
-
-    def __post_init__(self):
-        b = np.array(self.basis, dtype=float)
-        b.setflags(write=False)
-        object.__setattr__(self, "basis", b)
-
-    def points(self, count: int = 32) -> np.ndarray:
-        # deterministic golden-angle spiral
-        k = np.arange(count, dtype=float)
-        z = 1.0 - 2.0 * (k + 0.5) / count
-        phi = k * math.pi * (3.0 - math.sqrt(5.0))
-        rho = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-        coords = np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
-        return self.radius * coords @ self.basis
-
-    def distance(self, x) -> float:
-        return _subspace_distance(np.asarray(x, dtype=float), self.basis, self.radius)
-
-
-Component = Union[Origin, PointPair, Circle, Sphere]
+        """Distance from x to the component: the off-span part of x and the
+        gap between the radius and the norm of its in-span part."""
+        xv = np.asarray(x, dtype=float)
+        y = self.basis @ xv
+        # the off-span part is formed explicitly to avoid cancellation for
+        # points on the component
+        off_span = float(np.linalg.norm(xv - self.basis.T @ y))
+        return math.hypot(off_span, float(np.linalg.norm(y)) - self.radius)
 
 
 @dataclass(frozen=True)
@@ -155,12 +114,9 @@ class EquilibriumSet:
     components: tuple[Component, ...]
     lambdas: tuple[float, ...]
 
-    def kinds(self) -> tuple[str, ...]:
-        return tuple(c.kind for c in self.components)
-
     def inventory(self) -> tuple[str, ...]:
         """Sorted component kinds; the signature used to detect transitions."""
-        return tuple(sorted(self.kinds()))
+        return tuple(sorted(c.kind for c in self.components))
 
     def contains(self, x, tol: float) -> bool:
         return any(c.distance(x) <= tol for c in self.components)
@@ -177,18 +133,10 @@ def equilibria(mu: float) -> EquilibriumSet:
     multiplicity and whose radius is the square root of the eigenvalue.
     """
     dec = eig_sym(guiding_matrix(mu))
-    components: list[Component] = [Origin()]
-    for (rep, mult), sl in zip(dec.clusters, dec.cluster_slices()):
-        if rep <= dec.cluster_tol:
-            continue
-        radius = math.sqrt(rep)
-        basis = dec.v[sl, :]
-        if mult == 1:
-            components.append(PointPair(direction=basis[0], radius=radius))
-        elif mult == 2:
-            components.append(Circle(basis=basis, radius=radius))
-        else:
-            components.append(Sphere(basis=basis, radius=radius))
+    components = [Component(np.zeros((0, 3)), 0.0)]
+    for (rep, _), sl in zip(dec.clusters, dec.cluster_slices()):
+        if rep > dec.cluster_tol:
+            components.append(Component(dec.v[sl, :], math.sqrt(rep)))
     return EquilibriumSet(
         mu=mu,
         components=tuple(components),
@@ -206,7 +154,7 @@ def integrate(x0, mu: float, dt: float = 1e-2, steps: int = 10000) -> np.ndarray
         raise ValueError(f"dt must be positive and finite, got {dt:g}")
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
-    a = guiding_matrix(mu).entries
+    a = guiding_matrix(mu)
 
     def f(x):
         return a @ x - (x @ x) * x

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .graphsym import Graph
-from .spectral import SymMatrix
+from .spectral import as_sym
 
 _SQ2 = math.sqrt(2.0)
 
@@ -43,11 +43,11 @@ def dihedral_b_block(mu: float) -> np.ndarray:
     )
 
 
-def dihedral_family(mu: float) -> SymMatrix:
+def dihedral_family(mu: float) -> np.ndarray:
     d = dihedral_d_block(mu)
     b = dihedral_b_block(mu)
     z = np.zeros((4, 4))
-    return SymMatrix(np.block([[d, b, z, b], [b, d, b, z], [z, b, d, b], [b, z, b, d]]))
+    return as_sym(np.block([[d, b, z, b], [b, d, b, z], [z, b, d, b], [b, z, b, d]]))
 
 
 def dihedral_rotation() -> np.ndarray:

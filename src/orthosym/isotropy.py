@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DimensionError, SizeCapError, StructureError
-from .spectral import SpectralDecomposition, SymMatrix
+from .spectral import SpectralDecomposition, _pow2_exponent, _unscaled, as_sym
 
 # the elements alone take 2^n * n^2 * 8 bytes, 25.7 MB at n = 14 and 3.4 GB
 # at n = 20, and their JSON takes about 2.7 times as much
@@ -142,9 +142,8 @@ def conjugate(dec: SpectralDecomposition, sigma: BlockOrthogonal) -> np.ndarray:
             details={"sigma_m": sigma.m, "dec_m": dec.multiplicities},
         )
     gamma = dec.v.T @ sigma.full() @ dec.v
-    n = dec.n
-    orth = float(np.linalg.norm(gamma @ gamma.T - np.eye(n)))
-    if orth > 1e-9 * n:
+    orth = _orthogonality_residual(gamma)
+    if orth > 1e-9 * dec.n:
         raise StructureError(f"conjugated element lost orthogonality ({orth:.2e})")
     comm, bound, shift = _commutator(dec.reconstruct(), gamma)
     if comm > 1e-8 * bound:
@@ -237,43 +236,43 @@ def _commutator(a: np.ndarray, g: np.ndarray) -> tuple[float, float, int]:
 
     Both norms are taken of A / 2^s, with s >= 0 the least shift that
     brings every |A_ij| below 1, so neither overflows where ||A||_F itself
-    would (entries from about 1e154 on).  A power-of-two scaling is exact:
-    the values are those of the unscaled norms divided by 2^s, bit for bit,
-    unless a scaled entry falls into the subnormal range."""
-    _, shift = math.frexp(float(np.abs(a).max(initial=0.0)))
-    shift = max(shift, 0)
+    would (entries from about 1e154 on).  The values are those of the
+    unscaled norms divided by 2^s, bit for bit, unless a scaled entry falls
+    into the subnormal range."""
+    shift = max(_pow2_exponent(a), 0)
     a = np.ldexp(a, -shift)
     comm = float(np.linalg.norm(g @ a - a @ g))
     # for s >= 1 the bound is ||A / 2^s||_F, which is at least 1/2
     return comm, max(math.ldexp(1.0, -shift), float(np.linalg.norm(a))), shift
 
 
-def _unscaled(x: float, shift: int) -> float:
-    """x * 2^shift, infinite past the float range."""
-    try:
-        return math.ldexp(x, shift)
-    except OverflowError:
-        return math.inf
+def _orthogonality_residual(g: np.ndarray) -> float:
+    """||G G^T - I||_F, infinite only where it is past the float range: taken
+    as 4^t ||G' G'^T - I / 4^t||_F for G' = G / 2^t, with t >= 0 the least
+    shift that brings every |G_ij| below 1."""
+    shift = max(_pow2_exponent(g), 0)
+    gs = np.ldexp(g, -shift)
+    r = gs @ gs.T
+    r[np.diag_indices(len(g))] -= math.ldexp(1.0, -2 * shift)
+    return _unscaled(float(np.linalg.norm(r)), 2 * shift)
 
 
 def commutator_residual(a, g) -> float:
-    """||GA - AG||_F.  For an orthogonal G it is infinite only where the
-    residual itself is past the float range, whatever the scale of A."""
+    """||GA - AG||_F, infinite only where it is past the float range,
+    whatever the scales of A and G."""
     am = np.asarray(a, dtype=float)
     gm = np.asarray(g, dtype=float)
     if am.ndim != 2 or am.shape[0] != am.shape[1]:
         raise DimensionError(f"expected square matrix, got shape {am.shape}")
     if gm.shape != am.shape:
         raise DimensionError(f"shape mismatch: {am.shape} vs {gm.shape}")
-    comm, _, shift = _commutator(am, gm)
-    return _unscaled(comm, shift)
+    # the commutator is linear in G as well: G is scaled like A
+    gshift = max(_pow2_exponent(gm), 0)
+    comm, _, shift = _commutator(am, np.ldexp(gm, -gshift))
+    return _unscaled(comm, shift + gshift)
 
 
-def is_member(
-    dec: SpectralDecomposition | SymMatrix | np.ndarray,
-    g,
-    tol: float = MEMBER_TOL,
-) -> bool:
+def is_member(dec, g, tol: float = MEMBER_TOL) -> bool:
     """Membership test via the commutation characterization: G belongs to the
     symmetry group iff it is orthogonal and commutes with the matrix A,
     ||GA - AG||_F <= tol * max(1, ||A||_F).  Checked directly (no recovery
@@ -282,18 +281,18 @@ def is_member(
     is that for A whenever ||A||_F >= 1.
 
     ``dec`` is a decomposition, whose matrix is rebuilt, or the symmetric
-    matrix itself, which needs no decomposition at all."""
+    matrix itself, which needs no decomposition at all and is validated by
+    ``as_sym``."""
     # an infinite tol accepts anything and a NaN one rejects everything
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol:g}")
     gm = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(gm)):
         raise ValueError("candidate entries must be finite")
-    a = dec.reconstruct() if isinstance(dec, SpectralDecomposition) else np.asarray(dec, dtype=float)
+    a = dec.reconstruct() if isinstance(dec, SpectralDecomposition) else as_sym(dec)
     if gm.shape != a.shape:
         raise DimensionError(f"shape mismatch: {a.shape} vs {gm.shape}")
-    n = a.shape[0]
-    if float(np.linalg.norm(gm @ gm.T - np.eye(n))) > tol * n:
+    if _orthogonality_residual(gm) > tol * len(a):
         return False
     comm, bound, _ = _commutator(a, gm)
     return comm <= tol * bound

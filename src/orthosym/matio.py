@@ -72,18 +72,29 @@ def parse_graph(source) -> Graph:
     lines = _read_lines(source)
     if not lines:
         raise InputFormatError("no graph data found (file empty?)")
-    rows = [_tokenize(line) for _, line in lines]
-    n = len(rows)
-    if all(len(tokens) == n for tokens in rows):
+    # converted a block of rows at a time, about 2^12 entries, so that only
+    # one block of tokens is ever held
+    n = len(lines)
+    step = max(1, 2**12 // n)
+    blocks = []
+    for lo in range(0, n, step):
+        rows = [_tokenize(line) for _, line in lines[lo : lo + step]]
+        if any(len(tokens) != n for tokens in rows):
+            break
         try:
-            a = np.array([[float(t) for t in tokens] for tokens in rows])
+            block = np.array([[float(t) for t in tokens] for tokens in rows])
         except ValueError:
-            pass
-        else:
-            if ((a == 0) | (a == 1)).all() and not a.diagonal().any() and np.array_equal(a, a.T):
-                return Graph(a.astype(np.int64))
+            break
+        if not ((block == 0) | (block == 1)).all():
+            break
+        blocks.append(block.astype(np.int8))
+    else:
+        a = np.concatenate(blocks)
+        if not a.diagonal().any() and np.array_equal(a, a.T):
+            return Graph(a)
     edges = []
-    for (lineno, line), tokens in zip(lines, rows):
+    for lineno, line in lines:
+        tokens = _tokenize(line)
         if len(tokens) != 2:
             raise InputFormatError(
                 f"expected an edge 'u v', got {len(tokens)} tokens", line=lineno

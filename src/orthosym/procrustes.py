@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionError, StructureError
 from .isotropy import sample_block_orthogonal
-from .spectral import SpectralDecomposition, as_sym, eig_sym
+from .spectral import SpectralDecomposition, _pow2_exponent, _unscaled, as_sym, eig_sym
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,14 @@ class ProcrustesSolution:
         object.__setattr__(self, "p", p)
 
 
+def _scaled_norm(x: np.ndarray, y: np.ndarray, f) -> float:
+    """||f(x, y)||_F for an f with f(cx, cy) = c f(x, y), infinite only
+    where it is past the float range: taken of x and y divided by the one
+    power of two that brings every entry of both below 1, and scaled back."""
+    shift = max(_pow2_exponent(x), _pow2_exponent(y))
+    return _unscaled(float(np.linalg.norm(f(np.ldexp(x, -shift), np.ldexp(y, -shift)))), shift)
+
+
 def cost(a, b, p) -> float:
     """||PA - BP||_F."""
     am, bm, pm = (np.asarray(x, dtype=float) for x in (a, b, p))
@@ -41,15 +49,15 @@ def cost(a, b, p) -> float:
         raise DimensionError(
             f"operand shapes disagree: {am.shape}, {bm.shape}, {pm.shape}"
         )
-    return float(np.linalg.norm(pm @ am - bm @ pm))
+    return _scaled_norm(am, bm, lambda x, y: pm @ x - y @ pm)
 
 
 def _ordered_pair(a, b, order: str) -> tuple[SpectralDecomposition, SpectralDecomposition]:
     if order not in ("ascending", "descending"):
         raise ValueError(f"order must be 'ascending' or 'descending', got {order!r}")
     sa, sb = as_sym(a), as_sym(b)
-    if sa.n != sb.n:
-        raise DimensionError(f"dimension mismatch: {sa.n} vs {sb.n}")
+    if len(sa) != len(sb):
+        raise DimensionError(f"dimension mismatch: {len(sa)} vs {len(sb)}")
     da, db = eig_sym(sa), eig_sym(sb)
     if order == "descending":
         da, db = da.reversed(), db.reversed()
@@ -64,7 +72,7 @@ def solve(a, b, order: str = "ascending") -> ProcrustesSolution:
     return ProcrustesSolution(
         p=p,
         cost=cost(a, b, p),
-        lower_bound=float(np.linalg.norm(da.lambdas - db.lambdas)),
+        lower_bound=_scaled_norm(da.lambdas, db.lambdas, np.subtract),
     )
 
 
@@ -84,7 +92,7 @@ def family_sample(a, b, seed: int, count: int) -> list[ProcrustesSolution]:
             f"matching block structures",
             details={"m_a": da.multiplicities, "m_b": db.multiplicities},
         )
-    lower = float(np.linalg.norm(da.lambdas - db.lambdas))
+    lower = _scaled_norm(da.lambdas, db.lambdas, np.subtract)
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):

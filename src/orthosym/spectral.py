@@ -21,40 +21,65 @@ from .errors import ConvergenceError, DimensionError, SymmetryError
 DEFAULT_SYMTOL = 1e-10
 
 
+def _pow2_exponent(a) -> int:
+    """The s with max |a_ij| in [2^(s-1), 2^s), 0 for a zero array.  A norm
+    of np.ldexp(a, -s) cannot overflow, and ``_unscaled(norm, s)`` is the
+    norm of ``a``, bit for bit unless a scaled entry is subnormal."""
+    return math.frexp(float(np.abs(a).max(initial=0.0)))[1]
+
+
+def _unscaled(x: float, shift: int) -> float:
+    """x * 2^shift, infinite past the float range."""
+    try:
+        return math.ldexp(x, shift)
+    except OverflowError:
+        return math.inf
+
+
 def check_symmetric(a) -> bool:
     """True iff ||A - A^T||_F <= DEFAULT_SYMTOL * max(1, ||A||_F)."""
     m = np.asarray(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    scale = float(np.max(np.abs(m), initial=0.0))
-    if scale == 0.0:
-        return True
-    # the inequality above divided by max|A_ij|, whose norms can neither
-    # overflow nor underflow
-    b = m / scale
+    # the inequality above on A / 2^s, whose norms can neither overflow nor
+    # underflow
+    shift = _pow2_exponent(m)
+    b = np.ldexp(m, -shift)
     diff = float(np.linalg.norm(b - b.T))
-    return diff <= DEFAULT_SYMTOL * float(np.linalg.norm(b)) or diff * scale <= DEFAULT_SYMTOL
+    return diff <= DEFAULT_SYMTOL * float(np.linalg.norm(b)) or _unscaled(diff, shift) <= DEFAULT_SYMTOL
+
+
+def as_sym(a) -> np.ndarray:
+    """``a`` as a stored matrix: a validated, read-only float64 array.
+
+    Raises DimensionError unless ``a`` is square, ValueError unless it is
+    finite and SymmetryError unless it is symmetric within DEFAULT_SYMTOL.
+    A read-only float64 array is returned as it is; anything else is copied,
+    so the caller's array is never frozen."""
+    m = np.asarray(a, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+    # the largest magnitude is NaN or inf iff some entry is
+    if not math.isfinite(np.abs(m).max(initial=0.0)):
+        raise ValueError("matrix entries must be finite")
+    # an exactly symmetric matrix needs no norms
+    if not (m == m.T).all() and not check_symmetric(m):
+        raise SymmetryError(f"matrix is not symmetric within symtol={DEFAULT_SYMTOL:g}")
+    if m.flags.writeable:
+        m = m.copy()
+        m.setflags(write=False)
+    return m
 
 
 @dataclass(frozen=True)
 class SymMatrix:
-    """A validated real symmetric matrix.
-
-    Construction rejects non-square or asymmetric inputs (relative to
-    ``DEFAULT_SYMTOL``).  The stored array is read-only, so instances are
-    freely shareable across threads.
-    """
+    """``as_sym`` of a matrix, held as ``entries``; kept for code written
+    against it.  ``np.asarray`` of an instance is the entries themselves."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        m = _validated(np.array(self.entries, dtype=float))
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
+        object.__setattr__(self, "entries", as_sym(self.entries))
 
     def __array__(self, dtype=None, copy=None):
         # the read-only entries themselves unless a copy or another dtype
@@ -64,24 +89,6 @@ class SymMatrix:
         if copy is False and dtype != self.entries.dtype:
             raise ValueError("converting a SymMatrix to another dtype needs a copy")
         return self.entries.astype(dtype, copy=bool(copy))
-
-
-def _validated(m: np.ndarray) -> np.ndarray:
-    """``m`` itself if it is a square, finite matrix symmetric within
-    ``DEFAULT_SYMTOL``; raises otherwise."""
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    # the largest magnitude is NaN or inf iff some entry is
-    if not math.isfinite(np.abs(m).max(initial=0.0)):
-        raise ValueError("matrix entries must be finite")
-    # an exactly symmetric matrix needs no norms
-    if not (m == m.T).all() and not check_symmetric(m):
-        raise SymmetryError(f"matrix is not symmetric within symtol={DEFAULT_SYMTOL:g}")
-    return m
-
-
-def as_sym(a) -> SymMatrix:
-    return a if isinstance(a, SymMatrix) else SymMatrix(a)
 
 
 def default_cluster_tol(lambdas) -> float:
@@ -197,11 +204,11 @@ def eig_sym(a, cluster_tol: float | None = None) -> SpectralDecomposition:
     bit-identical output, in one process or in processes that run BLAS with
     different thread counts.
 
-    Raises ConvergenceError if LAPACK fails to converge, and ValueError if
-    the input is not exactly symmetric and (A + A^T)/2 overflows, or if an
-    eigenvalue overflows.
+    The input is checked as ``as_sym`` checks it.  Raises ConvergenceError
+    if LAPACK fails to converge, and ValueError if the input is not exactly
+    symmetric and (A + A^T)/2 overflows, or if an eigenvalue overflows.
     """
-    m = a.entries if isinstance(a, SymMatrix) else _validated(np.asarray(a, dtype=float))
+    m = as_sym(a)
     # (x + x)/2 == x whenever x + x is finite, so skipping an exactly
     # symmetric matrix changes no bits, and its entries near the top of the
     # float range cannot overflow
@@ -210,24 +217,21 @@ def eig_sym(a, cluster_tol: float | None = None) -> SpectralDecomposition:
     else:
         with np.errstate(over="ignore"):
             work = (m + m.T) / 2.0
-    top = np.abs(work).max(initial=0.0)
-    if not math.isfinite(top):
-        raise ValueError("(A + A^T)/2 overflows the float range")
+        if not np.isfinite(work).all():
+            raise ValueError("(A + A^T)/2 overflows the float range")
     # solve at max |A_ij| in [0.5, 1) and scale back by the same power of
     # two: both steps are exact, so eig_sym(2^k A) = 2^k eig_sym(A), and
     # LAPACK, which can fail to converge on a matrix of huge entries mixed
     # with tiny ones, sees the same matrix at every scale
-    _, shift = math.frexp(top)
+    shift = _pow2_exponent(work)
     try:
         diag, u = np.linalg.eigh(np.ldexp(work, -shift))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
-    try:
-        # np.ldexp below would return inf, with only a warning, for an
-        # eigenvalue past the float range; math.ldexp raises instead
-        math.ldexp(float(np.abs(diag).max(initial=0.0)), shift)
-    except OverflowError:
-        raise ValueError("an eigenvalue overflows the float range") from None
+    # np.ldexp below would return inf, with only a warning, for an
+    # eigenvalue past the float range
+    if math.isinf(_unscaled(float(np.abs(diag).max(initial=0.0)), shift)):
+        raise ValueError("an eigenvalue overflows the float range")
     order = diag.argsort(kind="stable")
     lam = np.ldexp(diag[order], shift)
     u = _fix_signs(u[:, order])
@@ -253,11 +257,13 @@ def eig_sym(a, cluster_tol: float | None = None) -> SpectralDecomposition:
 
 def isospectral(a, b, tol: float) -> bool:
     """True iff the sorted spectra of A and B agree elementwise within tol."""
-    sa, sb = as_sym(a), as_sym(b)
-    if sa.n != sb.n:
-        raise DimensionError(f"dimension mismatch: {sa.n} vs {sb.n}")
-    la = eig_sym(sa).lambdas
-    lb = eig_sym(sb).lambdas
+    # an infinite tol accepts any pair and a NaN one rejects every pair
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol:g}")
+    la = eig_sym(a).lambdas
+    lb = eig_sym(b).lambdas
+    if len(la) != len(lb):
+        raise DimensionError(f"dimension mismatch: {len(la)} vs {len(lb)}")
     return float(np.max(np.abs(la - lb))) <= tol
 
 

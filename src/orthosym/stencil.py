@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateProbeError, EvaluationError, MembershipError
 from .isotropy import is_member
-from .spectral import SpectralDecomposition, SymMatrix, as_sym, eig_sym
+from .spectral import SpectralDecomposition, as_sym, eig_sym
 
 MEMBERSHIP_TOL = 1e-6  # looser than the group default: the FD Hessian itself
                        # carries noise of order 1e-5 .. 1e-6
@@ -56,8 +56,8 @@ def default_step(x) -> float:
     return 1e-4 * max(1.0, float(np.linalg.norm(x)))
 
 
-def hessian_fd(f: ScalarField, x, step: float | None = None) -> SymMatrix:
-    """Central-difference Hessian, symmetrized as (H + H^T)/2."""
+def hessian_fd(f: ScalarField, x, step: float | None = None) -> np.ndarray:
+    """Central-difference Hessian, symmetrized as (H + H^T)/2, as ``as_sym`` returns it."""
     pt = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(pt)):
         raise ValueError(f"x must be finite, got {pt.tolist()}")
@@ -74,7 +74,7 @@ def hessian_fd(f: ScalarField, x, step: float | None = None) -> SymMatrix:
             h[i, j] = (
                 f(pt + ei + ej) - f(pt + ei - ej) - f(pt - ei + ej) + f(pt - ei - ej)
             ) / (4.0 * s * s)
-    return SymMatrix((h + h.T) / 2.0)
+    return as_sym((h + h.T) / 2.0)
 
 
 def hessian_decomposition(
@@ -83,9 +83,9 @@ def hessian_decomposition(
     return eig_sym(hessian_fd(f, x, step))
 
 
-def _require_member(hess: SymMatrix, gamma, label: str) -> np.ndarray:
+def _require_member(hessian, gamma, label: str) -> np.ndarray:
     g = np.asarray(gamma, dtype=float)
-    if not is_member(hess, g, tol=MEMBERSHIP_TOL):
+    if not is_member(hessian, g, tol=MEMBERSHIP_TOL):
         raise MembershipError(
             f"{label} is not a symmetry of the Hessian at tolerance "
             f"{MEMBERSHIP_TOL:g}"
@@ -101,7 +101,7 @@ def second_diff(f: ScalarField, x, gamma, h, hessian) -> float:
     invariant under the group action.
     """
     pt = np.asarray(x, dtype=float)
-    g = _require_member(as_sym(hessian), gamma, "gamma")
+    g = _require_member(hessian, gamma, "gamma")
     gh = g @ np.asarray(h, dtype=float)
     return f(pt + gh) - 2.0 * f(pt) + f(pt - gh)
 
@@ -119,9 +119,8 @@ def _checked_symmetries(hessian, g1, g2, h) -> tuple[np.ndarray, np.ndarray, np.
     """g1, g2 and h as arrays, once both symmetries have passed the Hessian
     membership test.  Warns, at the caller of the public probe function,
     when the choice makes every probe value uninformative."""
-    hess = as_sym(hessian)
-    g1 = _require_member(hess, g1, "gamma1")
-    g2 = _require_member(hess, g2, "gamma2")
+    g1 = _require_member(hessian, g1, "gamma1")
+    g2 = _require_member(hessian, g2, "gamma2")
     h = np.asarray(h, dtype=float)
     if not np.all(np.isfinite(h)):
         raise ValueError(f"h must be finite, got {h.tolist()}")

@@ -54,14 +54,14 @@ def _checks():
     sq2 = math.sqrt(2.0)
 
     def guiding_entries_mu0():
-        a = np.asarray(dynsys.guiding_matrix(0.0))
+        a = dynsys.guiding_matrix(0.0)
         expected = np.array([[2, -sq2, -sq2], [-sq2, 3, -1], [-sq2, -1, 3]])
         return float(np.max(np.abs(a - expected))), 0.0
 
     yield "guiding matrix entries at mu=0", guiding_entries_mu0, "max entry diff"
 
     def guiding_entries_mu_neg():
-        a = np.asarray(dynsys.guiding_matrix(-0.25))
+        a = dynsys.guiding_matrix(-0.25)
         c = -3.0 / sq2  # equals sqrt(2)*(2 mu - 1) up to one rounding step
         expected = np.array([[2, c, c], [c, 3.5, -1.5], [c, -1.5, 3.5]])
         return float(np.max(np.abs(a - expected))), 1e-12
@@ -103,7 +103,7 @@ def _checks():
     def swap_commutes():
         worst = 0.0
         for mu in np.linspace(-1.0, 2.0, 25):
-            a = np.asarray(dynsys.guiding_matrix(float(mu)))
+            a = dynsys.guiding_matrix(float(mu))
             worst = max(
                 worst, float(np.linalg.norm(dynsys.SWAP_23 @ a - a @ dynsys.SWAP_23))
             )
@@ -138,7 +138,7 @@ def _checks():
     yield "sign group matches the four-decimal reference set", gamma_set_matches, "worst set distance"
 
     def gamma_set_residuals():
-        a = np.asarray(dynsys.guiding_matrix(0.0))
+        a = dynsys.guiding_matrix(0.0)
         dec = spectral.eig_sym(a)
         worst = 0.0
         for g in isotropy.gamma2_elements(dec):
@@ -168,9 +168,9 @@ def _checks():
     yield "one-dimensional sign group is {+1, -1}", one_dimensional, "max diff"
 
     def rotation_member():
-        dec = spectral.eig_sym(dynsys.guiding_matrix(-0.25))
+        a = dynsys.guiding_matrix(-0.25)
+        dec = spectral.eig_sym(a)
         r = fixtures.REFERENCE_ROTATION_3
-        a = np.asarray(dynsys.guiding_matrix(-0.25))
         if not isotropy.is_member(dec, r, tol=1e-3):
             return math.inf, 1e-3
         return isotropy.commutator_residual(a, r), 1e-3
@@ -178,7 +178,7 @@ def _checks():
     yield "reference rotation commutes at mu=-0.25", rotation_member, "commutator norm"
 
     def family16():
-        a = np.asarray(fixtures.dihedral_family(0.0))
+        a = fixtures.dihedral_family(0.0)
         r = fixtures.dihedral_rotation()
         s = fixtures.dihedral_reflection()
         worst = float(np.linalg.norm(a - a.T))
@@ -201,11 +201,11 @@ def _checks():
     yield "16x16 multiplicities: 8 simple, 4 double", family16_multiplicities, "structure match"
 
     def family16_hidden():
-        dec = spectral.eig_sym(fixtures.dihedral_family(0.0))
+        a = fixtures.dihedral_family(0.0)
         g = fixtures.dihedral_hidden_gamma()
-        if not isotropy.is_member(dec, g, tol=1e-8):
+        if not isotropy.is_member(spectral.eig_sym(a), g, tol=1e-8):
             return math.inf, 1e-8
-        return isotropy.commutator_residual(np.asarray(fixtures.dihedral_family(0.0)), g), 1e-8
+        return isotropy.commutator_residual(a, g), 1e-8
 
     yield "16x16 hidden symmetry is a member", family16_hidden, "commutator norm"
 
@@ -276,7 +276,7 @@ def _checks():
 
     def probe_hessian():
         f = stencil.BUILTIN_FIELDS["trig-quartic"]
-        h = np.asarray(stencil.hessian_fd(f, PROBE_POINT))
+        h = stencil.hessian_fd(f, PROBE_POINT)
         return float(np.max(np.abs(h - fixtures.probe_hessian_analytic()))), 1e-5
 
     yield "finite-difference Hessian matches closed form", probe_hessian, "max entry diff"

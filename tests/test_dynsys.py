@@ -2,15 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from orthosym import fixtures
 from orthosym.dynsys import (
     SWAP_23,
-    Circle,
     EquilibriumSet,
-    Origin,
-    PointPair,
-    Sphere,
     equilibria,
     guiding_matrix,
     integrate,
@@ -157,10 +156,31 @@ def test_contains():
 
 
 def test_component_types():
-    assert isinstance(equilibria(0.5).components[1], Sphere)
-    assert isinstance(equilibria(1.25).components[1], PointPair)
-    assert isinstance(equilibria(-0.25).components[1], Circle)
-    assert isinstance(equilibria(0.0).components[0], Origin)
+    assert equilibria(0.5).components[1].kind == "sphere"
+    assert equilibria(1.25).components[1].kind == "point-pair"
+    assert equilibria(-0.25).components[1].kind == "circle"
+    assert equilibria(0.0).components[0].kind == "origin"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mu=st.floats(-1.0, 2.0),
+    x=hnp.arrays(np.float64, 3, elements=st.floats(-10.0, 10.0, allow_subnormal=False)),
+    scale=st.floats(1e-9, 1.0),
+)
+def test_distance_matches_the_per_kind_formulas(mu, x, scale):
+    # the subspace formula against the direct distances: ||x|| to the
+    # origin, min(||x - p||, ||x + p||) to a pair +/-p, far and near it
+    def close(c, y, expected):
+        return abs(c.distance(y) - expected) <= 1e-12 * max(1.0, float(np.linalg.norm(y)))
+
+    eq = equilibria(mu)
+    assert close(eq.components[0], x, float(np.linalg.norm(x)))
+    for c in eq.components:
+        if c.kind == "point-pair":
+            p = c.points()[0]
+            for y in (x, p + scale * x):
+                assert close(c, y, min(float(np.linalg.norm(y - p)), float(np.linalg.norm(y + p))))
 
 
 def test_integrate_origin_fixed():

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orthosym import dynsys, fixtures
-from orthosym.errors import DimensionError, SizeCapError, StructureError
+from orthosym.errors import DimensionError, SizeCapError, StructureError, SymmetryError
 from orthosym.isotropy import (
     BlockOrthogonal,
     commutator_residual,
@@ -436,3 +436,25 @@ def test_stacked_qr_equals_one_qr_per_matrix(size):
     for k in range(len(g)):
         qk, rk = np.linalg.qr(g[k])
         assert q[k].tobytes() == qk.tobytes() and r[k].tobytes() == rk.tobytes()
+
+
+def test_is_member_validates_a_matrix_as_as_sym_does():
+    # a matrix is checked as as_sym checks it, never answered silently
+    with pytest.raises(ValueError, match="finite"):
+        is_member([[math.nan, 0.0], [0.0, 1.0]], np.eye(2))
+    with pytest.raises(SymmetryError):
+        is_member([[1.0, 2.0], [0.0, 1.0]], np.eye(2))
+    with pytest.raises(DimensionError):
+        is_member(np.ones((2, 3)), np.eye(2))
+    assert is_member([[1.0, 2.0], [2.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]])
+
+
+def test_residuals_of_a_huge_candidate_without_a_warning():
+    # tier-1 turns numpy's overflow RuntimeWarning into an error; G G^T is
+    # past the float range, G A - A G is not: its entries are
+    # 1e300 * (a_j - a_i), so its norm is sqrt(12) * 1e300
+    a = np.diag([1.0, 2.0, 3.0])
+    g = np.full((3, 3), 1e300)
+    assert not is_member(a, g)
+    assert commutator_residual(a, g) == pytest.approx(math.sqrt(12.0) * 1e300, rel=1e-12)
+    assert commutator_residual(np.diag([1e308, -1e308]), [[0.0, 1e300], [1e300, 0.0]]) == math.inf

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -446,6 +447,33 @@ def test_cli_procrustes_solve(capsys, tmp_path):
     assert payload["lower_bound"] <= 1e-12
 
 
+def test_cli_procrustes_solve_of_entries_near_1e300(capsys, tmp_path):
+    # the squares in both norms overflow; the norms themselves do not
+    a = tmp_path / "a.txt"
+    b = tmp_path / "b.txt"
+    a.write_text("1e300 0\n0 2e300\n")
+    b.write_text("1 0\n0 2\n")
+    code, out, err = run_capture(
+        capsys, ["procrustes", "solve", "--input-a", str(a), "--input-b", str(b)]
+    )
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["cost"] == pytest.approx(math.sqrt(5.0) * 1e300, rel=1e-12)
+    assert payload["lower_bound"] == pytest.approx(math.sqrt(5.0) * 1e300, rel=1e-12)
+
+
+def test_cli_isotropy_check_of_a_huge_candidate(capsys, a0_file, tmp_path):
+    # ||G G^T - I||_F is past the float range, so the strict JSON refuses
+    # the result: exit 1, nothing written, and no numpy overflow warning
+    g = tmp_path / "g.txt"
+    g.write_text("1e300 -1e300 1e300\n1e300 1e300 -1e300\n-1e300 1e300 1e300\n")
+    argv = ["isotropy", "check", "--input", a0_file, "--candidate", str(g)]
+    code, out, err = run_capture(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: Out of range float values are not JSON compliant")
+    assert run_capture(capsys, argv + ["--format", "text"]) == (0, "member: False\n", "")
+
+
 def test_cli_procrustes_family(capsys, tmp_path):
     a = tmp_path / "a.txt"
     a.write_text("2 1 0\n1 3 1\n0 1 4\n")
@@ -495,6 +523,25 @@ def test_cli_graph_aut_on_a_long_path(capsys, tmp_path):
         "count": 2,
         "automorphisms": [list(range(1200)), list(range(1199, -1, -1))],
     }
+
+
+def test_parse_graph_holds_no_token_per_entry():
+    # an adjacency file is converted row by row: at n = 1500 the peak is
+    # the text, the lines and the adjacency, not 2.25 million token strings
+    n = 1500
+    i = np.arange(n - 1)
+    a = np.zeros((n, n), dtype=np.int8)
+    a[i, i + 1] = a[i + 1, i] = 1
+    text = "".join(" ".join(map(str, row)) + "\n" for row in a.tolist())
+    del a
+    tracemalloc.start()
+    try:
+        g = parse_graph(io.StringIO(text))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.edges() == [(k, k + 1) for k in range(n - 1)]
+    assert peak < 3 * 8 * n * n
 
 
 def test_cli_graph_requires_input(capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -158,3 +160,34 @@ def test_isospectral_path_vs_star():
     roots = np.sort(np.roots([1.0, 0.0, -2.0, 0.0]).real)
     for adj in (path, star):
         np.testing.assert_allclose(eig_sym(adj).lambdas, roots, atol=1e-8)
+
+
+def test_isospectral_rejects_a_non_finite_or_negative_tol():
+    # a NaN tol would reject every pair, and an infinite one would accept
+    # eye(2) against 5 * eye(2)
+    for tol in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="tol must be finite"):
+            isospectral(np.eye(2), 5.0 * np.eye(2), tol=tol)
+
+
+def test_cost_and_lower_bound_of_entries_near_1e300():
+    # ||PA - BP||_F and ||D_A - D_B||_F are about 2.236e300, but their
+    # squares overflow; tier-1 turns numpy's overflow warning into an error
+    a, b = np.diag([1e300, 2e300]), np.diag([1.0, 2.0])
+    sol = solve(a, b)
+    assert sol.cost == pytest.approx(math.sqrt(5.0) * 1e300, rel=1e-12)
+    assert sol.lower_bound == pytest.approx(math.sqrt(5.0) * 1e300, rel=1e-12)
+    assert cost(a, b, np.eye(2)) == sol.cost
+    big = np.diag([1e308, 1.5e308])
+    assert cost(big, -big, np.eye(2)) == math.inf
+    for s in family_sample(a, b, seed=MASTER_SEED, count=3):
+        assert s.lower_bound == sol.lower_bound
+        assert s.cost == pytest.approx(sol.cost, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [-1070, -30, 0, 30, 900])
+def test_cost_scales_with_a_power_of_two(k):
+    rng = np.random.default_rng(MASTER_SEED + 91)
+    a, b = random_symmetric(rng, 5), random_symmetric(rng, 5)
+    p = haar_orthogonal(rng, 5)
+    assert cost(np.ldexp(a, k), np.ldexp(b, k), p) == math.ldexp(cost(a, b, p), k)

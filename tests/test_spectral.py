@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import orthosym
-from orthosym import dynsys, fixtures, spectral
+from orthosym import dynsys, fixtures, spectral, stencil
 from orthosym.cli import EXIT_NUMERICAL, run
 from orthosym.errors import ConvergenceError, DimensionError, SymmetryError
 from orthosym.spectral import (
     SymMatrix,
     _fix_signs,
     align_basis,
+    as_sym,
     check_symmetric,
     eig_sym,
 )
@@ -75,6 +76,45 @@ def test_sym_matrix_asarray_shares_the_entries():
     assert single.dtype == np.float32 and not np.shares_memory(single, m.entries)
     with pytest.raises(ValueError):
         np.asarray(m, dtype=np.float32, copy=False)
+
+
+def _stored(m):
+    return isinstance(m, np.ndarray) and m.dtype == np.float64 and not m.flags.writeable
+
+
+def test_as_sym_and_the_producers_return_stored_matrices():
+    field = stencil.BUILTIN_FIELDS["trig-quartic"]
+    for m in (
+        as_sym([[1, 2], [2, 1]]),
+        dynsys.guiding_matrix(0.3),
+        fixtures.dihedral_family(0.2),
+        stencil.hessian_fd(field, np.ones(3)),
+    ):
+        assert _stored(m)
+    a = np.eye(2)
+    m = as_sym(a)
+    # the caller's array is copied, never frozen; a stored matrix is kept
+    assert a.flags.writeable and not np.shares_memory(a, m)
+    assert as_sym(m) is m and SymMatrix(m).entries is m
+    wrapped = SymMatrix(a)
+    assert as_sym(wrapped) is wrapped.entries
+
+
+def test_as_sym_raises_what_sym_matrix_raises():
+    for bad, error in (
+        (np.zeros((2, 3)), DimensionError),
+        ([[np.nan, 0.0], [0.0, 1.0]], ValueError),
+        ([[1.0, 2.0], [0.0, 1.0]], SymmetryError),
+    ):
+        for make in (as_sym, SymMatrix, eig_sym):
+            with pytest.raises(error):
+                make(bad)
+
+
+def test_decomposition_id_does_not_depend_on_the_input_type():
+    a = random_symmetric(np.random.default_rng(MASTER_SEED + 71), 6)
+    ids = {eig_sym(x).decomposition_id for x in (a, a.tolist(), SymMatrix(a), as_sym(a))}
+    assert len(ids) == 1
 
 
 def test_eig_guiding_mu0():
