@@ -66,9 +66,9 @@ def _write(args, pieces):
         sys.stdout.writelines(pieces)
 
 
-def _emit(args, payload, table=None, text=None):
-    """Render one result.  ``table`` is (header, rows) for csv, ``text`` a
-    human-readable string; json is always available."""
+def _emit(args, payload, text, table=None):
+    """Render one result.  ``text`` is a human-readable string, ``table``
+    (header, rows) for csv; json is always available."""
     fmt = args.format
     if fmt == "json":
         out = json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
@@ -80,9 +80,7 @@ def _emit(args, payload, table=None, text=None):
         lines += [",".join(str(c) for c in row) for row in rows]
         out = "\n".join(lines) + "\n"
     else:
-        out = (
-            text if text is not None else json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
-        ) + "\n"
+        out = text + "\n"
     _write(args, (out,))
 
 
@@ -113,7 +111,7 @@ def _cmd_eig(args):
     text = "eigenvalues: " + " ".join(repr(float(x)) for x in dec.lambdas) + (
         f"\nmultiplicities: {list(dec.multiplicities)}"
     )
-    _emit(args, payload, table, text)
+    _emit(args, payload, text, table)
     return EXIT_OK
 
 
@@ -171,7 +169,7 @@ def _cmd_isotropy(args):
         if args.format == "json":
             _write(args, _gamma2_json(isotropy.gamma2_elements(dec), dec.multiplicities))
         else:
-            _emit(args, None, text=f"{count} sign-group elements")
+            _emit(args, None, f"{count} sign-group elements")
     elif args.action == "sample":
         if args.count < 0:
             raise _UsageError(f"count must be nonnegative, got {args.count}")
@@ -187,17 +185,17 @@ def _cmd_isotropy(args):
                 }
             )
         payload = {"count": len(samples), "elements": samples}
-        _emit(args, payload, text=f"{len(samples)} sampled symmetries")
+        _emit(args, payload, f"{len(samples)} sampled symmetries")
     else:  # check
         g = matio.parse_matrix(args.candidate)
         member = isotropy.is_member(dec, g, tol=args.tol)
         payload = {
             "member": member,
             "tol": args.tol,
-            "orthogonality_residual": isotropy._orthogonality_residual(g),
+            "orthogonality_residual": isotropy.orthogonality_residual(g),
             "commutator_residual": isotropy.commutator_residual(a, g),
         }
-        _emit(args, payload, text=f"member: {member}")
+        _emit(args, payload, f"member: {member}")
     return EXIT_OK
 
 
@@ -214,7 +212,7 @@ def _cmd_procrustes(args):
             "lower_bound": sol.lower_bound,
             "order": args.order,
         }
-        _emit(args, payload, text=f"cost: {sol.cost!r}\nlower bound: {sol.lower_bound!r}")
+        _emit(args, payload, f"cost: {sol.cost!r}\nlower bound: {sol.lower_bound!r}")
     else:  # family
         sols = procrustes.family_sample(a, b, derive_seed(args.seed, 0), args.count)
         payload = {
@@ -223,7 +221,7 @@ def _cmd_procrustes(args):
             "solutions": [{"p": _mat(s.p), "cost": s.cost} for s in sols],
         }
         costs = [s.cost for s in sols]
-        _emit(args, payload, text=f"{len(sols)} solutions, costs {costs}")
+        _emit(args, payload, f"{len(sols)} solutions, costs {costs}")
     return EXIT_OK
 
 
@@ -238,7 +236,7 @@ def _cmd_graph(args):
             "isomorphic": perm is not None,
             "mapping": list(perm.mapping) if perm is not None else None,
         }
-        _emit(args, payload, text=f"isomorphic: {perm is not None}")
+        _emit(args, payload, f"isomorphic: {perm is not None}")
         return EXIT_OK
     graph = matio.parse_graph(args.input)
     if args.action == "spectrum":
@@ -249,14 +247,14 @@ def _cmd_graph(args):
             "lambdas": _mat(dec.lambdas),
             "multiplicities": list(dec.multiplicities),
         }
-        _emit(args, payload, text=f"lambdas: {_mat(dec.lambdas)}\nm: {list(dec.multiplicities)}")
+        _emit(args, payload, f"lambdas: {_mat(dec.lambdas)}\nm: {list(dec.multiplicities)}")
     elif args.action == "aut":
         perms = graphsym.automorphisms(graph, limit=args.limit)
         payload = {
             "count": len(perms),
             "automorphisms": [list(p.mapping) for p in perms],
         }
-        _emit(args, payload, text=f"{len(perms)} automorphisms")
+        _emit(args, payload, f"{len(perms)} automorphisms")
     else:  # hidden
         g = graphsym.hidden_symmetry_sample(graph, derive_seed(args.seed, 0))
         perm = graphsym.is_permutation(g)
@@ -267,7 +265,7 @@ def _cmd_graph(args):
             ),
             "permutation": list(perm.mapping) if perm is not None else None,
         }
-        _emit(args, payload, text="sampled hidden symmetry")
+        _emit(args, payload, "sampled hidden symmetry")
     return EXIT_OK
 
 
@@ -314,7 +312,7 @@ def _cmd_stencil(args):
             "slope": slope,
             "gammas": [_mat(g1), _mat(g2)],
         }
-        _emit(args, payload, text=f"value: {values[0]!r}\nslope: {slope!r}")
+        _emit(args, payload, f"value: {values[0]!r}\nslope: {slope!r}")
     else:  # order
         payload = {
             "function": args.function,
@@ -323,7 +321,7 @@ def _cmd_stencil(args):
             "values": values,
             "gammas": [_mat(g1), _mat(g2)],
         }
-        _emit(args, payload, text=f"slope: {slope!r}")
+        _emit(args, payload, f"slope: {slope!r}")
     return EXIT_OK
 
 
@@ -351,7 +349,7 @@ def _cmd_dynsys(args):
             [(c.kind, repr(float(c.radius))) for c in eq.components],
         )
         text = "\n".join(f"{c.kind}: radius {c.radius!r}" for c in eq.components)
-        _emit(args, payload, table, text)
+        _emit(args, payload, text, table)
     elif args.action == "sweep":
         rows = dynsys.sweep(args.mu_from, args.mu_to, args.samples)
         payload = {
@@ -381,7 +379,7 @@ def _cmd_dynsys(args):
         )
         transitions = [repr(r.mu) for r in rows if r.transition]
         text = f"{len(rows)} rows; transitions near mu = {', '.join(transitions)}"
-        _emit(args, payload, table, text)
+        _emit(args, payload, text, table)
     else:  # integrate
         x0 = _parse_vector(args.x0)
         traj = dynsys.integrate(x0, args.mu, dt=args.dt, steps=args.steps)
@@ -403,7 +401,7 @@ def _cmd_dynsys(args):
             ],
         )
         text = f"terminal: {_mat(terminal)}\nresidual: {residual!r}"
-        _emit(args, payload, table, text)
+        _emit(args, payload, text, table)
     return EXIT_OK
 
 
@@ -424,7 +422,7 @@ def _cmd_fixtures(args):
             for r in results
         ],
     }
-    _emit(args, payload, text=verify.render_table(results))
+    _emit(args, payload, verify.render_table(results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
 
 

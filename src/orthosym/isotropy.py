@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DimensionError, SizeCapError, StructureError
-from .spectral import SpectralDecomposition, _pow2_exponent, _unscaled, as_sym
+from .spectral import SpectralDecomposition, _scaled, _unscaled, as_sym
 
 # the elements alone take 2^n * n^2 * 8 bytes, 25.7 MB at n = 14 and 3.4 GB
 # at n = 20, and their JSON takes about 2.7 times as much
@@ -142,11 +142,12 @@ def conjugate(dec: SpectralDecomposition, sigma: BlockOrthogonal) -> np.ndarray:
             details={"sigma_m": sigma.m, "dec_m": dec.multiplicities},
         )
     gamma = dec.v.T @ sigma.full() @ dec.v
-    orth = _orthogonality_residual(gamma)
+    orth = orthogonality_residual(gamma)
     if orth > 1e-9 * dec.n:
         raise StructureError(f"conjugated element lost orthogonality ({orth:.2e})")
-    comm, bound, shift = _commutator(dec.reconstruct(), gamma)
-    if comm > 1e-8 * bound:
+    a = dec.reconstruct()
+    comm, bound, shift = _residual(a, a, gamma, 1e-8)
+    if comm > bound:
         raise StructureError(
             f"conjugated element fails to commute ({_unscaled(comm, shift):.2e})"
         )
@@ -231,45 +232,41 @@ def rotate_basis(
     return replace(dec, v=sigma.full() @ dec.v)
 
 
-def _commutator(a: np.ndarray, g: np.ndarray) -> tuple[float, float, int]:
-    """||GA - AG||_F / 2^s, max(1, ||A||_F) / 2^s and s.
+def _residual(a, b, p, tol: float = 0.0) -> tuple[float, float, int]:
+    """||PA - BP||_F / 2^k, tol * max(1, ||A||_F) / 2^k and k = s + t.
 
-    Both norms are taken of A / 2^s, with s >= 0 the least shift that
-    brings every |A_ij| below 1, so neither overflows where ||A||_F itself
-    would (entries from about 1e154 on).  The values are those of the
-    unscaled norms divided by 2^s, bit for bit, unless a scaled entry falls
-    into the subnormal range."""
-    shift = max(_pow2_exponent(a), 0)
-    a = np.ldexp(a, -shift)
-    comm = float(np.linalg.norm(g @ a - a @ g))
-    # for s >= 1 the bound is ||A / 2^s||_F, which is at least 1/2
-    return comm, max(math.ldexp(1.0, -shift), float(np.linalg.norm(a))), shift
+    ``spectral._scaled`` divides A, B and tol, the constant term of the
+    bound, by one power of two 2^s and P by its own 2^t, so nothing
+    overflows where the values do not, nor underflows for a tiny A."""
+    same = b is a
+    a, b, p = (np.asarray(x, dtype=float) for x in (a, b, p))
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.shape == b.shape == p.shape:
+        raise DimensionError(f"operand shapes disagree: {a.shape}, {b.shape}, {p.shape}")
+    t, p = _scaled(p)
+    if same:
+        s, a, c = _scaled(a, tol)
+        b = a
+    else:
+        s, a, b, c = _scaled(a, b, tol)
+    bound = _unscaled(max(c, tol * float(np.linalg.norm(a))), -t) if tol else 0.0
+    return float(np.linalg.norm(p @ a - b @ p)), bound, s + t
 
 
-def _orthogonality_residual(g: np.ndarray) -> float:
+def orthogonality_residual(g) -> float:
     """||G G^T - I||_F, infinite only where it is past the float range: taken
-    as 4^t ||G' G'^T - I / 4^t||_F for G' = G / 2^t, with t >= 0 the least
-    shift that brings every |G_ij| below 1."""
-    shift = max(_pow2_exponent(g), 0)
-    gs = np.ldexp(g, -shift)
+    as 4^t ||G' G'^T - I / 4^t||_F for G' = G / 2^t, with the I scaled as
+    one more operand of G."""
+    t, gs, c = _scaled(np.asarray(g, dtype=float), 1.0)
     r = gs @ gs.T
-    r[np.diag_indices(len(g))] -= math.ldexp(1.0, -2 * shift)
-    return _unscaled(float(np.linalg.norm(r)), 2 * shift)
+    r[np.diag_indices(len(r))] -= c * c
+    return _unscaled(float(np.linalg.norm(r)), 2 * t)
 
 
 def commutator_residual(a, g) -> float:
     """||GA - AG||_F, infinite only where it is past the float range,
-    whatever the scales of A and G."""
-    am = np.asarray(a, dtype=float)
-    gm = np.asarray(g, dtype=float)
-    if am.ndim != 2 or am.shape[0] != am.shape[1]:
-        raise DimensionError(f"expected square matrix, got shape {am.shape}")
-    if gm.shape != am.shape:
-        raise DimensionError(f"shape mismatch: {am.shape} vs {gm.shape}")
-    # the commutator is linear in G as well: G is scaled like A
-    gshift = max(_pow2_exponent(gm), 0)
-    comm, _, shift = _commutator(am, np.ldexp(gm, -gshift))
-    return _unscaled(comm, shift + gshift)
+    whatever the scales of A and G: ``procrustes.cost(a, a, g)``."""
+    comm, _, shift = _residual(a, a, g)
+    return _unscaled(comm, shift)
 
 
 def is_member(dec, g, tol: float = MEMBER_TOL) -> bool:
@@ -292,7 +289,7 @@ def is_member(dec, g, tol: float = MEMBER_TOL) -> bool:
     a = dec.reconstruct() if isinstance(dec, SpectralDecomposition) else as_sym(dec)
     if gm.shape != a.shape:
         raise DimensionError(f"shape mismatch: {a.shape} vs {gm.shape}")
-    if _orthogonality_residual(gm) > tol * len(a):
+    if orthogonality_residual(gm) > tol * len(a):
         return False
-    comm, bound, _ = _commutator(a, gm)
-    return comm <= tol * bound
+    comm, bound, _ = _residual(a, a, gm, tol)
+    return comm <= bound

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, StructureError
-from .isotropy import sample_block_orthogonal
-from .spectral import SpectralDecomposition, _pow2_exponent, _unscaled, as_sym, eig_sym
+from .isotropy import _residual, sample_block_orthogonal
+from .spectral import SpectralDecomposition, _scaled, _unscaled, as_sym, eig_sym
 
 
 @dataclass(frozen=True)
@@ -34,25 +34,13 @@ class ProcrustesSolution:
         object.__setattr__(self, "p", p)
 
 
-def _scaled_norm(x: np.ndarray, y: np.ndarray, f) -> float:
-    """||f(x, y)||_F for an f with f(cx, cy) = c f(x, y), infinite only
-    where it is past the float range: taken of x and y divided by the one
-    power of two that brings every entry of both below 1, and scaled back."""
-    shift = max(_pow2_exponent(x), _pow2_exponent(y))
-    return _unscaled(float(np.linalg.norm(f(np.ldexp(x, -shift), np.ldexp(y, -shift)))), shift)
-
-
 def cost(a, b, p) -> float:
-    """||PA - BP||_F."""
-    am, bm, pm = (np.asarray(x, dtype=float) for x in (a, b, p))
-    if am.shape != bm.shape or am.shape != pm.shape:
-        raise DimensionError(
-            f"operand shapes disagree: {am.shape}, {bm.shape}, {pm.shape}"
-        )
-    return _scaled_norm(am, bm, lambda x, y: pm @ x - y @ pm)
+    """||PA - BP||_F, infinite only where it is past the float range."""
+    r, _, shift = _residual(a, b, p)
+    return _unscaled(r, shift)
 
 
-def _ordered_pair(a, b, order: str) -> tuple[SpectralDecomposition, SpectralDecomposition]:
+def _ordered_pair(a, b, order: str) -> tuple[SpectralDecomposition, SpectralDecomposition, float]:
     if order not in ("ascending", "descending"):
         raise ValueError(f"order must be 'ascending' or 'descending', got {order!r}")
     sa, sb = as_sym(a), as_sym(b)
@@ -61,18 +49,20 @@ def _ordered_pair(a, b, order: str) -> tuple[SpectralDecomposition, SpectralDeco
     da, db = eig_sym(sa), eig_sym(sb)
     if order == "descending":
         da, db = da.reversed(), db.reversed()
-    return da, db
+    # and the lower bound ||D_A - D_B||_F, of both spectra over one power of two
+    shift, la, lb = _scaled(da.lambdas, db.lambdas)
+    return da, db, _unscaled(float(np.linalg.norm(la - lb)), shift)
 
 
 def solve(a, b, order: str = "ascending") -> ProcrustesSolution:
     """Canonical optimal solution P = V_B^T V_A with both spectra sorted per
     ``order``; the lower bound is ||D_A - D_B||_F in that ordering."""
-    da, db = _ordered_pair(a, b, order)
+    da, db, lower = _ordered_pair(a, b, order)
     p = db.v.T @ da.v
     return ProcrustesSolution(
         p=p,
         cost=cost(a, b, p),
-        lower_bound=_scaled_norm(da.lambdas, db.lambdas, np.subtract),
+        lower_bound=lower,
     )
 
 
@@ -84,7 +74,7 @@ def family_sample(a, b, seed: int, count: int) -> list[ProcrustesSolution]:
     raised carrying both vectors."""
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
-    da, db = _ordered_pair(a, b, "ascending")
+    da, db, lower = _ordered_pair(a, b, "ascending")
     if da.multiplicities != db.multiplicities:
         raise StructureError(
             f"multiplicity vectors differ: {da.multiplicities} vs "
@@ -92,7 +82,6 @@ def family_sample(a, b, seed: int, count: int) -> list[ProcrustesSolution]:
             f"matching block structures",
             details={"m_a": da.multiplicities, "m_b": db.multiplicities},
         )
-    lower = _scaled_norm(da.lambdas, db.lambdas, np.subtract)
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):

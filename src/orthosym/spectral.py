@@ -21,11 +21,22 @@ from .errors import ConvergenceError, DimensionError, SymmetryError
 DEFAULT_SYMTOL = 1e-10
 
 
-def _pow2_exponent(a) -> int:
-    """The s with max |a_ij| in [2^(s-1), 2^s), 0 for a zero array.  A norm
-    of np.ldexp(a, -s) cannot overflow, and ``_unscaled(norm, s)`` is the
-    norm of ``a``, bit for bit unless a scaled entry is subnormal."""
-    return math.frexp(float(np.abs(a).max(initial=0.0)))[1]
+def _scaled(*operands):
+    """s and each operand over 2^s, for the s that puts the largest |entry|
+    of all operands (arrays, or floats, which ``math`` scales 5 us faster)
+    in [0.5, 1), or s = 0 if every entry is 0.  A constant term is one more
+    operand (the I of G G^T - I, tol in tol * max(1, ||A||_F)), so that
+    2^-s cannot overflow.  ``_unscaled(norm, s)`` of a norm of the scaled
+    operands is the norm itself, bit for bit unless an entry is subnormal."""
+    top = max(
+        abs(x) if isinstance(x, float) else float(np.abs(x).max(initial=0.0))
+        for x in operands
+    )
+    shift = math.frexp(top)[1]
+    return shift, *(
+        math.ldexp(x, -shift) if isinstance(x, float) else np.ldexp(x, -shift)
+        for x in operands
+    )
 
 
 def _unscaled(x: float, shift: int) -> float:
@@ -41,12 +52,10 @@ def check_symmetric(a) -> bool:
     m = np.asarray(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    # the inequality above on A / 2^s, whose norms can neither overflow nor
-    # underflow
-    shift = _pow2_exponent(m)
-    b = np.ldexp(m, -shift)
-    diff = float(np.linalg.norm(b - b.T))
-    return diff <= DEFAULT_SYMTOL * float(np.linalg.norm(b)) or _unscaled(diff, shift) <= DEFAULT_SYMTOL
+    # the inequality above divided by 2^s; at a zero tolerance the shift
+    # comes from A alone, so a subnormal asymmetry is scaled up and seen
+    _, b, tol = _scaled(m, DEFAULT_SYMTOL)
+    return bool(np.linalg.norm(b - b.T) <= max(tol, DEFAULT_SYMTOL * np.linalg.norm(b)))
 
 
 def as_sym(a) -> np.ndarray:
@@ -91,35 +100,6 @@ class SymMatrix:
         return self.entries.astype(dtype, copy=bool(copy))
 
 
-def default_cluster_tol(lambdas) -> float:
-    """1e-8 relative to the largest |lambda|, so that scaling the matrix
-    scales the tolerance with it; the zero matrix gets 0 (one cluster)."""
-    return 1e-8 * float(np.abs(np.asarray(lambdas, dtype=float)).max())
-
-
-def _multiplicities(gaps: list[float], cluster_tol: float) -> tuple[int, ...]:
-    # the clustering rule itself, applied to the gaps of sorted eigenvalues
-    # NaN passes a plain ``< 0`` test and would merge every eigenvalue
-    if not (math.isfinite(cluster_tol) and cluster_tol >= 0):
-        raise ValueError(f"cluster_tol must be finite and nonnegative, got {cluster_tol:g}")
-    m = [1]
-    for g in gaps:
-        if g > cluster_tol:
-            m.append(1)
-        else:
-            m[-1] += 1
-    return tuple(m)
-
-
-def _borderline_gaps(gaps: list[float], cluster_tol: float) -> tuple[int, ...]:
-    # A gap within a factor 10 of the tolerance is an ambiguous merge/split
-    # decision; callers get the boundary indices instead of a silent choice.
-    if cluster_tol == 0.0:
-        return ()
-    lo, hi = 0.1 * cluster_tol, 10.0 * cluster_tol
-    return tuple(i for i, g in enumerate(gaps) if lo < g <= hi)
-
-
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Result of eig_sym: V (rows are eigenvectors), ascending eigenvalues,
@@ -138,7 +118,9 @@ class SpectralDecomposition:
     borderline: tuple[int, ...] = ()
 
     def __post_init__(self):
-        v = np.array(self.v, dtype=float)
+        # C order whatever the input's: V's memory layout sets the bits of
+        # later BLAS products
+        v = np.array(self.v, dtype=float, order="C")
         lam = np.array(self.lambdas, dtype=float)
         v.setflags(write=False)
         lam.setflags(write=False)
@@ -199,10 +181,10 @@ def _fix_signs(u: np.ndarray) -> np.ndarray:
 def eig_sym(a, cluster_tol: float | None = None) -> SpectralDecomposition:
     """Eigendecomposition of a symmetric matrix by LAPACK (numpy's ``eigh``).
 
-    Deterministic for fixed input: ascending eigenvalue sort (stable) and a
-    fixed eigenvector sign convention, so two calls on identical input give
-    bit-identical output, in one process or in processes that run BLAS with
-    different thread counts.
+    Deterministic for fixed input: ascending eigenvalues, as LAPACK returns
+    them, and a fixed eigenvector sign convention, so two calls on identical
+    input give bit-identical output, in one process or in processes that run
+    BLAS with different thread counts.
 
     The input is checked as ``as_sym`` checks it.  Raises ConvergenceError
     if LAPACK fails to converge, and ValueError if the input is not exactly
@@ -223,35 +205,51 @@ def eig_sym(a, cluster_tol: float | None = None) -> SpectralDecomposition:
     # two: both steps are exact, so eig_sym(2^k A) = 2^k eig_sym(A), and
     # LAPACK, which can fail to converge on a matrix of huge entries mixed
     # with tiny ones, sees the same matrix at every scale
-    shift = _pow2_exponent(work)
+    shift, work = _scaled(work)
     try:
-        diag, u = np.linalg.eigh(np.ldexp(work, -shift))
+        # LAPACK returns the eigenvalues in ascending order
+        diag, u = np.linalg.eigh(work)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
+    top = float(np.abs(diag).max(initial=0.0))
     # np.ldexp below would return inf, with only a warning, for an
     # eigenvalue past the float range
-    if math.isinf(_unscaled(float(np.abs(diag).max(initial=0.0)), shift)):
+    if math.isinf(_unscaled(top, shift)):
         raise ValueError("an eigenvalue overflows the float range")
-    order = diag.argsort(kind="stable")
-    lam = np.ldexp(diag[order], shift)
-    u = _fix_signs(u[:, order])
-    tol = default_cluster_tol(lam) if cluster_tol is None else float(cluster_tol)
+    lam = np.ldexp(diag, shift)
+    # 1e-8 relative to the largest |lambda|, so that scaling the matrix
+    # scales the tolerance with it; the zero matrix gets 0 (one cluster)
+    tol = _unscaled(1e-8 * top, shift) if cluster_tol is None else float(cluster_tol)
+    # NaN passes a plain ``< 0`` test and would merge every eigenvalue
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"cluster_tol must be finite and nonnegative, got {tol:g}")
+    # the greedy gap rule; a gap within a factor 10 of the tolerance is an
+    # ambiguous merge/split decision, and callers get its index instead of a
+    # silent choice
     values = lam.tolist()
-    # float subtraction, unlike np.diff, does not warn when a gap between
-    # eigenvalues of opposite sign overflows; an infinite gap splits correctly
-    gaps = [b - a for a, b in zip(values, values[1:])]
-    clusters, start = [], 0
-    for size in _multiplicities(gaps, tol):
-        # the mean of one value is that value; larger clusters keep np.mean
-        rep = values[start] if size == 1 else float(np.mean(lam[start : start + size]))
+    clusters, borderline, start = [], [], 0
+    for i in range(1, len(values) + 1):
+        if i < len(values):
+            # float subtraction, unlike np.diff, does not warn when a gap
+            # between eigenvalues of opposite sign overflows; an infinite
+            # gap splits correctly
+            gap = values[i] - values[i - 1]
+            if 0.1 * tol < gap <= 10.0 * tol:
+                borderline.append(i - 1)
+            if gap <= tol:
+                continue
+        # the mean of one value is that value; a larger cluster's is taken
+        # of the scaled eigenvalues, whose sum cannot overflow
+        size = i - start
+        rep = values[start] if size == 1 else _unscaled(float(np.mean(diag[start:i])), shift)
         clusters.append((rep, size))
-        start += size
+        start = i
     return SpectralDecomposition(
-        v=u.T,
+        v=_fix_signs(u).T,
         lambdas=lam,
         clusters=tuple(clusters),
         cluster_tol=tol,
-        borderline=_borderline_gaps(gaps, tol),
+        borderline=tuple(borderline),
     )
 
 
@@ -264,7 +262,9 @@ def isospectral(a, b, tol: float) -> bool:
     lb = eig_sym(b).lambdas
     if len(la) != len(lb):
         raise DimensionError(f"dimension mismatch: {len(la)} vs {len(lb)}")
-    return float(np.max(np.abs(la - lb))) <= tol
+    # spectra and tol divided by 2^s, so that la - lb cannot overflow
+    _, la, lb, tol = _scaled(la, lb, tol)
+    return bool(np.max(np.abs(la - lb)) <= tol)
 
 
 def align_basis(dec: SpectralDecomposition, target) -> SpectralDecomposition:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateProbeError, EvaluationError, MembershipError
 from .isotropy import is_member
-from .spectral import SpectralDecomposition, as_sym, eig_sym
+from .spectral import SpectralDecomposition, _scaled, _unscaled, as_sym, eig_sym
 
 MEMBERSHIP_TOL = 1e-6  # looser than the group default: the FD Hessian itself
                        # carries noise of order 1e-5 .. 1e-6
@@ -33,7 +33,9 @@ EIGENVECTOR_TOL = 1e-8
 @dataclass(frozen=True)
 class ScalarField:
     """A pure scalar map on R^n.  Evaluation must be deterministic; the
-    wrapper validates finiteness and reports the offending point."""
+    wrapper validates finiteness and reports the offending point.  This
+    module evaluates it under one ``np.errstate`` per call, not per point
+    (2.5 us each), so there overflow raises EvaluationError, not a warning."""
 
     fn: Callable[[np.ndarray], float]
     dim: int
@@ -53,7 +55,8 @@ class ScalarField:
 
 
 def default_step(x) -> float:
-    return 1e-4 * max(1.0, float(np.linalg.norm(x)))
+    shift, xs, one = _scaled(x, 1.0)
+    return _unscaled(1e-4 * max(one, float(np.linalg.norm(xs))), shift)
 
 
 def hessian_fd(f: ScalarField, x, step: float | None = None) -> np.ndarray:
@@ -68,13 +71,14 @@ def hessian_fd(f: ScalarField, x, step: float | None = None) -> np.ndarray:
     n = pt.size
     h = np.zeros((n, n))
     eye = np.eye(n)
-    for i in range(n):
-        for j in range(n):
-            ei, ej = s * eye[i], s * eye[j]
-            h[i, j] = (
-                f(pt + ei + ej) - f(pt + ei - ej) - f(pt - ei + ej) + f(pt - ei - ej)
-            ) / (4.0 * s * s)
-    return as_sym((h + h.T) / 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            for j in range(n):
+                ei, ej = s * eye[i], s * eye[j]
+                h[i, j] = (
+                    f(pt + ei + ej) - f(pt + ei - ej) - f(pt - ei + ej) + f(pt - ei - ej)
+                ) / (4.0 * s * s)
+        return as_sym((h + h.T) / 2.0)
 
 
 def hessian_decomposition(
@@ -102,16 +106,18 @@ def second_diff(f: ScalarField, x, gamma, h, hessian) -> float:
     """
     pt = np.asarray(x, dtype=float)
     g = _require_member(hessian, gamma, "gamma")
-    gh = g @ np.asarray(h, dtype=float)
-    return f(pt + gh) - 2.0 * f(pt) + f(pt - gh)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gh = g @ np.asarray(h, dtype=float)
+        return f(pt + gh) - 2.0 * f(pt) + f(pt - gh)
 
 
 def _probe_value(f: ScalarField, pt, g1, g2, h) -> float:
-    g1h = g1 @ h
-    g2h = g2 @ h
-    # grouped so that swapping g1 and g2 negates the result exactly
-    t1 = f(pt + g1h) + f(pt - g1h)
-    t2 = f(pt + g2h) + f(pt - g2h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g1h = g1 @ h
+        g2h = g2 @ h
+        # grouped so that swapping g1 and g2 negates the result exactly
+        t1 = f(pt + g1h) + f(pt - g1h)
+        t2 = f(pt + g2h) + f(pt - g2h)
     return t1 - t2
 
 
@@ -131,10 +137,12 @@ def _checked_symmetries(hessian, g1, g2, h) -> tuple[np.ndarray, np.ndarray, np.
             stacklevel=3,
         )
         return g1, g2, h
-    hn = float(np.linalg.norm(h))
     # the two arms coincide whenever gamma1 h = +/- gamma2 h, e.g. when h is
-    # a shared eigenvector of both symmetries; the value then cancels
-    g1h, g2h = g1 @ h, g2 @ h
+    # a shared eigenvector of both symmetries; the value then cancels.  The
+    # test is homogeneous in h, so it is made on h / 2^s
+    _, hs = _scaled(h)
+    hn = float(np.linalg.norm(hs))
+    g1h, g2h = g1 @ hs, g2 @ hs
     if hn > 0.0 and (
         float(np.linalg.norm(g1h - g2h)) <= EIGENVECTOR_TOL * hn
         or float(np.linalg.norm(g1h + g2h)) <= EIGENVECTOR_TOL * hn

@@ -15,6 +15,7 @@ from orthosym.isotropy import (
     conjugate,
     gamma2_elements,
     is_member,
+    orthogonality_residual,
     rotate_basis,
     sample_block_orthogonal,
     sample_gamma,
@@ -458,3 +459,15 @@ def test_residuals_of_a_huge_candidate_without_a_warning():
     assert not is_member(a, g)
     assert commutator_residual(a, g) == pytest.approx(math.sqrt(12.0) * 1e300, rel=1e-12)
     assert commutator_residual(np.diag([1e308, -1e308]), [[0.0, 1e300], [1e300, 0.0]]) == math.inf
+
+
+def test_residuals_of_a_tiny_matrix_are_scaled_up():
+    # the squares of entries near 1e-170 underflow unless the matrix is
+    # scaled up first: the commutator residual read 0.0
+    a = np.array([[1e-170, 2e-170], [2e-170, 0.0]])
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert commutator_residual(a, swap) == pytest.approx(math.sqrt(2.0) * 1e-170, rel=1e-12, abs=0.0)
+    # the I of G G^T - I and the tol of tol * max(1, ||A||_F) are scaled
+    # with G and A, so 2^-s cannot overflow for a tiny G or A
+    assert orthogonality_residual(1e-200 * np.eye(2)) == pytest.approx(math.sqrt(2.0), rel=1e-12)
+    assert is_member(np.diag([5e-324, 1e-320]), swap)

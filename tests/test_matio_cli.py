@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -474,6 +475,46 @@ def test_cli_isotropy_check_of_a_huge_candidate(capsys, a0_file, tmp_path):
     assert run_capture(capsys, argv + ["--format", "text"]) == (0, "member: False\n", "")
 
 
+def test_cli_isotropy_check_of_a_tiny_matrix(capsys, tmp_path):
+    # the squares of 1e-170 underflow: the residual was printed as 0.0
+    a, g = tmp_path / "tiny.txt", tmp_path / "swap.txt"
+    a.write_text("1e-170 2e-170\n2e-170 0\n")
+    g.write_text("0 1\n1 0\n")
+    code, out, _ = run_capture(capsys, ["isotropy", "check", "--input", str(a), "--candidate", str(g)])
+    assert code == 0
+    assert json.loads(out)["commutator_residual"] == pytest.approx(math.sqrt(2.0) * 1e-170, rel=1e-12, abs=0.0)
+
+
+def test_cli_eig_of_a_repeated_eigenvalue_near_the_float_maximum(capsys, tmp_path):
+    # the cluster mean overflowed: a warning, then exit 1 for a JSON inf
+    path = tmp_path / "big.txt"
+    path.write_text("1.7e308 0\n0 1.7e308\n")
+    code, out, err = run_capture(capsys, ["eig", "--input", str(path)])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["clusters"] == [[1.7e308, 2]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--x=0,0,0", "--h=0,0,1.7e308"],
+        ["--x=0,0,1.7e308", "--h=0.1,0.1,0.1"],
+        ["--x=0,0,0", "--h=0.1,0.1,0.1", "--step=1.7e308"],
+    ],
+    ids=["h", "x", "step"],
+)
+def test_cli_stencil_field_overflow_is_a_numerical_failure(argv):
+    # the field is not finite at these points: exit 2 naming the point, with
+    # no numpy warning.  Before, ||h|| overflowed and warned that h is
+    # mapped to the same points by both symmetries, and ||x|| overflowed
+    # into an infinite default step, reported as a bad --step (exit 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_quiet(["stencil", "probe", "--function", "quadratic", "--levels", "3", *argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("numerical failure: non-finite value")
+
+
 def test_cli_procrustes_family(capsys, tmp_path):
     a = tmp_path / "a.txt"
     a.write_text("2 1 0\n1 3 1\n0 1 4\n")
@@ -817,7 +858,7 @@ def test_json_output_refuses_non_finite_numbers(monkeypatch, capsys, a0_file):
 # ------------------------------------------------------------------ fuzzing
 
 _NUMBERS = ["0", "1", "-1", "2.5", "0.5", "3", "1e-3"]
-_ODD = ["inf", "-inf", "nan", "1e400", "5e-324", "-0.0", "junk", "1,"]
+_ODD = ["inf", "-inf", "nan", "1e400", "5e-324", "-0.0", "junk", "1,", "1.7e308", "-1.7e308", "1e300", "1e-170"]
 _tokens = st.sampled_from(_NUMBERS + _ODD)
 
 

@@ -162,6 +162,13 @@ def test_isospectral_path_vs_star():
         np.testing.assert_allclose(eig_sym(adj).lambdas, roots, atol=1e-8)
 
 
+def test_isospectral_of_spectra_near_the_float_maximum():
+    # the difference of the two spectra is past the float range; it is
+    # taken of both divided by one power of two, without a warning
+    assert not isospectral([[1.7e308]], [[-1.7e308]], 1.0)
+    assert isospectral([[1.7e308]], [[1.7e308]], 0.0)
+
+
 def test_isospectral_rejects_a_non_finite_or_negative_tol():
     # a NaN tol would reject every pair, and an infinite one would accept
     # eye(2) against 5 * eye(2)
@@ -180,6 +187,8 @@ def test_cost_and_lower_bound_of_entries_near_1e300():
     assert cost(a, b, np.eye(2)) == sol.cost
     big = np.diag([1e308, 1.5e308])
     assert cost(big, -big, np.eye(2)) == math.inf
+    # P is scaled on its own: its products with A and B overflowed
+    assert cost(np.eye(2), 2.0 * np.eye(2), 1e308 * np.eye(2)) == pytest.approx(math.sqrt(2.0) * 1e308, rel=1e-12)
     for s in family_sample(a, b, seed=MASTER_SEED, count=3):
         assert s.lower_bound == sol.lower_bound
         assert s.cost == pytest.approx(sol.cost, rel=1e-12)

@@ -289,6 +289,9 @@ def test_eig_of_entries_near_the_float_maximum():
     dec = eig_sym(np.diag([1.7e308, 1.0]))
     assert dec.lambdas.tolist() == [1.0, 1.7e308]
     assert dec.multiplicities == (1, 1)
+    # a repeated eigenvalue's mean is taken of the scaled eigenvalues; the
+    # sum of the unscaled ones overflowed
+    assert eig_sym(np.diag([1.7e308, 1.7e308])).clusters == ((1.7e308, 2),)
 
 
 def test_eig_rejects_a_symmetrisation_that_overflows():
