@@ -8,15 +8,15 @@ Procrustes problem, graph symmetry detection, fourth-order Taylor probes,
 and the equilibrium structure of an equivariant model ODE.
 """
 
-# ``cli`` is left to load on demand: imported here, it would already be in
-# sys.modules when ``python -m orthosym.cli`` runs it, and runpy warns
-from . import dynsys, fixtures, graphsym, isotropy, matio, procrustes, spectral, stencil, verify
+# Only the errors and the spectral primitive load with the package.  Every
+# other name in ``__all__`` loads on first access (PEP 562), so a one-shot
+# ``orthosym <subcommand>`` compiles only the modules it runs.  ``cli`` must
+# stay lazy in any case: imported here, it would already be in sys.modules
+# when ``python -m orthosym.cli`` runs it, and runpy warns.
+from importlib import import_module
+
 from .errors import OrthosymError
-from .graphsym import Graph, Permutation
-from .isotropy import BlockOrthogonal
-from .procrustes import ProcrustesSolution
 from .spectral import SpectralDecomposition, SymMatrix, eig_sym
-from .stencil import ScalarField
 
 __version__ = "0.1.0"
 
@@ -42,3 +42,28 @@ __all__ = [
     "stencil",
     "verify",
 ]
+
+# the module that defines each lazily loaded class
+_CLASS_HOME = {
+    "BlockOrthogonal": "isotropy",
+    "Graph": "graphsym",
+    "Permutation": "graphsym",
+    "ProcrustesSolution": "procrustes",
+    "ScalarField": "stencil",
+}
+
+
+def __getattr__(name):
+    if name in _CLASS_HOME:
+        value = getattr(import_module(f".{_CLASS_HOME[name]}", __name__), name)
+    elif name in __all__:
+        # importing a submodule binds it in this namespace as well
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import dynsys, graphsym, isotropy, matio, procrustes, spectral, stencil, verify
+from . import spectral
 from .errors import (
     ConvergenceError,
     DegenerateProbeError,
@@ -67,24 +67,28 @@ def _write(args, pieces):
 
 
 def _emit(args, payload, text, table=None):
-    """Render one result.  ``text`` is a human-readable string, ``table``
-    (header, rows) for csv; json is always available."""
+    """Render one result in the requested format.  Each form is a function
+    of no arguments, and only the requested one is called: ``payload()``
+    gives the json value, ``text()`` a human-readable string and
+    ``table()`` (header, rows) for csv; a None table means no csv form."""
     fmt = args.format
     if fmt == "json":
-        out = json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
+        out = json.dumps(payload(), sort_keys=True, allow_nan=False) + "\n"
     elif fmt == "csv":
         if table is None:
             raise _UsageError(f"subcommand {args.command!r} has no csv form")
-        header, rows = table
+        header, rows = table()
         lines = [",".join(header)]
         lines += [",".join(str(c) for c in row) for row in rows]
         out = "\n".join(lines) + "\n"
     else:
-        out = text + "\n"
+        out = text() + "\n"
     _write(args, (out,))
 
 
 def _load_sym(path) -> np.ndarray:
+    from . import matio
+
     return spectral.as_sym(matio.parse_matrix(path))
 
 
@@ -96,21 +100,28 @@ def _mat(a) -> list:
 
 def _cmd_eig(args):
     dec = spectral.eig_sym(_load_sym(args.input), cluster_tol=args.cluster_tol)
-    payload = {
-        "lambdas": _mat(dec.lambdas),
-        "clusters": [[rep, m] for rep, m in dec.clusters],
-        "multiplicities": list(dec.multiplicities),
-        "borderline_gaps": list(dec.borderline),
-        "v": _mat(dec.v),
-    }
-    labels = np.repeat(np.arange(len(dec.clusters)), dec.multiplicities)
-    table = (
-        ("index", "lambda", "cluster"),
-        [(i, repr(float(l)), int(c)) for i, (l, c) in enumerate(zip(dec.lambdas, labels))],
-    )
-    text = "eigenvalues: " + " ".join(repr(float(x)) for x in dec.lambdas) + (
-        f"\nmultiplicities: {list(dec.multiplicities)}"
-    )
+
+    def payload():
+        return {
+            "lambdas": _mat(dec.lambdas),
+            "clusters": [[rep, m] for rep, m in dec.clusters],
+            "multiplicities": list(dec.multiplicities),
+            "borderline_gaps": list(dec.borderline),
+            "v": _mat(dec.v),
+        }
+
+    def table():
+        labels = np.repeat(np.arange(len(dec.clusters)), dec.multiplicities)
+        return (
+            ("index", "lambda", "cluster"),
+            [(i, repr(float(l)), int(c)) for i, (l, c) in enumerate(zip(dec.lambdas, labels))],
+        )
+
+    def text():
+        return "eigenvalues: " + " ".join(repr(float(x)) for x in dec.lambdas) + (
+            f"\nmultiplicities: {list(dec.multiplicities)}"
+        )
+
     _emit(args, payload, text, table)
     return EXIT_OK
 
@@ -162,6 +173,8 @@ def _gamma2_json(elements, multiplicities):
 
 
 def _cmd_isotropy(args):
+    from . import isotropy
+
     a = _load_sym(args.input)
     dec = spectral.eig_sym(a, cluster_tol=args.cluster_tol)
     if args.action == "gamma2":
@@ -169,7 +182,7 @@ def _cmd_isotropy(args):
         if args.format == "json":
             _write(args, _gamma2_json(isotropy.gamma2_elements(dec), dec.multiplicities))
         else:
-            _emit(args, None, f"{count} sign-group elements")
+            _emit(args, None, lambda: f"{count} sign-group elements")
     elif args.action == "sample":
         if args.count < 0:
             raise _UsageError(f"count must be nonnegative, got {args.count}")
@@ -184,94 +197,129 @@ def _cmd_isotropy(args):
                     "commutator_residual": isotropy.commutator_residual(a, g),
                 }
             )
-        payload = {"count": len(samples), "elements": samples}
-        _emit(args, payload, f"{len(samples)} sampled symmetries")
+        _emit(
+            args,
+            lambda: {"count": len(samples), "elements": samples},
+            lambda: f"{len(samples)} sampled symmetries",
+        )
     else:  # check
+        from . import matio
+
         g = matio.parse_matrix(args.candidate)
-        member = isotropy.is_member(dec, g, tol=args.tol)
-        payload = {
-            "member": member,
-            "tol": args.tol,
-            "orthogonality_residual": isotropy.orthogonality_residual(g),
-            "commutator_residual": isotropy.commutator_residual(a, g),
-        }
-        _emit(args, payload, f"member: {member}")
+        tol = isotropy.MEMBER_TOL if args.tol is None else args.tol
+        member = isotropy.is_member(dec, g, tol=tol)
+        # taken in every format, so that an error they raise does not depend
+        # on the format
+        orth = isotropy.orthogonality_residual(g)
+        comm = isotropy.commutator_residual(a, g)
+        _emit(
+            args,
+            lambda: {
+                "member": member,
+                "tol": tol,
+                "orthogonality_residual": orth,
+                "commutator_residual": comm,
+            },
+            lambda: f"member: {member}",
+        )
     return EXIT_OK
 
 
 # --------------------------------------------------------------- procrustes
 
 def _cmd_procrustes(args):
+    from . import procrustes
+
     a = _load_sym(args.input_a)
     b = _load_sym(args.input_b)
     if args.action == "solve":
         sol = procrustes.solve(a, b, order=args.order)
-        payload = {
-            "p": _mat(sol.p),
-            "cost": sol.cost,
-            "lower_bound": sol.lower_bound,
-            "order": args.order,
-        }
-        _emit(args, payload, f"cost: {sol.cost!r}\nlower bound: {sol.lower_bound!r}")
+        _emit(
+            args,
+            lambda: {
+                "p": _mat(sol.p),
+                "cost": sol.cost,
+                "lower_bound": sol.lower_bound,
+                "order": args.order,
+            },
+            lambda: f"cost: {sol.cost!r}\nlower bound: {sol.lower_bound!r}",
+        )
     else:  # family
         sols = procrustes.family_sample(a, b, derive_seed(args.seed, 0), args.count)
-        payload = {
-            "count": len(sols),
-            "lower_bound": sols[0].lower_bound if sols else None,
-            "solutions": [{"p": _mat(s.p), "cost": s.cost} for s in sols],
-        }
-        costs = [s.cost for s in sols]
-        _emit(args, payload, f"{len(sols)} solutions, costs {costs}")
+        _emit(
+            args,
+            lambda: {
+                "count": len(sols),
+                "lower_bound": sols[0].lower_bound if sols else None,
+                "solutions": [{"p": _mat(s.p), "cost": s.cost} for s in sols],
+            },
+            lambda: f"{len(sols)} solutions, costs {[s.cost for s in sols]}",
+        )
     return EXIT_OK
 
 
 # -------------------------------------------------------------------- graph
 
 def _cmd_graph(args):
+    from . import graphsym, matio
+
     if args.action == "iso":
         ga = matio.parse_graph(args.input_a)
         gb = matio.parse_graph(args.input_b)
         perm = graphsym.find_isomorphism(ga, gb)
-        payload = {
-            "isomorphic": perm is not None,
-            "mapping": list(perm.mapping) if perm is not None else None,
-        }
-        _emit(args, payload, f"isomorphic: {perm is not None}")
+        _emit(
+            args,
+            lambda: {
+                "isomorphic": perm is not None,
+                "mapping": list(perm.mapping) if perm is not None else None,
+            },
+            lambda: f"isomorphic: {perm is not None}",
+        )
         return EXIT_OK
     graph = matio.parse_graph(args.input)
     if args.action == "spectrum":
         dec = graphsym.adjacency_decomposition(graph, cluster_tol=args.cluster_tol)
-        payload = {
-            "n": graph.n,
-            "edges": graph.edges(),
-            "lambdas": _mat(dec.lambdas),
-            "multiplicities": list(dec.multiplicities),
-        }
-        _emit(args, payload, f"lambdas: {_mat(dec.lambdas)}\nm: {list(dec.multiplicities)}")
+        _emit(
+            args,
+            lambda: {
+                "n": graph.n,
+                "edges": graph.edges(),
+                "lambdas": _mat(dec.lambdas),
+                "multiplicities": list(dec.multiplicities),
+            },
+            lambda: f"lambdas: {_mat(dec.lambdas)}\nm: {list(dec.multiplicities)}",
+        )
     elif args.action == "aut":
-        perms = graphsym.automorphisms(graph, limit=args.limit)
-        payload = {
-            "count": len(perms),
-            "automorphisms": [list(p.mapping) for p in perms],
-        }
-        _emit(args, payload, f"{len(perms)} automorphisms")
+        limit = graphsym.DEFAULT_AUT_LIMIT if args.limit is None else args.limit
+        perms = graphsym.automorphisms(graph, limit=limit)
+        _emit(
+            args,
+            lambda: {"count": len(perms), "automorphisms": [list(p.mapping) for p in perms]},
+            lambda: f"{len(perms)} automorphisms",
+        )
     else:  # hidden
+        from . import isotropy
+
         g = graphsym.hidden_symmetry_sample(graph, derive_seed(args.seed, 0))
         perm = graphsym.is_permutation(g)
-        payload = {
-            "gamma": _mat(g),
-            "commutator_residual": isotropy.commutator_residual(
-                graph.adjacency.astype(float), g
-            ),
-            "permutation": list(perm.mapping) if perm is not None else None,
-        }
-        _emit(args, payload, "sampled hidden symmetry")
+        residual = isotropy.commutator_residual(graph.adjacency.astype(float), g)
+        _emit(
+            args,
+            lambda: {
+                "gamma": _mat(g),
+                "commutator_residual": residual,
+                "permutation": list(perm.mapping) if perm is not None else None,
+            },
+            lambda: "sampled hidden symmetry",
+        )
     return EXIT_OK
 
 
 # ------------------------------------------------------------------ stencil
 
-def _pick_field(name: str) -> stencil.ScalarField:
+def _pick_field(name: str):
+    from . import stencil
+
     try:
         return stencil.BUILTIN_FIELDS[name]
     except KeyError:
@@ -280,6 +328,8 @@ def _pick_field(name: str) -> stencil.ScalarField:
 
 
 def _sample_nontrivial_gamma(dec, root_seed):
+    from . import isotropy
+
     # skip +/-identity draws: the probe cancels identically on them
     n = dec.n
     for k in range(64):
@@ -293,6 +343,8 @@ def _sample_nontrivial_gamma(dec, root_seed):
 
 
 def _cmd_stencil(args):
+    from . import stencil
+
     f = _pick_field(args.function)
     x = _parse_vector(args.x)
     h = _parse_vector(args.h)
@@ -304,24 +356,30 @@ def _cmd_stencil(args):
         f, x, g1, g2, h, levels=args.levels, hessian=hess
     )
     if args.action == "probe":
-        payload = {
-            "function": args.function,
-            "x": _mat(x),
-            "h": _mat(h),
-            "value": values[0],
-            "slope": slope,
-            "gammas": [_mat(g1), _mat(g2)],
-        }
-        _emit(args, payload, f"value: {values[0]!r}\nslope: {slope!r}")
+        _emit(
+            args,
+            lambda: {
+                "function": args.function,
+                "x": _mat(x),
+                "h": _mat(h),
+                "value": values[0],
+                "slope": slope,
+                "gammas": [_mat(g1), _mat(g2)],
+            },
+            lambda: f"value: {values[0]!r}\nslope: {slope!r}",
+        )
     else:  # order
-        payload = {
-            "function": args.function,
-            "levels": args.levels,
-            "slope": slope,
-            "values": values,
-            "gammas": [_mat(g1), _mat(g2)],
-        }
-        _emit(args, payload, f"slope: {slope!r}")
+        _emit(
+            args,
+            lambda: {
+                "function": args.function,
+                "levels": args.levels,
+                "slope": slope,
+                "values": values,
+                "gammas": [_mat(g1), _mat(g2)],
+            },
+            lambda: f"slope: {slope!r}",
+        )
     return EXIT_OK
 
 
@@ -337,92 +395,112 @@ def _component_payload(c) -> dict:
 
 
 def _cmd_dynsys(args):
+    from . import dynsys
+
     if args.action == "equilibria":
         eq = dynsys.equilibria(args.mu)
-        payload = {
-            "mu": args.mu,
-            "lambdas": _mat(eq.lambdas),
-            "components": [_component_payload(c) for c in eq.components],
-        }
-        table = (
-            ("kind", "radius"),
-            [(c.kind, repr(float(c.radius))) for c in eq.components],
+        _emit(
+            args,
+            lambda: {
+                "mu": args.mu,
+                "lambdas": _mat(eq.lambdas),
+                "components": [_component_payload(c) for c in eq.components],
+            },
+            lambda: "\n".join(f"{c.kind}: radius {c.radius!r}" for c in eq.components),
+            lambda: (
+                ("kind", "radius"),
+                [(c.kind, repr(float(c.radius))) for c in eq.components],
+            ),
         )
-        text = "\n".join(f"{c.kind}: radius {c.radius!r}" for c in eq.components)
-        _emit(args, payload, text, table)
     elif args.action == "sweep":
         rows = dynsys.sweep(args.mu_from, args.mu_to, args.samples)
-        payload = {
-            "rows": [
-                {
-                    "mu": r.mu,
-                    "lambdas": list(r.lambdas),
-                    "components": [{"kind": k, "radius": rad} for k, rad in r.components],
-                    "transition": r.transition,
-                }
-                for r in rows
-            ]
-        }
-        table = (
-            ("mu", "lambda1", "lambda2", "lambda3", "components", "transition"),
-            [
-                (
-                    repr(r.mu),
-                    repr(r.lambdas[0]),
-                    repr(r.lambdas[1]),
-                    repr(r.lambdas[2]),
-                    "|".join(f"{k}:{rad!r}" for k, rad in r.components),
-                    int(r.transition),
-                )
-                for r in rows
-            ],
-        )
-        transitions = [repr(r.mu) for r in rows if r.transition]
-        text = f"{len(rows)} rows; transitions near mu = {', '.join(transitions)}"
+
+        def payload():
+            return {
+                "rows": [
+                    {
+                        "mu": r.mu,
+                        "lambdas": list(r.lambdas),
+                        "components": [{"kind": k, "radius": rad} for k, rad in r.components],
+                        "transition": r.transition,
+                    }
+                    for r in rows
+                ]
+            }
+
+        def table():
+            return (
+                ("mu", "lambda1", "lambda2", "lambda3", "components", "transition"),
+                [
+                    (
+                        repr(r.mu),
+                        repr(r.lambdas[0]),
+                        repr(r.lambdas[1]),
+                        repr(r.lambdas[2]),
+                        "|".join(f"{k}:{rad!r}" for k, rad in r.components),
+                        int(r.transition),
+                    )
+                    for r in rows
+                ],
+            )
+
+        def text():
+            transitions = [repr(r.mu) for r in rows if r.transition]
+            return f"{len(rows)} rows; transitions near mu = {', '.join(transitions)}"
+
         _emit(args, payload, text, table)
     else:  # integrate
         x0 = _parse_vector(args.x0)
         traj = dynsys.integrate(x0, args.mu, dt=args.dt, steps=args.steps)
         terminal = traj[-1]
         residual = float(np.linalg.norm(dynsys.rhs(terminal, args.mu)))
-        payload = {
-            "mu": args.mu,
-            "dt": args.dt,
-            "steps": args.steps,
-            "terminal": _mat(terminal),
-            "terminal_residual": residual,
-            "trajectory": _mat(traj),
-        }
-        table = (
-            ("step", "t", "x1", "x2", "x3"),
-            [
-                (k, repr(k * args.dt), repr(p[0]), repr(p[1]), repr(p[2]))
-                for k, p in enumerate(traj)
-            ],
-        )
-        text = f"terminal: {_mat(terminal)}\nresidual: {residual!r}"
-        _emit(args, payload, text, table)
+
+        def payload():
+            return {
+                "mu": args.mu,
+                "dt": args.dt,
+                "steps": args.steps,
+                "terminal": _mat(terminal),
+                "terminal_residual": residual,
+                "trajectory": _mat(traj),
+            }
+
+        def table():
+            return (
+                ("step", "t", "x1", "x2", "x3"),
+                [
+                    (k, repr(k * args.dt), repr(p[0]), repr(p[1]), repr(p[2]))
+                    for k, p in enumerate(traj)
+                ],
+            )
+
+        _emit(args, payload, lambda: f"terminal: {_mat(terminal)}\nresidual: {residual!r}", table)
     return EXIT_OK
 
 
 # ----------------------------------------------------------------- fixtures
 
 def _cmd_fixtures(args):
+    from . import verify
+
     results = verify.run_all()
-    payload = {
-        "passed": sum(r.passed for r in results),
-        "total": len(results),
-        "results": [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "measure": r.measure,
-                "limit": r.limit,
-            }
-            for r in results
-        ],
-    }
-    _emit(args, payload, verify.render_table(results))
+    _emit(
+        args,
+        lambda: {
+            "passed": sum(r.passed for r in results),
+            "total": len(results),
+            "results": [
+                {
+                    "name": r.name,
+                    "passed": r.passed,
+                    "measure": r.measure,
+                    "limit": r.limit,
+                }
+                for r in results
+            ],
+        },
+        lambda: verify.render_table(results),
+    )
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
 
 
@@ -446,7 +524,7 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--candidate", help="matrix to test for membership (check)")
     p.add_argument("--count", type=int, default=1)
-    p.add_argument("--tol", type=float, default=isotropy.MEMBER_TOL)
+    p.add_argument("--tol", type=float, default=None)  # None: isotropy.MEMBER_TOL
     p.add_argument("--cluster-tol", type=float, default=None)
     p.set_defaults(handler=_cmd_isotropy)
 
@@ -463,7 +541,7 @@ def build_parser() -> _Parser:
     p.add_argument("--input")
     p.add_argument("--input-a")
     p.add_argument("--input-b")
-    p.add_argument("--limit", type=int, default=graphsym.DEFAULT_AUT_LIMIT)
+    p.add_argument("--limit", type=int, default=None)  # None: graphsym.DEFAULT_AUT_LIMIT
     p.add_argument("--cluster-tol", type=float, default=None)
     p.set_defaults(handler=_cmd_graph)
 

@@ -172,7 +172,7 @@ def integrate(x0, mu: float, dt: float = 1e-2, steps: int = 10000) -> np.ndarray
             k3 = f(x + 0.5 * dt * k2)
             k4 = f(x + dt * k3)
             x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(x)):
+            if not np.isfinite(x).all():
                 raise DivergenceError(
                     f"trajectory diverged at step {k + 1}", step=k + 1
                 )

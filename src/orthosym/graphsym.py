@@ -238,8 +238,11 @@ def automorphisms(graph: Graph, limit: int = DEFAULT_AUT_LIMIT) -> list[Permutat
     order, as placing one image at a time (exact for any n, practical at
     desk scale).  It has no recursion limit, and its stack holds at most
     2^20 + n(n + 1)/2 int32 images.  Aborts with LimitExceededError
-    if more than ``limit`` automorphisms exist.
+    if more than ``limit`` automorphisms exist, and with ValueError if
+    ``limit`` is negative.
     """
+    if limit < 0:
+        raise ValueError(f"limit must be nonnegative, got {limit}")
     maps = _search_maps(graph.adjacency, graph.adjacency, limit, first_only=False)
     return [Permutation(m) for m in sorted(maps)]
 

@@ -115,11 +115,13 @@ def _by_size(m: tuple[int, ...], items) -> dict[int, list]:
 
 def _check_orthogonal(m: tuple[int, ...], stacks: dict[int, np.ndarray]) -> None:
     """Raise for the first block in m order, of the blocks stacked by size,
-    that is not orthogonal."""
+    that is not orthogonal.  A block far from orthogonal may overflow the
+    residual; an infinite or NaN residual counts as not orthogonal."""
     failed = {}
     for size, stack in stacks.items():
-        err = np.linalg.norm(stack @ stack.transpose(0, 2, 1) - np.eye(size), axis=(1, 2))
-        failed[size] = err > _BLOCK_ORTH_TOL * size
+        with np.errstate(over="ignore", invalid="ignore"):
+            err = np.linalg.norm(stack @ stack.transpose(0, 2, 1) - np.eye(size), axis=(1, 2))
+        failed[size] = ~(err <= _BLOCK_ORTH_TOL * size)
     if any(f.any() for f in failed.values()):
         rows = {s: iter(f) for s, f in failed.items()}
         size = next(s for s in m if next(rows[s]))

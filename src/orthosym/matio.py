@@ -10,11 +10,14 @@ emit/parse cycle reproduces every entry exactly.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InputFormatError
-from .graphsym import Graph
+
+if TYPE_CHECKING:
+    from .graphsym import Graph
 
 
 def _read_lines(source) -> list[tuple[int, str]]:
@@ -69,6 +72,9 @@ def parse_graph(source) -> Graph:
     A square 0/1 symmetric zero-diagonal block of numbers is read as an
     adjacency matrix; anything else is read as an edge list of "u v" lines.
     """
+    # imported here, so that reading a matrix does not load the graph search
+    from .graphsym import Graph
+
     lines = _read_lines(source)
     if not lines:
         raise InputFormatError("no graph data found (file empty?)")

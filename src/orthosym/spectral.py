@@ -9,7 +9,6 @@ clusters by a greedy gap rule.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -137,6 +136,8 @@ class SpectralDecomposition:
 
     @cached_property
     def decomposition_id(self) -> str:
+        import hashlib  # only here: it costs a few ms of every start
+
         h = hashlib.sha256()
         h.update(self.v.tobytes())
         h.update(self.lambdas.tobytes())

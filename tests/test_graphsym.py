@@ -91,6 +91,10 @@ def test_complete_graph_automorphisms():
 def test_automorphism_limit():
     with pytest.raises(LimitExceededError):
         automorphisms(K4, limit=10)
+    assert len(automorphisms(K4, limit=24)) == 24
+    # a negative limit was "more than -1 automorphisms found"
+    with pytest.raises(ValueError, match="^limit must be nonnegative, got -1$"):
+        automorphisms(K4, limit=-1)
 
 
 def test_backtracking_agrees_with_brute_force():

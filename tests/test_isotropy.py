@@ -83,6 +83,15 @@ def test_block_orthogonal_names_the_first_of_two_non_orthogonal_blocks():
         BlockOrthogonal((3, 2, 3), (np.eye(3), skew, 2.0 * np.eye(3)))
 
 
+def test_block_orthogonal_rejects_a_block_whose_residual_is_not_finite():
+    # Q Q^T of 1e200 I overflows to an infinite residual (which warned
+    # before the error); a NaN entry gives a NaN residual, which passed the
+    # old ``residual > tol`` test as orthogonal
+    for block in (1e200 * np.eye(2), np.diag([np.nan, 1.0]), np.diag([np.inf, 1.0])):
+        with pytest.raises(StructureError, match=r"^block of size 2 is not orthogonal$"):
+            BlockOrthogonal((2,), (block,))
+
+
 def test_block_orthogonal_compose_full():
     m = (1, 2)
     rng = np.random.default_rng(MASTER_SEED)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -646,6 +647,23 @@ def test_cli_integrate(capsys):
     assert payload["terminal_residual"] < 1.0
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_emit_renders_only_the_requested_format(capsys, fmt):
+    called = []
+
+    def form(name, value):
+        def render():
+            called.append(name)
+            return value
+
+        return render
+
+    args = argparse.Namespace(format=fmt, output=None, command="eig")
+    cli._emit(args, form("json", {"a": 1}), form("text", "t"), form("csv", (("a",), [(1,)])))
+    assert called == [fmt]
+    assert capsys.readouterr().out == {"json": '{"a": 1}\n', "csv": "a\n1\n", "text": "t\n"}[fmt]
+
+
 def test_cli_csv_unsupported(capsys, a0_file):
     code, _, err = run_capture(
         capsys, ["isotropy", "gamma2", "--input", a0_file, "--format", "csv"]
@@ -828,6 +846,17 @@ def test_option_out_of_range_is_an_input_error(diag21_files, argv, message):
     code, out, err = run_quiet([files.get(arg, arg) for arg in argv])
     assert (code, out) == (1, "")
     assert message in err
+
+
+def test_cli_graph_aut_rejects_a_negative_limit(diag21_files):
+    edge = str(diag21_files / "edge.txt")
+    code, out, err = run_quiet(["graph", "aut", "--input", edge, "--limit", "-1"])
+    assert (code, out, err) == (1, "", "error: limit must be nonnegative, got -1\n")
+    assert run_quiet(["graph", "aut", "--input", edge, "--limit", "0"])[0] == 1
+    assert run_quiet(["graph", "aut", "--input", edge, "--limit", "2"])[:2] == (
+        0,
+        '{"automorphisms": [[0, 1], [1, 0]], "count": 2}\n',
+    )
 
 
 def test_library_rules_reject_non_finite_values():
