@@ -132,37 +132,76 @@ def _cmd_eig(args):
 _GAMMA2_BLOCK = 256
 
 
-def _gamma2_json(elements, multiplicities):
-    """The bytes of ``json.dumps({"count": 2^n, "elements": [{"index": k,
-    "gamma": elements[k]}, ...], "multiplicities": [...]}, sort_keys=True)``
-    plus a newline, as an iterator of pieces of ``_GAMMA2_BLOCK`` elements.
+@functools.cache
+def _separators(n):
+    """What goes before entry j of an n x n element of gamma2 JSON, at 2j
+    without and at 2j + 1 with a minus sign (no repr of a negative value is
+    kept: that would double the table), and the 2j."""
+    row = ["], ["] + [", "] * (n - 1)
+    before = [s + m for s in [""] + row[1:] + row * (n - 1) for m in ("", "-")]
+    tables = np.array(before, dtype=object), 2 * np.arange(n * n)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
-    Most entries of the sign group repeat (-I is in it, so element
-    2^n - 1 - k is minus element k, and every element is symmetric), so
-    ``float.__repr__``, which json uses for a finite float, runs once per
-    distinct magnitude, and "-" goes in front wherever the sign bit is set:
-    ``repr(-x) == "-" + repr(x)`` for every finite x, -0.0 included.  The
-    tables are built before this returns, so a failure writes nothing."""
-    count, n = elements.shape[:2]
-    flat = np.abs(elements).reshape(-1)
-    mags, codes = np.unique(flat.view(np.uint64), return_inverse=True)
-    tokens = np.array(list(map(float.__repr__, mags.view(np.float64).tolist())), dtype=object)
-    codes = codes.reshape(count, n * n)
-    negative = np.signbit(elements).reshape(count, n * n)
-    # what goes before entry j of an element, without and with a minus sign
-    # (no repr of a negative value is kept: that would double the table)
-    before = np.full(n * n, ", ", dtype=object)
-    before[::n] = "], ["
-    before[0] = ""
-    before = np.stack([before, before + "-"], axis=1).reshape(-1)
-    slot = 2 * np.arange(n * n)
+
+def _unique_codes(values):
+    """``np.unique(values, return_inverse=True)`` for an array of finite
+    floats that are not negative, without np.unique's fixed cost, and with
+    the codes as int32 in the shape of ``values``."""
+    flat = values.reshape(-1).view(np.uint64)
+    order = np.argsort(flat)
+    ranked = flat[order]
+    fresh = np.empty(len(ranked), dtype=bool)
+    fresh[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=fresh[1:])
+    codes = np.empty(values.shape, dtype=np.int32)
+    codes.reshape(-1)[order] = np.cumsum(fresh) - 1
+    return ranked[fresh].view(np.float64), codes
+
+
+def _gamma2_json(elements, count, multiplicities):
+    """The bytes of ``json.dumps({"count": count, "elements": [{"index": k,
+    "gamma": elements([k])[0]}, ...], "multiplicities": [...]},
+    sort_keys=True)`` plus a newline, as an iterator of pieces of
+    ``_GAMMA2_BLOCK`` elements.  ``elements(indices)`` gives the elements at
+    those indices as one stacked array; element count - 1 - k must have the
+    magnitudes of element k bit for bit, as in the sign group, which holds
+    -I, under sign-symmetric IEEE rounding.
+
+    So ``float.__repr__``, which json uses for a finite float, runs once per
+    distinct magnitude of the first half of the elements, and element
+    count - 1 - k is written with the codes of element k into that table.
+    "-" goes in front wherever an element's own sign bit is set:
+    ``repr(-x) == "-" + repr(x)`` for every finite x, -0.0 included.
+    Element k's sign bits, flipped, would not do: an entry that cancels
+    exactly is +0.0 in both elements.  So the second half is computed
+    again, one piece at a time, for its sign bits only.  The first half's
+    tables are built before this returns, so a failure there writes
+    nothing."""
+    half = count // 2
+    # a first piece that spans both halves comes from the same product
+    first = elements(np.arange(max(half, min(count, _GAMMA2_BLOCK))))
+    n = first.shape[1]
+    negative = np.signbit(first).reshape(len(first), n * n)
+    mags, codes = _unique_codes(np.abs(first[:half]).reshape(half, n * n))
+    del first  # the tokens below are the peak of the call
+    tokens = np.array(list(map(float.__repr__, mags.tolist())), dtype=object)
+    # the row of codes that element k is written with
+    rows = np.arange(count)
+    rows = np.minimum(rows, rows[::-1])
+    before, slot = _separators(n)
     tail = f'}}], "multiplicities": {json.dumps(list(multiplicities))}}}\n'
 
     def block(lo):
         hi = min(lo + _GAMMA2_BLOCK, count)
+        signs = negative[lo:hi]
+        if len(signs) < hi - lo:
+            rest = elements(np.arange(lo + len(signs), hi))
+            signs = np.concatenate([signs, np.signbit(rest).reshape(-1, n * n)])
         piece = np.empty((hi - lo, 2 * n * n + 1), dtype=object)
-        piece[:, 0:-1:2] = before[slot + negative[lo:hi]]
-        piece[:, 1:-1:2] = tokens[codes[lo:hi]]
+        piece[:, 0:-1:2] = before[slot + signs]
+        piece[:, 1:-1:2] = tokens[codes[rows[lo:hi]]]
         piece[:, -1] = [f']], "index": {k}}}, {{"gamma": [[' for k in range(lo, hi)]
         if hi == count:
             piece[-1, -1] = f']], "index": {count - 1}{tail}'
@@ -180,7 +219,10 @@ def _cmd_isotropy(args):
     if args.action == "gamma2":
         count = isotropy.gamma2_order(dec.n)
         if args.format == "json":
-            _write(args, _gamma2_json(isotropy.gamma2_elements(dec), dec.multiplicities))
+            pieces = _gamma2_json(
+                lambda k: isotropy.gamma2_elements(dec, k), count, dec.multiplicities
+            )
+            _write(args, pieces)
         else:
             _emit(args, None, lambda: f"{count} sign-group elements")
     elif args.action == "sample":
@@ -572,7 +614,19 @@ def build_parser() -> _Parser:
     return parser
 
 
+# the subcommands whose randomness derive_seed expands from --seed
+_SEEDED = {
+    ("isotropy", "sample"),
+    ("procrustes", "family"),
+    ("graph", "hidden"),
+    ("stencil", "probe"),
+    ("stencil", "order"),
+}
+
+
 def _validate(args):
+    if args.seed < 0 and (args.command, getattr(args, "action", None)) in _SEEDED:
+        raise _UsageError(f"--seed must be nonnegative, got {args.seed}")
     if args.command == "isotropy" and args.action == "check" and not args.candidate:
         raise _UsageError("isotropy check requires --candidate")
     if args.command == "graph":

@@ -18,7 +18,9 @@ from .errors import DimensionError, SizeCapError, StructureError
 from .spectral import SpectralDecomposition, _scaled, _unscaled, as_sym
 
 # the elements alone take 2^n * n^2 * 8 bytes, 25.7 MB at n = 14 and 3.4 GB
-# at n = 20, and their JSON takes about 2.7 times as much
+# at n = 20, and their JSON takes about 2.7 times as much (69,138,003 bytes
+# for a random 14 x 14 matrix); the CLI's JSON holds at most the first half
+# of them at once, 12.8 MB at n = 14, and 4-byte codes for that half
 GAMMA2_MAX_N = 14
 MEMBER_TOL = 1e-8
 _BLOCK_ORTH_TOL = 1e-10
@@ -168,16 +170,28 @@ def gamma2_order(n: int) -> int:
     return 2**n
 
 
-def gamma2_elements(dec: SpectralDecomposition) -> np.ndarray:
+def gamma2_elements(dec: SpectralDecomposition, indices=None) -> np.ndarray:
     """All 2^n diagonal-sign symmetries V^T diag(s) V as one read-only
     (2^n, n, n) array.  Element k has s_i = -1 exactly where bit n-1-i of k
     is set, so element 0 is the identity and element 2^n - 1 is -identity.
+
+    With ``indices``, a sequence of element numbers in [0, 2^n), only those
+    elements, in that order, as one (len(indices), n, n) array; each is bit
+    for bit the same row of the full array.
 
     Unlike ``conjugate`` this does not check the elements: a sign pattern
     keeps every eigenvector, so each element is orthogonal and commutes
     with the matrix as far as V is orthogonal."""
     n = dec.n
-    bits = (np.arange(gamma2_order(n))[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    count = gamma2_order(n)
+    if indices is None:
+        k = np.arange(count)
+    else:
+        k = np.asarray(indices).astype(np.int64, casting="safe", copy=False)
+        # k >> n is 0 exactly for k in [0, 2^n); it is -1 for a negative k
+        if k.ndim != 1 or np.count_nonzero(k >> n):
+            raise ValueError(f"indices must be a flat sequence of integers in [0, {count})")
+    bits = (k[:, None] >> np.arange(n - 1, -1, -1)) & 1
     signs = 1.0 - 2.0 * bits
     gammas = (dec.v.T[None] * signs[:, None, :]) @ dec.v
     gammas.setflags(write=False)

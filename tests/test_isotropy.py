@@ -257,6 +257,34 @@ def test_gamma2_cap_boundary():
         gamma2_elements(eig_sym(np.diag(np.arange(15.0))))
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 9, 12])
+def test_gamma2_elements_at_indices_are_rows_of_the_full_stack(n):
+    rng = np.random.default_rng(MASTER_SEED + 25 + n)
+    dec = eig_sym(planted_matrix(rng, rng.standard_normal(n))[0])
+    full = gamma2_elements(dec)
+    count, half = 2**n, 2 ** (n - 1)
+    picks = [
+        np.arange(half),
+        np.arange(half, count),
+        np.arange(max(0, half - 3), min(count, half + 3)),  # spans both halves
+        rng.permutation(count)[: min(count, 40)],
+        [count - 1, 0, count - 1],
+        np.array([], dtype=int),
+    ]
+    for k in picks:
+        got = gamma2_elements(dec, k)
+        assert got.shape == (len(k), n, n) and not got.flags.writeable
+        assert got.tobytes() == full[k].tobytes()
+
+
+def test_gamma2_elements_refuse_indices_outside_the_group(dec_mu0):
+    for bad in ([8], [-1], [0, 9], [[0, 1]]):
+        with pytest.raises(ValueError, match=r"integers in \[0, 8\)"):
+            gamma2_elements(dec_mu0, bad)
+    with pytest.raises(TypeError):
+        gamma2_elements(dec_mu0, [0.0, 1.5])
+
+
 def test_gamma2_closure_and_involution(dec_mu0):
     els = gamma2_elements(dec_mu0)
     for gi in els:

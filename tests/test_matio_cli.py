@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -273,6 +274,28 @@ def test_cli_isotropy_sample_seed_determinism(capsys, a0_file):
     assert out1 != out3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["isotropy", "sample", "--input", "A"],
+        ["procrustes", "family", "--input-a", "A", "--input-b", "A"],
+        ["graph", "hidden", "--input", "A"],
+        ["stencil", "probe"] + _PROBE,
+        ["stencil", "order"] + _PROBE,
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_cli_rejects_a_negative_seed_by_its_flag(capsys, a0_file, argv):
+    argv = [a0_file if arg == "A" else arg for arg in argv] + ["--seed", "-1"]
+    assert run_capture(capsys, argv) == (1, "", "--seed must be nonnegative, got -1\n")
+
+
+def test_cli_eig_ignores_a_negative_seed(capsys, a0_file):
+    want = run_capture(capsys, ["eig", "--input", a0_file])
+    assert want[0] == 0
+    assert run_capture(capsys, ["eig", "--input", a0_file, "--seed", "-1"]) == want
+
+
 def test_cli_isotropy_sample_rejects_merged_eigenspaces(capsys, tmp_path):
     path = tmp_path / "d.txt"
     path.write_text("1 0\n0 1.2\n")
@@ -336,7 +359,7 @@ def _gamma2_reference(elements, multiplicities):
 
 
 def _rendered(elements, multiplicities):
-    return "".join(cli._gamma2_json(elements, multiplicities))
+    return "".join(cli._gamma2_json(lambda k: elements[k], len(elements), multiplicities))
 
 
 def _per_element(text):
@@ -359,14 +382,125 @@ def test_gamma2_json_matches_json_dumps(a):
 def test_gamma2_json_formats_every_kind_of_float(k):
     # signed zeros, the smallest subnormal, a larger subnormal, the switch to
     # exponent notation at 1e16 and below 1e-4, and 1/3 with 16 digits, each
-    # with both signs; 2^9 elements span two pieces
+    # with both signs.  The renderer takes the magnitudes of the second half
+    # from the first, so the second half is the first negated in reverse
+    # order, as in the sign group, but its own zeros take either sign, as an
+    # entry that cancels exactly is +0.0 in both elements; 2^10 elements
+    # span four pieces
     pool = [0.0, 5e-324, 2.5e-310, 1e16, 1e-5, 1 / 3, 0.1, 1.0, 123.0]
     pool = np.array(pool + [-x for x in pool])
     rng = np.random.default_rng(MASTER_SEED + 70 + k)
-    els = rng.choice(pool, size=(2**k, 3, 3))
+    first = rng.choice(pool, size=(2**k, 3, 3))
+    second = -first[::-1]
+    zeros = second == 0.0
+    second[zeros] = rng.choice([0.0, -0.0], size=np.count_nonzero(zeros))
+    els = np.concatenate([first, second])
     assert np.signbit(els).any() and (els == 0.0).any()
     want = _gamma2_reference(els, (1, 2))
     assert _per_element(_rendered(els, (1, 2))) == _per_element(want)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[0.0], [5e-324, 0.0, 5e-324], [1.0, 1 / 3, 0.1, 1 / 3, 1e16, 0.0, 1.0], np.arange(12.0)[::-1]],
+)
+def test_unique_codes_match_np_unique(values):
+    values = np.array(values).reshape(1, -1)
+    mags, codes = cli._unique_codes(values)
+    want_mags, want_codes = np.unique(values, return_inverse=True)
+    assert mags.tobytes() == want_mags.tobytes()
+    assert codes.dtype == np.int32 and np.array_equal(codes, want_codes.reshape(values.shape))
+
+
+@pytest.mark.parametrize("block", [1, 3, 5, 256])
+def test_gamma2_json_does_not_depend_on_the_piece_size(monkeypatch, block):
+    # pieces of 3 or 5 elements span both halves of the group, so their
+    # sign bits come partly from the first half's table and partly from a
+    # product computed for the piece
+    rng = np.random.default_rng(MASTER_SEED + 75)
+    a = np.round(random_symmetric(rng, 5), 1)
+    a[0, 1:] = a[1:, 0] = 0.0
+    dec = spectral.eig_sym(a)
+    want = _gamma2_reference(gamma2_elements(dec), dec.multiplicities)
+    monkeypatch.setattr(cli, "_GAMMA2_BLOCK", block)
+    pieces = cli._gamma2_json(
+        lambda k: gamma2_elements(dec, k), 2**dec.n, dec.multiplicities
+    )
+    assert _per_element("".join(pieces)) == _per_element(want)
+
+
+_BLOCK_DIAGONAL = np.zeros((6, 6))
+_BLOCK_DIAGONAL[:3, :3] = [[2, 1, 0], [1, 2, 1], [0, 1, 2]]
+_BLOCK_DIAGONAL[3:, 3:] = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.eye(4),
+        np.diag([1.0, 2.0, 2.0, 3.0, 0.0, -1.0]),
+        _BLOCK_DIAGONAL,
+        np.zeros((3, 3)),
+        np.kron(np.eye(3), _BLOCK_DIAGONAL[:3, :3]),
+    ],
+    ids=["eye4", "diag-with-zero", "block-diagonal", "zeros3", "block-diagonal-9"],
+)
+def test_cli_isotropy_gamma2_keeps_the_sign_of_exact_zeros(capsys, tmp_path, a):
+    # an entry that cancels exactly is +0.0 in element k and in element
+    # 2^n - 1 - k alike, so the second half cannot be written as the first
+    # with its signs flipped; at n = 9 the second half is its own piece
+    path = tmp_path / "a.txt"
+    path.write_text(format_matrix(a))
+    dec = spectral.eig_sym(parse_matrix(str(path)))
+    els = gamma2_elements(dec)
+    assert ((els == 0.0) & ~np.signbit(els) & ~np.signbit(els[::-1])).any()
+    code, out, err = run_capture(capsys, ["isotropy", "gamma2", "--input", str(path)])
+    assert (code, err) == (0, "")
+    assert _per_element(out) == _per_element(_gamma2_reference(els, dec.multiplicities))
+
+
+@pytest.fixture(scope="module")
+def n12_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("n12") / "a12.txt"
+    path.write_text(format_matrix(random_symmetric(np.random.default_rng(MASTER_SEED + 85), 12)))
+    return str(path)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_cli_isotropy_gamma2_bytes_at_one_and_two_blas_threads(n12_file, threads):
+    # the environment is read when numpy loads, so each count runs in its
+    # own interpreter; the reference comes from this one
+    dec = spectral.eig_sym(parse_matrix(n12_file))
+    want = _gamma2_reference(gamma2_elements(dec), dec.multiplicities).encode()
+    src = str(Path(orthosym.__file__).resolve().parents[1])
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p),
+        OPENBLAS_NUM_THREADS=threads,
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "orthosym.cli", "isotropy", "gamma2", "--input", n12_file],
+        env=env,
+        capture_output=True,
+        timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert hashlib.sha256(done.stdout).hexdigest() == hashlib.sha256(want).hexdigest()
+
+
+def test_cli_isotropy_gamma2_peak_memory_at_n12(n12_file, tmp_path):
+    # numpy reports its buffers to tracemalloc, so the peak is a property of
+    # the code, not of the host; the bound sits between tabulating half the
+    # group (about 19 MiB) and all of it (about 33 MiB)
+    argv = ["isotropy", "gamma2", "--input", n12_file, "--output", str(tmp_path / "out.json")]
+    tracemalloc.start()
+    try:
+        code = run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 24 * 2**20
 
 
 def test_cli_isotropy_gamma2_of_a_scalar(capsys, tmp_path):
