@@ -50,11 +50,14 @@ def derive_seed(root: int, counter: int) -> int:
     return int(np.random.SeedSequence([root, counter]).generate_state(1, np.uint64)[0])
 
 
-def _parse_vector(text: str) -> np.ndarray:
+def _parse_vector(text: str, flag: str, length: int) -> np.ndarray:
     try:
-        return np.array([float(t) for t in text.replace(",", " ").split()])
+        v = np.array([float(t) for t in text.replace(",", " ").split()])
     except ValueError:
         raise _UsageError(f"could not parse vector from {text!r}") from None
+    if len(v) != length:
+        raise _UsageError(f"{flag} must have {length} values, got {len(v)}")
+    return v
 
 
 def _write(args, pieces):
@@ -388,8 +391,8 @@ def _cmd_stencil(args):
     from . import stencil
 
     f = _pick_field(args.function)
-    x = _parse_vector(args.x)
-    h = _parse_vector(args.h)
+    x = _parse_vector(args.x, "--x", f.dim)
+    h = _parse_vector(args.h, "--h", f.dim)
     hess = stencil.hessian_fd(f, x, step=args.step)
     dec = spectral.eig_sym(hess)
     g1 = np.eye(f.dim)
@@ -492,7 +495,7 @@ def _cmd_dynsys(args):
 
         _emit(args, payload, text, table)
     else:  # integrate
-        x0 = _parse_vector(args.x0)
+        x0 = _parse_vector(args.x0, "--x0", 3)
         traj = dynsys.integrate(x0, args.mu, dt=args.dt, steps=args.steps)
         terminal = traj[-1]
         residual = float(np.linalg.norm(dynsys.rhs(terminal, args.mu)))

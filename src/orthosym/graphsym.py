@@ -293,7 +293,7 @@ def is_permutation(p, tol: float = PERMUTATION_TOL) -> Optional[Permutation]:
     ones = near_one.astype(int)
     if np.any(ones.sum(axis=0) != 1) or np.any(ones.sum(axis=1) != 1):
         return None
-    return Permutation(tuple(int(np.argmax(ones[:, i])) for i in range(m.shape[0])))
+    return Permutation(tuple(np.argmax(ones, axis=0).tolist()))
 
 
 def adjacency_decomposition(graph: Graph, cluster_tol: float | None = None) -> SpectralDecomposition:

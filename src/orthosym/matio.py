@@ -9,6 +9,7 @@ emit/parse cycle reproduces every entry exactly.
 
 from __future__ import annotations
 
+import functools
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -20,12 +21,14 @@ if TYPE_CHECKING:
     from .graphsym import Graph
 
 
-def _read_lines(source) -> list[tuple[int, str]]:
-    """(line_number, content) pairs with comments and blank lines dropped."""
+def _read_text(source) -> str:
     if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text()
+        return source.read()
+    return Path(source).read_text()
+
+
+def _lines(text: str) -> list[tuple[int, str]]:
+    """(line_number, content) pairs with comments and blank lines dropped."""
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
@@ -40,8 +43,18 @@ def _tokenize(line: str) -> list[str]:
 
 
 def parse_matrix(source) -> np.ndarray:
-    """Parse a square matrix from a path or readable stream."""
-    lines = _read_lines(source)
+    """Parse a square matrix from a path or readable stream.
+
+    The text is read on every call; the last two texts parsed are
+    remembered, so a file read again unchanged is not parsed again.  The
+    result is a fresh writable array either way."""
+    return _parse_matrix_text(_read_text(source)).copy()
+
+
+# keyed by the exact text; an error is not stored, so it is raised again
+@functools.lru_cache(maxsize=2)
+def _parse_matrix_text(text: str) -> np.ndarray:
+    lines = _lines(text)
     if not lines:
         raise InputFormatError("no matrix data found (file empty?)")
     n = len(lines)
@@ -57,7 +70,9 @@ def parse_matrix(source) -> np.ndarray:
             rows.append([float(t) for t in tokens])
         except ValueError as exc:
             raise InputFormatError(f"non-numeric token: {exc}", line=lineno) from None
-    return np.array(rows)
+    m = np.array(rows)
+    m.setflags(write=False)
+    return m
 
 
 def format_matrix(a) -> str:
@@ -75,7 +90,7 @@ def parse_graph(source) -> Graph:
     # imported here, so that reading a matrix does not load the graph search
     from .graphsym import Graph
 
-    lines = _read_lines(source)
+    lines = _lines(_read_text(source))
     if not lines:
         raise InputFormatError("no graph data found (file empty?)")
     # converted a block of rows at a time, about 2^12 entries, so that only

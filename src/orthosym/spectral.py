@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -187,26 +187,35 @@ def eig_sym(a, cluster_tol: float | None = None) -> SpectralDecomposition:
     input give bit-identical output, in one process or in processes that run
     BLAS with different thread counts.
 
-    The input is checked as ``as_sym`` checks it.  Raises ConvergenceError
-    if LAPACK fails to converge, and ValueError if the input is not exactly
-    symmetric and (A + A^T)/2 overflows, or if an eigenvalue overflows.
+    The input is checked as ``as_sym`` checks it on every call.  The last
+    two decompositions are remembered, keyed by the exact entries and the
+    bits of ``cluster_tol``, and a repeated call returns the same read-only
+    decomposition.  Raises ConvergenceError if LAPACK fails to converge, and
+    ValueError if an eigenvalue overflows.
     """
     m = as_sym(a)
-    # (x + x)/2 == x whenever x + x is finite, so skipping an exactly
-    # symmetric matrix changes no bits, and its entries near the top of the
-    # float range cannot overflow
-    if (m == m.T).all():
-        work = m
-    else:
-        with np.errstate(over="ignore"):
-            work = (m + m.T) / 2.0
-        if not np.isfinite(work).all():
-            raise ValueError("(A + A^T)/2 overflows the float range")
+    # the bit pattern, so that -0.0 and 0.0 are two keys
+    tol = None if cluster_tol is None else float(cluster_tol).hex()
+    return _decompose(m.shape, m.tobytes(), tol)
+
+
+# an error is not stored, so it is raised again on every call
+@lru_cache(maxsize=2)
+def _decompose(shape, entries, cluster_tol_hex) -> SpectralDecomposition:
+    m = np.frombuffer(entries).reshape(shape)
     # solve at max |A_ij| in [0.5, 1) and scale back by the same power of
     # two: both steps are exact, so eig_sym(2^k A) = 2^k eig_sym(A), and
     # LAPACK, which can fail to converge on a matrix of huge entries mixed
     # with tiny ones, sees the same matrix at every scale
-    shift, work = _scaled(work)
+    shift, work = _scaled(m)
+    # an exactly symmetric matrix is its own (A + A^T)/2.  Otherwise the
+    # mean is taken at that scale, where it cannot overflow, and scaled
+    # again, as it can fall below 0.5: the total shift is that of
+    # (A + A^T)/2, and the bits are those of scaling it, unless an entry is
+    # subnormal
+    if not (m == m.T).all():
+        extra, work = _scaled((work + work.T) / 2.0)
+        shift += extra
     try:
         # LAPACK returns the eigenvalues in ascending order
         diag, u = np.linalg.eigh(work)
@@ -220,7 +229,7 @@ def eig_sym(a, cluster_tol: float | None = None) -> SpectralDecomposition:
     lam = np.ldexp(diag, shift)
     # 1e-8 relative to the largest |lambda|, so that scaling the matrix
     # scales the tolerance with it; the zero matrix gets 0 (one cluster)
-    tol = _unscaled(1e-8 * top, shift) if cluster_tol is None else float(cluster_tol)
+    tol = _unscaled(1e-8 * top, shift) if cluster_tol_hex is None else float.fromhex(cluster_tol_hex)
     # NaN passes a plain ``< 0`` test and would merge every eigenvalue
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"cluster_tol must be finite and nonnegative, got {tol:g}")

@@ -993,6 +993,23 @@ def test_cli_graph_aut_rejects_a_negative_limit(diag21_files):
     )
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["stencil", "probe", "--function", "quadratic", "--x=0.1,0.2,0.3,0.4", "--h=0.1,0.1,0.1"], "--x must have 3 values, got 4"),
+        (["stencil", "probe", "--function", "quadratic", "--x=0.1,0.2,0.3", "--h=0.1,0.1"], "--h must have 3 values, got 2"),
+        (["stencil", "order", "--function", "trig-quartic", "--x=", "--h="], "--x must have 3 values, got 0"),
+        (["dynsys", "integrate", "--steps", "5", "--x0=0.1,0.2"], "--x0 must have 3 values, got 2"),
+    ],
+    ids=["x-long", "h-short", "x-empty", "x0-short"],
+)
+def test_a_vector_of_the_wrong_length_is_an_input_error(argv, message):
+    # before: a long --x was a numerical failure (exit 2) about a "point of
+    # shape (4,)", and the others printed numpy's matmul, argmax or
+    # broadcast errors, none of which named the flag
+    assert run_quiet(argv) == (1, "", message + "\n")
+
+
 def test_library_rules_reject_non_finite_values():
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     for tol in (math.inf, math.nan, -1.0):
