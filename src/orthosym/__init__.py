@@ -24,7 +24,6 @@ __all__ = [
     "BlockOrthogonal",
     "Graph",
     "OrthosymError",
-    "Permutation",
     "ProcrustesSolution",
     "ScalarField",
     "SpectralDecomposition",
@@ -47,7 +46,6 @@ __all__ = [
 _CLASS_HOME = {
     "BlockOrthogonal": "isotropy",
     "Graph": "graphsym",
-    "Permutation": "graphsym",
     "ProcrustesSolution": "procrustes",
     "ScalarField": "stencil",
 }

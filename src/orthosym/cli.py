@@ -316,7 +316,7 @@ def _cmd_graph(args):
             args,
             lambda: {
                 "isomorphic": perm is not None,
-                "mapping": list(perm.mapping) if perm is not None else None,
+                "mapping": perm.tolist() if perm is not None else None,
             },
             lambda: f"isomorphic: {perm is not None}",
         )
@@ -339,7 +339,7 @@ def _cmd_graph(args):
         perms = graphsym.automorphisms(graph, limit=limit)
         _emit(
             args,
-            lambda: {"count": len(perms), "automorphisms": [list(p.mapping) for p in perms]},
+            lambda: {"count": len(perms), "automorphisms": perms.tolist()},
             lambda: f"{len(perms)} automorphisms",
         )
     else:  # hidden
@@ -353,7 +353,7 @@ def _cmd_graph(args):
             lambda: {
                 "gamma": _mat(g),
                 "commutator_residual": residual,
-                "permutation": list(perm.mapping) if perm is not None else None,
+                "permutation": perm.tolist() if perm is not None else None,
             },
             lambda: "sampled hidden symmetry",
         )

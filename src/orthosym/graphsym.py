@@ -1,11 +1,14 @@
 """Graph symmetry analysis through the adjacency matrix.
 
 Automorphisms are the permutation matrices commuting with the adjacency
-matrix; they are found by exact integer backtracking.  Because the
-adjacency matrix is symmetric, a graph also carries a continuous orthogonal
-symmetry group, which usually contains far more than the permutations: even
-a graph with trivial automorphism group has "hidden" orthogonal symmetries
-whenever its spectrum is degenerate -- and the full sign group regardless.
+matrix; they are found by exact integer backtracking.  A vertex map is a
+read-only 1-D int32 array ``m``, vertex i going to ``m[i]``; its matrix P,
+with P A P^T = A for an automorphism, is ``p[m, np.arange(n)] = 1``.
+Because the adjacency matrix is symmetric, a graph also carries a
+continuous orthogonal symmetry group, which usually contains far more than
+the permutations: even a graph with trivial automorphism group has "hidden"
+orthogonal symmetries whenever its spectrum is degenerate -- and the full
+sign group regardless.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ from .spectral import SpectralDecomposition, eig_sym, isospectral
 EXACT_SEARCH_MAX_N = 12
 PERMUTATION_TOL = 1e-6
 DEFAULT_AUT_LIMIT = 10000
+# the most vertices an edge list may name: its int64 adjacency is 512 MiB
+MAX_EDGE_LIST_N = 1 << 13
 # the graph search: about how many entries the arrays of one step hold, and
 # how many int32 images (4 MiB) its stack of levels holds
 _BATCH = 1 << 16
@@ -61,6 +66,10 @@ class Graph:
             if n < size:
                 raise StructureError(f"n={n} too small for edge indices up to {size - 1}")
             size = n
+        if size > MAX_EDGE_LIST_N:
+            raise SizeCapError(
+                f"vertex index {size - 1} needs {size} vertices; edge lists are capped at {MAX_EDGE_LIST_N}"
+            )
         a = np.zeros((size, size), dtype=np.int8)
         loop = next((e for e in edges if e[0] == e[1]), None)
         if loop is not None:
@@ -80,31 +89,6 @@ class Graph:
         return [(int(u), int(v)) for u, v in zip(iu, ju)]
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection on {0, ..., n-1}; ``mapping[i]`` is the image of i."""
-
-    mapping: tuple[int, ...]
-
-    def __post_init__(self):
-        m = tuple(int(i) for i in self.mapping)
-        if sorted(m) != list(range(len(m))):
-            raise StructureError(f"not a bijection on 0..{len(m) - 1}: {m}")
-        object.__setattr__(self, "mapping", m)
-
-    def __len__(self) -> int:
-        return len(self.mapping)
-
-    def to_matrix(self) -> np.ndarray:
-        """Matrix P with P e_i = e_{mapping[i]}; P A = A P iff self is an
-        automorphism of the graph with adjacency A."""
-        n = len(self)
-        p = np.zeros((n, n), dtype=np.int64)
-        for i, j in enumerate(self.mapping):
-            p[j, i] = 1
-        return p
-
-
 def _signatures(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
     """Ascending neighbours (those of v are ``cols[ptr[v]:ptr[v + 1]]``),
     and per vertex its degree plus sorted neighbour degrees: an exact
@@ -119,8 +103,9 @@ def _signatures(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
     return cols.astype(np.int32), ptr, signatures
 
 
-def _search_maps(a: np.ndarray, b: np.ndarray, limit: int | None, first_only: bool):
-    """Backtracking search for vertex maps with b[m(u), m(v)] == a[u, v].
+def _search_maps(a: np.ndarray, b: np.ndarray, limit: int | None, first_only: bool) -> np.ndarray:
+    """Backtracking search for vertex maps with b[m(u), m(v)] == a[u, v],
+    one (k, n) int32 array with a map per row, in the order found.
 
     Vertices of ``a`` are placed in order of descending degree (ties by
     index), each trying the images ``w`` of equal signature in ascending
@@ -169,7 +154,7 @@ def _search_maps(a: np.ndarray, b: np.ndarray, limit: int | None, first_only: bo
         cand = np.array(ws, dtype=np.int32)
         classes[sig] = (cand, cols_b[ptr_b[cand] + np.arange(sig[0])[:, None]])
     if any(sig not in classes for sig in sig_a):
-        return []  # a vertex with no candidate image
+        return np.empty((0, n), dtype=np.int32)  # a vertex with no candidate image
     # per position: candidates, their neighbours, e = earlier[pos], how many
     # maps one step expands, and how many children it keeps
     steps = []
@@ -179,8 +164,8 @@ def _search_maps(a: np.ndarray, b: np.ndarray, limit: int | None, first_only: bo
         width = min(keep, max(1, _BATCH // max(n, nbrs.size)))
         steps.append((cand, nbrs, earlier[pos], width, keep))
 
-    results: list[tuple[int, ...]] = []
-    vertices = list(range(n))
+    found: list[np.ndarray] = []
+    count = 0
     rows = np.arange(max((step[3] for step in steps), default=1))[:, None]
     levels = [[np.zeros((1, 0), dtype=np.int32), 0]]  # [maps, next (map, candidate) pair]
     while levels:
@@ -190,16 +175,15 @@ def _search_maps(a: np.ndarray, b: np.ndarray, limit: int | None, first_only: bo
         if pos == n:
             levels.pop()
             leaves = maps[:1] if first_only else maps
-            # row entries are images by position; vertex v sits at rank[v].
-            # All maps share one int object per vertex: a large group's
-            # maps would otherwise hold one per entry
-            results += (tuple(map(vertices.__getitem__, m)) for m in leaves[:, rank].tolist())
-            if limit is not None and len(results) > limit:
+            # row entries are images by position; vertex v sits at rank[v]
+            found.append(leaves[:, rank])
+            count += len(leaves)
+            if limit is not None and count > limit:
                 raise LimitExceededError(
                     f"more than {limit} automorphisms found; raise the limit"
                 )
             if first_only:
-                return results
+                break
             continue
         cand, nbrs, e, width, keep = steps[pos]
         size = len(cand)
@@ -227,11 +211,12 @@ def _search_maps(a: np.ndarray, b: np.ndarray, limit: int | None, first_only: bo
             levels.pop()
         if len(w):
             levels.append([np.concatenate((parents[parent], cand[w][:, None]), axis=1), 0])
-    return results
+    return np.concatenate(found) if found else np.empty((0, n), dtype=np.int32)
 
 
-def automorphisms(graph: Graph, limit: int = DEFAULT_AUT_LIMIT) -> list[Permutation]:
-    """All permutations P with P A = A P, exactly, in ascending order.
+def automorphisms(graph: Graph, limit: int = DEFAULT_AUT_LIMIT) -> np.ndarray:
+    """All permutations P with P A = A P, exactly, as the rows of one
+    read-only (k, n) int32 array in ascending lexicographic order.
 
     Degree-ordered backtracking with signature pruning, run a batch of
     partial maps per numpy step over the same search tree, in the same leaf
@@ -244,11 +229,20 @@ def automorphisms(graph: Graph, limit: int = DEFAULT_AUT_LIMIT) -> list[Permutat
     if limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
     maps = _search_maps(graph.adjacency, graph.adjacency, limit, first_only=False)
-    return [Permutation(m) for m in sorted(maps)]
+    if len(maps) > 1:
+        # big-endian rows of nonnegative ints compare as byte strings in the
+        # order of their entries; np.lexsort, with one key per column, holds
+        # about 3 KB per vertex
+        rows = np.ascontiguousarray(maps, dtype=">i4").view(f"V{4 * graph.n}")
+        maps = maps[np.argsort(rows.ravel())]
+    maps.setflags(write=False)
+    return maps
 
 
-def find_isomorphism(ga: Graph, gb: Graph) -> Optional[Permutation]:
-    """A vertex bijection carrying the first graph onto the second, or None.
+def find_isomorphism(ga: Graph, gb: Graph) -> Optional[np.ndarray]:
+    """A vertex bijection m carrying the first graph onto the second, so
+    that ``gb.adjacency[np.ix_(m, m)] == ga.adjacency``, as a read-only
+    int32 array, or None.
 
     Isospectrality is checked first (necessary for isomorphism), within
     1e-8 * max(1, ||A||_F); the exact backtracking search runs only when the
@@ -261,24 +255,27 @@ def find_isomorphism(ga: Graph, gb: Graph) -> Optional[Permutation]:
         return None
     if ga.n > EXACT_SEARCH_MAX_N:
         raise SizeCapError(f"exact isomorphism search capped at n <= {EXACT_SEARCH_MAX_N}")
-    if ga.n == 0:
-        return Permutation(())
     a = ga.adjacency.astype(float)
     tol = 1e-8 * max(1.0, float(np.linalg.norm(a)))
-    if not isospectral(a, gb.adjacency.astype(float), tol):
+    # eig_sym takes no 0 x 0 matrix, and the empty map needs no spectrum
+    if ga.n and not isospectral(a, gb.adjacency.astype(float), tol):
         return None
     maps = _search_maps(ga.adjacency, gb.adjacency, limit=None, first_only=True)
-    if not maps:
+    if not len(maps):
         return None
-    perm = Permutation(maps[0])
-    p = perm.to_matrix()
-    if not np.array_equal(p @ ga.adjacency @ p.T, gb.adjacency):
-        raise StructureError(f"search returned a map that is not an isomorphism: {perm.mapping}")
-    return perm
+    m = maps[0]
+    if not (
+        np.array_equal(np.sort(m), np.arange(ga.n))
+        and np.array_equal(gb.adjacency[np.ix_(m, m)], ga.adjacency)
+    ):
+        raise StructureError(f"search returned a map that is not an isomorphism: {m.tolist()}")
+    m.setflags(write=False)
+    return m
 
 
-def is_permutation(p, tol: float = PERMUTATION_TOL) -> Optional[Permutation]:
-    """Recover a permutation from a numeric matrix, or None.
+def is_permutation(p, tol: float = PERMUTATION_TOL) -> Optional[np.ndarray]:
+    """Recover the vertex map m of a numeric matrix P, with P[m[i], i] = 1,
+    as a read-only int32 array, or None.
 
     Succeeds iff every entry is within ``tol`` of 0 or 1 and there is exactly
     one 1 per row and per column.
@@ -293,7 +290,9 @@ def is_permutation(p, tol: float = PERMUTATION_TOL) -> Optional[Permutation]:
     ones = near_one.astype(int)
     if np.any(ones.sum(axis=0) != 1) or np.any(ones.sum(axis=1) != 1):
         return None
-    return Permutation(tuple(np.argmax(ones, axis=0).tolist()))
+    m = np.argmax(ones, axis=0).astype(np.int32)
+    m.setflags(write=False)
+    return m
 
 
 def adjacency_decomposition(graph: Graph, cluster_tol: float | None = None) -> SpectralDecomposition:

@@ -124,7 +124,7 @@ def test_lazy_names_load_on_first_use():
 def test_public_names_resolve():
     from orthosym import graphsym, isotropy, procrustes, stencil
 
-    assert orthosym.Graph is graphsym.Graph and orthosym.Permutation is graphsym.Permutation
+    assert orthosym.Graph is graphsym.Graph
     assert orthosym.BlockOrthogonal is isotropy.BlockOrthogonal
     assert orthosym.ProcrustesSolution is procrustes.ProcrustesSolution
     assert orthosym.ScalarField is stencil.ScalarField
@@ -135,3 +135,7 @@ def test_public_names_resolve():
     assert set(orthosym.__all__) <= set(namespace)
     with pytest.raises(AttributeError, match="has no attribute 'nope'"):
         orthosym.nope
+    # retired: a vertex map is a read-only int array
+    with pytest.raises(AttributeError, match="has no attribute 'Permutation'"):
+        orthosym.Permutation
+    assert "Permutation" not in dir(orthosym) and "Permutation" not in orthosym.__all__

@@ -11,7 +11,6 @@ from orthosym import fixtures, graphsym
 from orthosym.errors import LimitExceededError, SizeCapError, StructureError
 from orthosym.graphsym import (
     Graph,
-    Permutation,
     adjacency_decomposition,
     automorphisms,
     find_isomorphism,
@@ -35,6 +34,18 @@ def random_graph(rng, n, p=0.4):
 def relabel(graph, perm):
     p = np.array(perm)
     return Graph(graph.adjacency[np.ix_(p, p)])
+
+
+def rows(maps):
+    """Vertex maps as the tuples the oracles in ``helpers`` list."""
+    return [tuple(m) for m in maps.tolist()]
+
+
+def perm_matrix(m):
+    """P with P e_i = e_{m[i]}, so P A P^T = B iff B[m(u), m(v)] == A[u, v]."""
+    p = np.zeros((len(m), len(m)), dtype=np.int64)
+    p[m, np.arange(len(m))] = 1
+    return p
 
 
 def test_graph_validation():
@@ -63,6 +74,16 @@ def test_building_a_sparse_graph_holds_one_dense_int64_array():
     assert peak < 1.5 * n * n * 8
 
 
+def test_an_edge_list_index_past_the_cap_allocates_nothing():
+    # before: np.zeros((10**8 + 1,) * 2) raised numpy's uncaught
+    # "Unable to allocate 8.88 PiB"
+    with pytest.raises(SizeCapError, match="^vertex index 100000000 needs 100000001 vertices"):
+        Graph.from_edges([(0, 1), (1, 10**8)])
+    cap = graphsym.MAX_EDGE_LIST_N
+    with pytest.raises(SizeCapError, match=f"vertex index {cap} needs {cap + 1} vertices"):
+        Graph.from_edges([(0, 1)], n=cap + 1)
+
+
 def test_graph_from_edges():
     g = Graph.from_edges([(0, 1), (1, 2)], n=4)
     assert g.n == 4
@@ -70,17 +91,8 @@ def test_graph_from_edges():
     assert [degree for degree, _ in graphsym._signatures(g.adjacency)[2]] == [1, 2, 1, 0]
 
 
-def test_permutation_ops():
-    p = Permutation((1, 2, 0))
-    mat = p.to_matrix()
-    assert mat[1, 0] == 1 and mat[2, 1] == 1 and mat[0, 2] == 1
-    with pytest.raises(StructureError):
-        Permutation((0, 0, 1))
-
-
 def test_path_graph_automorphisms():
-    auts = automorphisms(PATH3)
-    assert [a.mapping for a in auts] == [(0, 1, 2), (2, 1, 0)]
+    assert automorphisms(PATH3).tolist() == [[0, 1, 2], [2, 1, 0]]
 
 
 def test_complete_graph_automorphisms():
@@ -105,8 +117,7 @@ def test_backtracking_agrees_with_brute_force():
         if g.n > 8:
             continue
         expected = brute_force_isomorphisms(g.adjacency, g.adjacency)
-        got = [a.mapping for a in automorphisms(g)]
-        assert got == expected
+        assert rows(automorphisms(g)) == expected
 
 
 def test_long_path_needs_no_recursion():
@@ -114,8 +125,7 @@ def test_long_path_needs_no_recursion():
     # limit
     n = 1200
     path = Graph.from_edges([(i, i + 1) for i in range(n - 1)])
-    auts = automorphisms(path)
-    assert [a.mapping for a in auts] == [tuple(range(n)), tuple(range(n - 1, -1, -1))]
+    assert automorphisms(path).tolist() == [list(range(n)), list(range(n - 1, -1, -1))]
 
 
 @st.composite
@@ -125,13 +135,13 @@ def relabelled_graphs(draw, max_n=8):
     upper = draw(st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
     a = np.zeros((n, n), dtype=np.int64)
     a[np.triu_indices(n, 1)] = upper
-    perm = Permutation(tuple(draw(st.permutations(range(n)))))
+    perm = np.array(draw(st.permutations(range(n))), dtype=np.int32)
     return Graph(a + a.T), perm
 
 
 def conjugated(graph, perm):
     """The graph with adjacency P A P^T, P the matrix of ``perm``."""
-    p = perm.to_matrix()
+    p = perm_matrix(perm)
     return Graph(p @ graph.adjacency @ p.T)
 
 
@@ -149,7 +159,7 @@ def test_search_agrees_with_brute_force_on_seeded_pairs():
         for _ in range(4):
             a = relabel(g, rng.permutation(g.n)).adjacency
             b = relabel(g, rng.permutation(g.n)).adjacency
-            assert sorted(graphsym._search_maps(a, b, None, False)) == brute_force_isomorphisms(b, a)
+            assert sorted(rows(graphsym._search_maps(a, b, None, False))) == brute_force_isomorphisms(b, a)
     checked = 0
     while checked < 150:
         n = int(rng.integers(3, 8))
@@ -159,7 +169,7 @@ def test_search_agrees_with_brute_force_on_seeded_pairs():
         b = b.adjacency
         if a.sum() != b.sum():
             continue
-        assert sorted(graphsym._search_maps(a, b, None, False)) == brute_force_isomorphisms(b, a)
+        assert sorted(rows(graphsym._search_maps(a, b, None, False))) == brute_force_isomorphisms(b, a)
         checked += 1
 
 
@@ -175,7 +185,7 @@ def assert_search_matches_the_oracle(a, b, limits):
     # ``b is a`` is the shortcut automorphisms takes, so it is kept
     for limit in limits:
         for first_only in (False, True):
-            got = search_or_error(graphsym._search_maps, a, b, limit, first_only)
+            got = search_or_error(lambda *args: rows(graphsym._search_maps(*args)), a, b, limit, first_only)
             assert got == search_or_error(scalar_search_maps, a, b, limit, first_only), (limit, first_only)
 
 
@@ -203,7 +213,7 @@ def test_batched_search_matches_the_one_map_at_a_time_oracle(case, data):
     toggle = data.draw(st.permutations(range(g.n)))[:2]
     # a full listing is bounded only at small n, where n! stays small
     limits = (None, 0, 3) if g.n <= 7 else (0, 3, 1000)
-    for b in search_partners(a, perm.mapping, toggle):
+    for b in search_partners(a, perm, toggle):
         assert_search_matches_the_oracle(a, b, limits)
 
 
@@ -264,7 +274,7 @@ def test_batched_search_visits_the_same_tree(monkeypatch, name):
         created.clear()
         got = graphsym._search_maps(a, b, None, False)
         monkeypatch.setattr(np, "concatenate", concatenate)
-        assert got == expected
+        assert rows(got) == expected
         if i < 2:  # a itself and the relabelled copy
             assert sum(created) == len(placed) > 0
         else:
@@ -336,14 +346,40 @@ def test_a_stalled_search_stays_small():
 def test_relabelled_graph_has_the_conjugate_automorphism_group(case):
     g, perm = case
     limit = math.factorial(g.n)
-    auts = [a.mapping for a in automorphisms(g, limit)]
-    assert auts == brute_force_isomorphisms(g.adjacency, g.adjacency)
+    auts = automorphisms(g, limit)
+    assert rows(auts) == brute_force_isomorphisms(g.adjacency, g.adjacency)
     # perm g perm^-1 sends perm[u] to perm[g[u]]
-    p = np.array(perm.mapping)
-    conjugates = np.empty((len(auts), g.n), dtype=int)
-    conjugates[:, p] = p[np.array(auts)]
-    expected = sorted(map(tuple, conjugates.tolist()))
-    assert [a.mapping for a in automorphisms(conjugated(g, perm), limit)] == expected
+    conjugates = np.empty_like(auts)
+    conjugates[:, perm] = perm[auts]
+    expected = sorted(rows(conjugates))
+    assert rows(automorphisms(conjugated(g, perm), limit)) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=relabelled_graphs())
+def test_automorphisms_are_one_read_only_int_array(case):
+    g, perm = case
+    for graph in (g, conjugated(g, perm)):
+        maps = automorphisms(graph, math.factorial(graph.n))
+        assert maps.dtype == np.int32 and maps.ndim == 2 and maps.shape[1] == graph.n
+        assert not maps.flags.writeable
+        # strictly ascending rows: the first entry that differs grows
+        for m0, m1 in zip(maps.tolist(), maps[1:].tolist()):
+            assert m0 < m1
+        for m in maps:
+            assert np.array_equal(np.sort(m), np.arange(graph.n))
+            assert np.array_equal(graph.adjacency[np.ix_(m, m)], graph.adjacency)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_the_smallest_graphs_have_one_map(n):
+    g = Graph(np.zeros((n, n), dtype=int))
+    maps = automorphisms(g)
+    assert maps.shape == (1, n) and maps.dtype == np.int32 and not maps.flags.writeable
+    assert maps.tolist() == [list(range(n))]
+    found = find_isomorphism(g, g)
+    assert found.tolist() == list(range(n)) and found.dtype == np.int32
+    assert not found.flags.writeable
 
 
 @settings(max_examples=100, deadline=None)
@@ -353,12 +389,12 @@ def test_find_isomorphism_of_a_relabelled_graph(case):
     h = conjugated(g, perm)
     found = find_isomorphism(g, h)
     assert found is not None
-    p = found.to_matrix()
+    p = perm_matrix(found)
     assert np.array_equal(p @ g.adjacency @ p.T, h.adjacency)
     # brute_force_isomorphisms(b, a) lists the maps m with b[m(u), m(v)] == a[u, v]
     every = brute_force_isomorphisms(h.adjacency, g.adjacency)
-    assert found.mapping in every
-    assert sorted(graphsym._search_maps(g.adjacency, h.adjacency, None, False)) == every
+    assert tuple(found.tolist()) in every
+    assert sorted(rows(graphsym._search_maps(g.adjacency, h.adjacency, None, False))) == every
 
 
 @settings(max_examples=100, deadline=None)
@@ -370,7 +406,7 @@ def test_graphs_one_edge_apart(case, data):
     a = conjugated(g, perm).adjacency.copy()
     a[u, v] = a[v, u] = 1 - a[u, v]
     assert brute_force_isomorphisms(a, g.adjacency) == []
-    assert graphsym._search_maps(g.adjacency, a, None, False) == []
+    assert graphsym._search_maps(g.adjacency, a, None, False).shape == (0, g.n)
     assert find_isomorphism(g, Graph(a)) is None
 
 
@@ -378,7 +414,7 @@ def test_automorphism_group_axioms():
     g = Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 0)])  # 4-cycle
     auts = automorphisms(g)
     assert len(auts) == 8
-    mappings = {a.mapping for a in auts}
+    mappings = set(rows(auts))
     for a in mappings:
         assert tuple(np.argsort(a).tolist()) in mappings  # the inverse
         for b in mappings:
@@ -389,7 +425,7 @@ def test_automorphisms_lie_in_orthogonal_group():
     for g in (PATH3, K4, fixtures.asymmetric_graph()):
         dec = adjacency_decomposition(g)
         for a in automorphisms(g):
-            assert is_member(dec, a.to_matrix().astype(float), tol=1e-8)
+            assert is_member(dec, perm_matrix(a).astype(float), tol=1e-8)
 
 
 def test_asymmetric_graph_spectrum():
@@ -419,7 +455,7 @@ def test_hidden_symmetry_on_single_edge():
 
 def test_is_permutation_identity():
     p = is_permutation(np.eye(4))
-    assert p is not None and p.mapping == (0, 1, 2, 3)
+    assert p is not None and p.tolist() == [0, 1, 2, 3]
 
 
 def test_is_permutation_rejects_hidden_gamma():
@@ -429,7 +465,7 @@ def test_is_permutation_rejects_hidden_gamma():
 def test_is_permutation_tolerance():
     swap = 0.999999 * np.array([[0.0, 1.0], [1.0, 0.0]])
     p = is_permutation(swap, tol=1e-4)
-    assert p is not None and p.mapping == (1, 0)
+    assert p is not None and p.tolist() == [1, 0]
     assert is_permutation(swap, tol=1e-9) is None
 
 
@@ -440,7 +476,7 @@ def test_find_isomorphism_planted():
     h = relabel(g, perm)
     found = find_isomorphism(g, h)
     assert found is not None
-    p = found.to_matrix()
+    p = perm_matrix(found)
     assert np.array_equal(p @ g.adjacency @ p.T, h.adjacency)
 
 
@@ -448,7 +484,7 @@ def test_find_isomorphism_path_vs_star():
     star = Graph.from_edges([(0, 1), (0, 2)])
     found = find_isomorphism(PATH3, star)
     assert found is not None
-    p = found.to_matrix()
+    p = perm_matrix(found)
     assert np.array_equal(p @ PATH3.adjacency @ p.T, star.adjacency)
 
 
@@ -463,17 +499,22 @@ def test_find_isomorphism_edge_moved_variant():
     assert brute_force_isomorphisms(g.adjacency, a), "oracle: the graphs are isomorphic"
     found = find_isomorphism(g, h)
     assert found is not None
-    p = found.to_matrix()
+    p = perm_matrix(found)
     assert np.array_equal(p @ g.adjacency @ p.T, h.adjacency)
 
 
 def test_find_isomorphism_rejects_a_wrong_map(monkeypatch):
     # the post-check is an exception, not an assert, so it also runs
     # under ``python -O``
-    monkeypatch.setattr(graphsym, "_search_maps", lambda *args, **kwargs: [(0, 1, 2)])
+    monkeypatch.setattr(graphsym, "_search_maps", lambda *args, **kwargs: np.array([[0, 1, 2]], np.int32))
     star = Graph.from_edges([(0, 1), (0, 2)])
     with pytest.raises(StructureError, match="not an isomorphism"):
         find_isomorphism(PATH3, star)
+    # a map that is not a bijection, although it carries edges onto edges
+    monkeypatch.setattr(graphsym, "_search_maps", lambda *args, **kwargs: np.array([[0, 0]], np.int32))
+    empty = Graph(np.zeros((2, 2), dtype=int))
+    with pytest.raises(StructureError, match=r"not an isomorphism: \[0, 0\]"):
+        find_isomorphism(empty, empty)
 
 
 def test_find_isomorphism_spectral_reject():

@@ -701,6 +701,15 @@ def test_cli_graph_aut_on_a_long_path(capsys, tmp_path):
     }
 
 
+def test_cli_graph_refuses_an_edge_list_index_past_the_cap(capsys, tmp_path):
+    # before: numpy's uncaught "Unable to allocate 8.88 PiB" and a traceback
+    path = tmp_path / "far.txt"
+    path.write_text("0 1\n1 100000000\n")
+    code, out, err = run_capture(capsys, ["graph", "aut", "--input", str(path)])
+    assert (code, out) == (1, "")
+    assert err == "error: vertex index 100000000 needs 100000001 vertices; edge lists are capped at 8192\n"
+
+
 def test_parse_graph_holds_no_token_per_entry():
     # an adjacency file is converted row by row: at n = 1500 the peak is
     # the text, the lines and the adjacency, not 2.25 million token strings
