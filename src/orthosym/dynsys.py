@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError
-from .spectral import as_sym, eig_sym
+from .errors import DimensionError, DivergenceError
+from .spectral import _eigh, _scaled, _spectrum, as_sym, eig_sym
 
 #: The coordinate swap commuting with the coefficient matrix for every mu.
 SWAP_23 = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
@@ -133,50 +133,79 @@ def equilibria(mu: float) -> EquilibriumSet:
     multiplicity and whose radius is the square root of the eigenvalue.
     """
     dec = eig_sym(guiding_matrix(mu))
-    components = [Component(np.zeros((0, 3)), 0.0)]
-    for (rep, _), sl in zip(dec.clusters, dec.cluster_slices()):
-        if rep > dec.cluster_tol:
-            components.append(Component(dec.v[sl, :], math.sqrt(rep)))
     return EquilibriumSet(
         mu=mu,
-        components=tuple(components),
+        components=tuple(
+            Component(dec.v[start:start + m], radius)
+            for start, m, radius in _orbits(dec.clusters, dec.cluster_tol)
+        ),
         lambdas=tuple(dec.lambdas.tolist()),
     )
+
+
+def _orbits(clusters, tol):
+    """(first row, multiplicity m, radius) of each orbit of equilibria, from
+    ascending (representative, multiplicity) eigenvalue clusters: the origin
+    (m = 0, radius 0), then one orbit of kind m and radius sqrt(rep) for
+    each cluster above ``tol``."""
+    out, start = [(0, 0, 0.0)], 0
+    for rep, m in clusters:
+        if rep > tol:
+            out.append((start, m, math.sqrt(rep)))
+        start += m
+    return out
 
 
 def integrate(x0, mu: float, dt: float = 1e-2, steps: int = 10000) -> np.ndarray:
     """Classical fixed-step RK4 trajectory; returns (steps + 1, 3) states.
 
-    Raises DivergenceError (with the step index) if the state leaves the
-    finite floating-point range.
+    Raises DimensionError unless x0 holds three values, and DivergenceError
+    (with the step index) if the state leaves the finite floating-point
+    range.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt:g}")
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
     a = guiding_matrix(mu)
-
-    def f(x):
-        return a @ x - (x @ x) * x
-
-    traj = np.empty((steps + 1, 3))
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.asarray(x0, dtype=float)
+    if x.shape != (3,):
+        raise DimensionError(f"x0 must hold 3 values, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"x0 must be finite, got {x.tolist()}")
+    xb = np.empty(3)
+
+    # the state is three floats, and each elementwise operation is the one
+    # numpy would round, in the same order, so the trajectory is bit for bit
+    # that of the same RK4 on arrays.  Only A x and x . x go through BLAS,
+    # from one buffer: ndarray.dot reaches the same dgemv and ddot calls as
+    # ``@`` with less dispatch
+    def f(x0, x1, x2):
+        xb[0] = x0
+        xb[1] = x1
+        xb[2] = x2
+        s = float(xb.dot(xb))
+        a0, a1, a2 = a.dot(xb).tolist()
+        return a0 - s * x0, a1 - s * x1, a2 - s * x2
+
+    traj = np.empty((steps + 1, 3))
     traj[0] = x
+    x0, x1, x2 = x.tolist()
+    h2 = 0.5 * dt
+    h6 = dt / 6.0
     # overflow inside a blown-up step is expected and reported as an error
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            k1 = f(x)
-            k2 = f(x + 0.5 * dt * k1)
-            k3 = f(x + 0.5 * dt * k2)
-            k4 = f(x + dt * k3)
-            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.isfinite(x).all():
-                raise DivergenceError(
-                    f"trajectory diverged at step {k + 1}", step=k + 1
-                )
-            traj[k + 1] = x
+        for k in range(1, steps + 1):
+            p0, p1, p2 = f(x0, x1, x2)
+            q0, q1, q2 = f(x0 + h2 * p0, x1 + h2 * p1, x2 + h2 * p2)
+            r0, r1, r2 = f(x0 + h2 * q0, x1 + h2 * q1, x2 + h2 * q2)
+            s0, s1, s2 = f(x0 + dt * r0, x1 + dt * r1, x2 + dt * r2)
+            x0 += h6 * (((p0 + 2.0 * q0) + 2.0 * r0) + s0)
+            x1 += h6 * (((p1 + 2.0 * q1) + 2.0 * r1) + s1)
+            x2 += h6 * (((p2 + 2.0 * q2) + 2.0 * r2) + s2)
+            if not (math.isfinite(x0) and math.isfinite(x1) and math.isfinite(x2)):
+                raise DivergenceError(f"trajectory diverged at step {k}", step=k)
+            traj[k] = x0, x1, x2
     return traj
 
 
@@ -202,20 +231,39 @@ def sweep(mu_from: float, mu_to: float, samples: int) -> list[SweepRow]:
         raise ValueError(f"samples must be at least 2, got {samples}")
     if not (math.isfinite(mu_from) and math.isfinite(mu_to)):
         raise ValueError(f"the mu range must be finite, got {mu_from:g} to {mu_to:g}")
+    # every matrix of the grid is solved in one stacked call, each at the
+    # power-of-two scale eig_sym would solve it at; eig_sym symmetrises
+    # only a matrix that is not exactly symmetric, and no guiding matrix is
+    grid = np.linspace(mu_from, mu_to, samples).tolist()
+    work = np.empty((samples, 3, 3))
+    shifts = []
+    failed = None
+    for mu in grid:
+        try:
+            a = guiding_matrix(mu)
+        except ValueError as exc:
+            # the rows before it are classified first, so that an error of
+            # theirs is raised in its place, as row by row
+            failed = exc
+            break
+        shift, work[len(shifts)] = _scaled(a)
+        shifts.append(shift)
+    diag, _ = _eigh(work[:len(shifts)])
     rows: list[SweepRow] = []
     previous = None
-    for mu in np.linspace(mu_from, mu_to, samples):
-        eq = equilibria(float(mu))
-        inventory = eq.inventory()
+    for mu, d, shift in zip(grid, diag, shifts):
+        lam, clusters, tol, _ = _spectrum(d, shift)
+        components = tuple((_KINDS[m], radius) for _, m, radius in _orbits(clusters, tol))
+        inventory = sorted(kind for kind, _ in components)
         rows.append(
             SweepRow(
-                mu=float(mu),
-                lambdas=eq.lambdas,
-                components=tuple(
-                    (c.kind, float(c.radius)) for c in eq.components
-                ),
+                mu=mu,
+                lambdas=tuple(lam.tolist()),
+                components=components,
                 transition=previous is not None and inventory != previous,
             )
         )
         previous = inventory
+    if failed is not None:
+        raise failed
     return rows

@@ -257,8 +257,7 @@ def find_isomorphism(ga: Graph, gb: Graph) -> Optional[np.ndarray]:
         raise SizeCapError(f"exact isomorphism search capped at n <= {EXACT_SEARCH_MAX_N}")
     a = ga.adjacency.astype(float)
     tol = 1e-8 * max(1.0, float(np.linalg.norm(a)))
-    # eig_sym takes no 0 x 0 matrix, and the empty map needs no spectrum
-    if ga.n and not isospectral(a, gb.adjacency.astype(float), tol):
+    if not isospectral(a, gb.adjacency.astype(float), tol):
         return None
     maps = _search_maps(ga.adjacency, gb.adjacency, limit=None, first_only=True)
     if not len(maps):

@@ -174,7 +174,10 @@ def _fix_signs(u: np.ndarray) -> np.ndarray:
     # sign convention: first entry of largest magnitude in each eigenvector
     # is positive (ties resolved by argmax taking the lowest index); that
     # entry of a unit vector is nonzero, so its sign is +/-1.0, and scaling
-    # by -1.0 is as exact as negation
+    # by -1.0 is as exact as negation.  A 0 x 0 basis has no entry to take
+    # an argmax of, and no sign to fix
+    if not u.size:
+        return u
     k = np.abs(u).argmax(axis=0)
     return u * np.sign(u[k, np.arange(u.shape[1])])
 
@@ -216,11 +219,34 @@ def _decompose(shape, entries, cluster_tol_hex) -> SpectralDecomposition:
     if not (m == m.T).all():
         extra, work = _scaled((work + work.T) / 2.0)
         shift += extra
+    diag, u = _eigh(work)
+    lam, clusters, tol, borderline = _spectrum(diag, shift, cluster_tol_hex)
+    return SpectralDecomposition(
+        v=_fix_signs(u).T,
+        lambdas=lam,
+        clusters=clusters,
+        cluster_tol=tol,
+        borderline=borderline,
+    )
+
+
+def _eigh(work):
+    """``np.linalg.eigh`` of a matrix or of a stack of them, each solved as
+    it would be alone; a LAPACK failure is raised as ConvergenceError."""
     try:
         # LAPACK returns the eigenvalues in ascending order
-        diag, u = np.linalg.eigh(work)
+        return np.linalg.eigh(work)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
+
+
+def _spectrum(diag, shift, cluster_tol_hex=None):
+    """The eigenvalues ``diag`` of a matrix solved at a scale of 2^-shift,
+    scaled back and clustered: (lambdas, clusters, cluster_tol, borderline)
+    as ``SpectralDecomposition`` holds them.
+
+    Raises ValueError if an eigenvalue overflows or the tolerance (given as
+    ``float.hex``, or None for the default) is negative or not finite."""
     top = float(np.abs(diag).max(initial=0.0))
     # np.ldexp below would return inf, with only a warning, for an
     # eigenvalue past the float range
@@ -254,13 +280,7 @@ def _decompose(shape, entries, cluster_tol_hex) -> SpectralDecomposition:
         rep = values[start] if size == 1 else _unscaled(float(np.mean(diag[start:i])), shift)
         clusters.append((rep, size))
         start = i
-    return SpectralDecomposition(
-        v=_fix_signs(u).T,
-        lambdas=lam,
-        clusters=tuple(clusters),
-        cluster_tol=tol,
-        borderline=tuple(borderline),
-    )
+    return lam, tuple(clusters), tol, tuple(borderline)
 
 
 def isospectral(a, b, tol: float) -> bool:
@@ -274,7 +294,7 @@ def isospectral(a, b, tol: float) -> bool:
         raise DimensionError(f"dimension mismatch: {len(la)} vs {len(lb)}")
     # spectra and tol divided by 2^s, so that la - lb cannot overflow
     _, la, lb, tol = _scaled(la, lb, tol)
-    return bool(np.max(np.abs(la - lb)) <= tol)
+    return bool(np.abs(la - lb).max(initial=0.0) <= tol)
 
 
 def align_basis(dec: SpectralDecomposition, target) -> SpectralDecomposition:

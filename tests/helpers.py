@@ -1,8 +1,8 @@
 """Shared test utilities: seeded generators and independent oracles.
 
 The oracles here (brute-force isomorphism enumeration, Newton refinement,
-QR-based random orthogonal matrices) deliberately avoid the library code
-paths they are used to check.
+QR-based random orthogonal matrices, RK4 on numpy arrays) deliberately
+avoid the library code paths they are used to check.
 """
 
 import itertools
@@ -11,7 +11,8 @@ import numpy as np
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from orthosym.errors import LimitExceededError
+from orthosym.dynsys import guiding_matrix
+from orthosym.errors import DivergenceError, LimitExceededError
 
 MASTER_SEED = 20260810
 
@@ -189,3 +190,28 @@ def newton_equilibrium(a, x0, max_iter=100, step_tol=1e-13):
         if np.linalg.norm(dx) < step_tol:
             return x
     return x
+
+
+def rk4_on_arrays(x0, mu, dt, steps):
+    """Test-only copy of the RK4 loop on numpy 3-vectors that
+    ``dynsys.integrate`` replaced: the reference for its trajectory, bit for
+    bit, and for the step and message of its DivergenceError."""
+    a = guiding_matrix(mu)
+
+    def f(x):
+        return a @ x - (x @ x) * x
+
+    traj = np.empty((steps + 1, 3))
+    x = np.asarray(x0, dtype=float).copy()
+    traj[0] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            k1 = f(x)
+            k2 = f(x + 0.5 * dt * k1)
+            k3 = f(x + 0.5 * dt * k2)
+            k4 = f(x + dt * k3)
+            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.isfinite(x).all():
+                raise DivergenceError(f"trajectory diverged at step {k + 1}", step=k + 1)
+            traj[k + 1] = x
+    return traj

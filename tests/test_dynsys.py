@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -10,6 +11,7 @@ from orthosym import fixtures
 from orthosym.dynsys import (
     SWAP_23,
     EquilibriumSet,
+    SweepRow,
     equilibria,
     guiding_matrix,
     integrate,
@@ -17,11 +19,11 @@ from orthosym.dynsys import (
     spectrum_formula,
     sweep,
 )
-from orthosym.errors import DivergenceError
+from orthosym.errors import DimensionError, DivergenceError
 from orthosym.isotropy import commutator_residual, sample_gamma
 from orthosym.spectral import eig_sym
 
-from helpers import MASTER_SEED, newton_equilibrium
+from helpers import MASTER_SEED, newton_equilibrium, rk4_on_arrays
 
 SQ2 = math.sqrt(2.0)
 
@@ -222,6 +224,101 @@ def test_integrate_rejects_bad_arguments():
         integrate([0.1, 0.1, 0.1], 0.0, dt=0.0, steps=10)
     with pytest.raises(ValueError):
         integrate([0.1, 0.1, 0.1], 0.0, dt=1e-2, steps=0)
+
+
+@pytest.mark.parametrize("x0", [[0.1, 0.1], [[0.1, 0.1, 0.1]], [0.1] * 4, 0.1])
+def test_integrate_rejects_a_wrong_length_x0(x0):
+    # before: numpy's broadcast ValueError for (2,), a matmul error for
+    # (1, 3); raised before the trajectory, of 2^62 steps here, is allocated
+    with pytest.raises(DimensionError, match="x0 must hold 3 values"):
+        integrate(x0, 0.0, dt=1e-2, steps=2**62)
+
+
+def test_integrate_holds_little_beyond_its_trajectory():
+    # the 240 KB trajectory, and no per-step objects (10,000 tuples of
+    # three floats would hold about 1.4 MB)
+    integrate([0.1, 0.1, 0.1], -0.25, dt=1e-2, steps=10)
+    tracemalloc.start()
+    try:
+        traj = integrate([0.1, 0.1, 0.1], -0.25, dt=1e-2, steps=10000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.nbytes == 240024
+    assert peak < traj.nbytes + 16 * 1024
+
+
+def _outcome(run):
+    try:
+        return run().tobytes()
+    except DivergenceError as exc:
+        return exc.step, str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    # three floats, not an array strategy, which drew steps = 1 for more
+    # than half of the examples
+    x0=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+    scale=st.floats(-3.0, 3.0),
+    mu=st.floats(-2.0, 3.0),
+    dt=st.floats(1e-4, 0.5),
+    steps=st.integers(1, 400),
+)
+@example(x0=(10.0, 10.0, 10.0), scale=0.0, mu=0.0, dt=10.0, steps=100)
+def test_integrate_matches_rk4_on_arrays(x0, scale, mu, dt, steps):
+    # the same trajectory bit for bit, or the same divergence step and message
+    x0 = np.array(x0) * 10.0**scale
+    expected = _outcome(lambda: rk4_on_arrays(x0, mu, dt, steps))
+    assert _outcome(lambda: integrate(x0, mu, dt=dt, steps=steps)) == expected
+
+
+def rows_from_equilibria(mu_from, mu_to, samples):
+    """The sweep built from one ``equilibria`` call per mu: the reference
+    for its rows and for the error it raises first."""
+    rows, previous = [], None
+    for mu in np.linspace(mu_from, mu_to, samples).tolist():
+        eq = equilibria(mu)
+        inventory = eq.inventory()
+        components = tuple((c.kind, float(c.radius)) for c in eq.components)
+        rows.append(SweepRow(mu, eq.lambdas, components, previous is not None and inventory != previous))
+        previous = inventory
+    return rows
+
+
+def _grids():
+    anywhere = st.tuples(st.floats(-2.0, 3.0), st.floats(-2.0, 3.0), st.integers(2, 60))
+    # exact grids k * step, through mu = 0, 0.5 and 1 when they reach them
+    through = st.builds(
+        lambda k, step, n: (k * step, (k + n - 1) * step, n),
+        st.integers(-8, 4),
+        st.sampled_from([0.5, 0.25, 0.125]),
+        st.integers(2, 30),
+    )
+    flat = st.builds(lambda mu, n: (mu, mu, n), st.sampled_from([0.0, 0.5, 1.0, -0.3]), st.integers(2, 5))
+    return st.one_of(anywhere, through, flat)
+
+
+def _repr_or_error(run):
+    # repr tells -0.0 from 0.0, which == does not
+    try:
+        return repr(run())
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=_grids())
+# an eigenvalue past the float range at the first mu, entries past it at
+# the second: the first row's error comes first, as row by row
+@example(grid=(5e307, 1e308, 2))
+@example(grid=(-0.5, 1.5, 201))
+# entries near the float maximum: each grid matrix must be solved at the
+# scale eig_sym solves it at
+@example(grid=(-4e307, 4e307, 9))
+def test_sweep_matches_equilibria_row_by_row(grid):
+    expected = _repr_or_error(lambda: rows_from_equilibria(*grid))
+    assert _repr_or_error(lambda: sweep(*grid)) == expected
 
 
 def test_sweep_transitions():

@@ -59,6 +59,12 @@ def test_graph_validation():
         Graph.from_edges([(0, 0)])
 
 
+def test_the_empty_graph_has_an_empty_spectrum():
+    graph = Graph(np.zeros((0, 0), dtype=int))
+    assert adjacency_decomposition(graph).n == 0
+    assert hidden_symmetry_sample(graph, 1).shape == (0, 0)
+
+
 def test_building_a_sparse_graph_holds_one_dense_int64_array():
     # a path's edge list is tiny; the dense adjacency it becomes is n^2
     # int64 entries, and building it may hold little more than that

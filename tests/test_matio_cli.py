@@ -177,18 +177,33 @@ _PROBE = ["--function", "trig-quartic", "--x", "1,1,1", "--h", "0.2,0.05,0.1"]
     ],
 )
 def test_cli_decomposes_each_matrix_once(monkeypatch, capsys, argv, decompositions):
-    calls = []
-    eig_sym = spectral.eig_sym
+    # a matrix is decomposed by one eig_sym call, or as one matrix of a stack
+    # handed to the solver outside eig_sym (every grid matrix of a sweep);
+    # no matrix is decomposed twice, either way
+    decomposed, inside = [], []
+    eig_sym, eigh = spectral.eig_sym, spectral._eigh
 
     def counted(*args, **kwargs):
-        calls.append(args)
-        return eig_sym(*args, **kwargs)
+        decomposed.append(np.asarray(args[0]))
+        inside.append(True)
+        try:
+            return eig_sym(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def stacked(work):
+        if not inside:
+            decomposed.extend(work.reshape(-1, *work.shape[-2:]))
+        return eigh(work)
 
     for module in (spectral, dynsys, stencil):
         monkeypatch.setattr(module, "eig_sym", counted)
+    for module in (spectral, dynsys):
+        monkeypatch.setattr(module, "_eigh", stacked)
     code, _, _ = run_capture(capsys, argv)
     assert code == 0
-    assert len(calls) == decompositions
+    assert len(decomposed) == decompositions
+    assert len({m.tobytes() for m in decomposed}) == decompositions
 
 
 @pytest.mark.parametrize("action", ["probe", "order"])

@@ -21,6 +21,7 @@ from orthosym.spectral import (
     as_sym,
     check_symmetric,
     eig_sym,
+    isospectral,
 )
 
 from helpers import (
@@ -138,6 +139,15 @@ def test_eig_scalar():
     assert dec.lambdas.tolist() == [7.0]
     assert dec.v.tolist() == [[1.0]]
     assert dec.multiplicities == (1,)
+
+
+def test_eig_empty_matrix():
+    # before: numpy's "attempt to get argmax of an empty sequence"
+    dec = eig_sym(np.zeros((0, 0)))
+    assert dec.n == 0 and dec.clusters == () and dec.borderline == ()
+    assert dec.lambdas.shape == (0,) and dec.v.shape == (0, 0)
+    assert dec.reconstruct().shape == (0, 0)
+    assert isospectral(np.zeros((0, 0)), np.zeros((0, 0)), 0.0)
 
 
 def test_eig_reconstruction_random_8x8():
