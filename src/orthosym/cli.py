@@ -172,9 +172,15 @@ def _gamma2_json(elements, count, multiplicities):
     magnitudes of element k bit for bit, as in the sign group, which holds
     -I, under sign-symmetric IEEE rounding.
 
-    So ``float.__repr__``, which json uses for a finite float, runs once per
-    distinct magnitude of the first half of the elements, and element
+    So each distinct magnitude of the first half of the elements is
+    formatted once, into the token json would write for it, and element
     count - 1 - k is written with the codes of element k into that table.
+    The tokens come from ``floatrepr.reprs``, which is ``float.__repr__``
+    (json's form of a finite float) byte for byte: below
+    ``floatrepr.MIN_VECTOR`` magnitudes it calls ``float.__repr__``, above
+    it computes the shortest round-trip digits of a whole chunk at once
+    with numpy integer arithmetic (Schubfach), leaving zeros and subnormals
+    to ``float.__repr__``.
     "-" goes in front wherever an element's own sign bit is set:
     ``repr(-x) == "-" + repr(x)`` for every finite x, -0.0 included.
     Element k's sign bits, flipped, would not do: an entry that cancels
@@ -182,6 +188,8 @@ def _gamma2_json(elements, count, multiplicities):
     again, one piece at a time, for its sign bits only.  The first half's
     tables are built before this returns, so a failure there writes
     nothing."""
+    from .floatrepr import reprs
+
     half = count // 2
     # a first piece that spans both halves comes from the same product
     first = elements(np.arange(max(half, min(count, _GAMMA2_BLOCK))))
@@ -189,7 +197,7 @@ def _gamma2_json(elements, count, multiplicities):
     negative = np.signbit(first).reshape(len(first), n * n)
     mags, codes = _unique_codes(np.abs(first[:half]).reshape(half, n * n))
     del first  # the tokens below are the peak of the call
-    tokens = np.array(list(map(float.__repr__, mags.tolist())), dtype=object)
+    tokens = np.array(reprs(mags), dtype=object)
     # the row of codes that element k is written with
     rows = np.arange(count)
     rows = np.minimum(rows, rows[::-1])

@@ -231,6 +231,9 @@ def sweep(mu_from: float, mu_to: float, samples: int) -> list[SweepRow]:
         raise ValueError(f"samples must be at least 2, got {samples}")
     if not (math.isfinite(mu_from) and math.isfinite(mu_to)):
         raise ValueError(f"the mu range must be finite, got {mu_from:g} to {mu_to:g}")
+    if not math.isfinite(mu_to - mu_from):
+        # np.linspace would overflow on the width and fill the grid with inf
+        raise ValueError(f"the mu range is wider than the float range, got {mu_from:g} to {mu_to:g}")
     # every matrix of the grid is solved in one stacked call, each at the
     # power-of-two scale eig_sym would solve it at; eig_sym symmetrises
     # only a matrix that is not exactly symmetric, and no guiding matrix is

@@ -1,0 +1,268 @@
+"""``float.__repr__`` for a whole float64 array, at numpy speed.
+
+``reprs(values)`` returns ``list(map(float.__repr__, values.tolist()))``
+byte for byte.  The shortest round-trip digits come from Schubfach
+(R. Giulietti, "The Schubfach way to render doubles", 2020) on uint64
+arrays, and are laid out as repr lays them out.  Python's repr is David
+Gay's shortest, correctly rounded string, and so is Schubfach's, as long
+as the rounding interval takes both of its ends when the significand is
+even (round-half-even parsing) and a tie between two shortest candidates
+goes to the even one.  JDK's treatment of subnormals is not Python's
+(it prints ``4.9E-324`` for what Python prints as ``5e-324``), so zeros and
+subnormals are left to ``float.__repr__``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+# below this many values map(float.__repr__) is faster than the vector
+# path's fixed cost (per-call and per-chunk set-up)
+MIN_VECTOR = 512
+# most values per chunk: an operation over a cache-sized chunk costs
+# several times less per element than over the whole array
+CHUNK = 4096
+
+_U = np.uint64
+_M32 = _U(0xFFFFFFFF)
+_M63 = _U(2**63 - 1)
+_K_MIN = -324  # the decimal exponents k that normal doubles need
+_K_MAX = 292
+
+# repr writes 0.D x 10^d positionally when -4 < d <= 16, with ".0" on an
+# integral value; otherwise as D1.D2...e+XX, with at least two exponent
+# digits.  A layout is d + 3 for a positional d, _EXP for the others, and
+# a template is the 24 bytes of a row (below) that make up a repr
+_D_LO, _D_HI = -3, 16
+_EXP = _D_HI - _D_LO + 1
+_WIDTH = 24
+# a row of the byte buffer: the 17 digits at bytes 3-19 (bytes 0-2 are the
+# leading zeros of the first 4-digit group), ".0" and NULs at 20-23, then
+# the exponent, "e-05" or "e+308", with NULs after it at 24-31
+_DIGIT, _DOT, _ZERO, _NUL, _EXPONENT = 3, 20, 21, 22, 24
+_ROW = 32
+
+
+def _tables():
+    """The lookup tables: Schubfach's g(k) =
+    floor(10^-k / 2^r) + 1, 2^125 <= g < 2^126, as g1 = g >> 63 and the
+    32-bit limbs of g1 and of g0 = g mod 2^63; the 4 ASCII digits of each
+    group 0000-9999 as one uint32; for the four groups that follow the
+    leading digit, the digit count up to a group's last nonzero digit; the
+    exponent bytes of each decimal point position; and the templates."""
+    limbs = []
+    for k in range(_K_MIN, _K_MAX + 1):
+        # r = floor(log2 10^-k) - 125, so that 2^125 <= 10^-k / 2^r < 2^126
+        if k <= 0:
+            p = 10**-k
+            r = p.bit_length() - 126
+            g = (p >> r if r >= 0 else p << -r) + 1
+        else:
+            # 10^k is not a power of two, so floor(log2 10^-k) = -bit_length
+            p = 10**k
+            g = (1 << (p.bit_length() + 125)) // p + 1
+        g1, g0 = g >> 63, g & (2**63 - 1)
+        limbs.append((g1 >> 32, g1 & 0xFFFFFFFF, g0 >> 32, g0 & 0xFFFFFFFF))
+    g1h, g1l, g0h, g0l = np.array(limbs, dtype=np.uint64).T
+    # one row each for g1, its limbs and the limbs of g0, a column per k
+    g = np.stack([(g1h << 32) | g1l, g1h, g1l, g0h, g0l])
+
+    group = np.arange(10_000)
+    digits = np.stack([group // 1000, group // 100 % 10, group // 10 % 10, group % 10], axis=1)
+    ascii4 = (digits + ord("0")).astype(np.uint8).view("<u4").reshape(-1)
+    # 1 + 4j + the digits of group j up to its last nonzero one, or 1 (the
+    # leading digit alone) for a group of zeros
+    kept = 4 - np.select([group % 10**j == 0 for j in (3, 2, 1)], [3, 2, 1], 0)
+    kept = np.where(group == 0, 1, 1 + 4 * np.arange(4)[:, None] + kept).astype(np.int16)
+
+    # by decimal point position d - _K_MIN: a normal double has
+    # k <= d - 16 <= k + 1
+    exponents = b"".join(
+        f"e{d - 1:+03d}".encode().ljust(8, b"\0") for d in range(_K_MIN, _K_MAX + 18)
+    )
+
+    # each template spelled with a-q for the 17 digits and v-z for the
+    # exponent's bytes, then turned into byte offsets in a row
+    spelled = []
+    for length in range(18):
+        digit = "abcdefghijklmnopq"[:length]
+        for d in range(_D_LO, _D_HI + 1):
+            if d <= 0:
+                spelled.append("0." + "0" * -d + digit)
+            elif d < length:
+                spelled.append(digit[:d] + "." + digit[d:])
+            else:
+                spelled.append(digit + "0" * (d - length) + ".0")
+        spelled.append(digit[:1] + ("." + digit[1:] if length > 1 else "") + "vwxyz")
+    offset = np.full(128, _NUL, dtype=np.uint8)
+    offset[np.frombuffer(b"abcdefghijklmnopq", np.uint8)] = _DIGIT + np.arange(17)
+    offset[np.frombuffer(b"vwxyz", np.uint8)] = _EXPONENT + np.arange(5)
+    offset[[ord("."), ord("0")]] = _DOT, _ZERO
+    spelled = "".join(t.ljust(_WIDTH) for t in spelled).encode()
+    templates = offset[np.frombuffer(spelled, np.uint8)].reshape(18 * (_EXP + 1), _WIDTH)
+
+    tables = g, ascii4, kept, np.frombuffer(exponents, "<u8"), templates
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+# Built at import, which comes before the first render's temporaries: the
+# tables live as long as the process, and built in the middle of a large
+# render they would land among its temporaries and keep the heap from
+# shrinking after it.  They take about 5 ms.
+_G, _ASCII4, _KEPT, _EXPONENTS, _TEMPLATES = _tables()
+
+
+# The kernel below keeps few arrays alive at once, updating them in place
+# where it can.  Every live array holds a small block for its shape, and
+# numpy keeps only a few freed ones for reuse; more than that are allocated
+# afresh wherever the heap has room, and those that end up kept can sit
+# above a large render's temporaries and stop the heap from shrinking after
+# it.
+
+
+def _hi64(a1, a0, b1, b0):
+    """The high 64 bits of (a1 2^32 + a0)(b1 2^32 + b0), from 32-bit limbs."""
+    mid = a0 * b0
+    mid >>= 32
+    hi = a1 * b1
+    for p in (a0 * b1, a1 * b0):
+        hi += p >> 32
+        p &= _M32
+        mid += p
+    mid >>= 32
+    hi += mid
+    return hi
+
+
+def _digits(bits, g):
+    """Schubfach on normal doubles given as bits: (f, k) with f 10^k the
+    shortest decimal that rounds to each, f of 16 or 17 digits."""
+    c = bits & _U(2**52 - 1)
+    q = (bits >> _U(52)).view(np.int64)
+    q -= 1075
+    # at a power of two (not the smallest normal) the interval below is half
+    irregular = c == 0
+    irregular &= q > -1074
+    c |= _U(2**52)
+    # k = floor(log10 2^q), or floor(log10 (3/4) 2^q) where irregular, and
+    # h = q + floor(-k log2 10) + 2, in fixed point exact over this range
+    k = q * 661_971_961_083
+    k -= irregular * 274_743_187_321
+    k >>= 41
+    h = k * -913_124_641_741
+    h >>= 38
+    h += q
+    h += 2
+    del q
+    limbs = np.take(g, k - _K_MIN, axis=1)  # g1, g1h, g1l, g0h, g0l
+    # the rounding interval's middle and ends, times 2^(h + 2), rounded to odd
+    cp = np.empty((3, len(c)), dtype=np.uint64)
+    np.left_shift(c, _U(2), out=cp[0])
+    np.subtract(cp[0], _U(2), out=cp[1])
+    cp[1] += irregular
+    np.add(cp[0], _U(2), out=cp[2])
+    del irregular
+    cp <<= h.view(np.uint64)
+    del h
+    z = limbs[0] * cp
+    z >>= 1
+    cph = cp >> 32
+    cp &= _M32
+    z += _hi64(limbs[3], limbs[4], cph, cp)
+    v = _hi64(limbs[1], limbs[2], cph, cp)
+    del limbs, cp, cph
+    v += z >> 63
+    z &= _M63
+    v |= z != 0
+    del z
+    # v holds vb and the interval's ends vbl and vbr; the interval is closed
+    # for an even c, as round-half-even parsing has it
+    c &= _U(1)
+    v[1] += c
+    v[2] -= c
+    del c
+    # one digit fewer, u' = 10 floor(s / 10) or w' = u' + 10, if exactly one
+    # is in the interval; else s or s + 1, the one in it or else the closer,
+    # a tie going to the even one
+    s = v[0] >> 2
+    sp = s // _U(10)
+    sp *= _U(10)
+    bound = sp << 2
+    upin = v[1] <= bound
+    bound += _U(40)
+    short = upin != (bound <= v[2])
+    np.add(sp, _U(10), out=sp, where=~upin)
+    del upin
+    np.left_shift(s, _U(2), out=bound)  # s4
+    lower = v[0] < bound + _U(3) - (s & _U(1))
+    lower |= v[2] < bound + _U(4)
+    lower &= v[1] <= bound
+    del bound
+    s += ~lower
+    np.copyto(s, sp, where=short)
+    return s, k
+
+
+def reprs(values) -> list[str]:
+    """``list(map(float.__repr__, values.tolist()))`` for a 1-D float64
+    array of finite values without a sign bit, such as ``np.abs`` gives."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if len(values) < MIN_VECTOR:
+        return list(map(float.__repr__, values.tolist()))
+    bits = values.view(np.uint64)
+    # zeros and subnormals are written by float.__repr__ below
+    small = np.flatnonzero(bits < _U(2**52)).tolist()
+    # equal chunks of at most CHUNK values: a short last chunk would give
+    # arrays small enough for numpy to keep their blocks after the call
+    size = -(-len(values) // -(-len(values) // CHUNK))
+    buf = np.empty((size, _ROW // 4), dtype=np.uint32)
+    buf[:, _DOT // 4] = np.frombuffer(b".0\0\0", dtype="<u4")[0]
+    offsets = np.arange(0, len(buf) * _ROW, _ROW)[:, None]
+    out = [None] * len(values)
+    for lo in range(0, len(values), size):
+        f, d = _digits(np.maximum(bits[lo : lo + size], _U(2**52)), _G)
+        m = len(f)
+        # 17 digits, the first at the decimal point position d
+        long = f >= _U(10**16)
+        d += 16
+        d += long
+        np.multiply(f, _U(10), out=f, where=~long)
+        del long
+        # as 1 + 4 x 4 digits
+        head = f // _U(10**8)
+        f -= head * _U(10**8)
+        groups = np.empty((5, m), dtype=np.uint32)
+        np.floor_divide(head, _U(10**8), out=groups[0])
+        head -= groups[0] * _U(10**8)
+        np.floor_divide(head, _U(10**4), out=groups[1])
+        head -= groups[1] * _U(10**4)
+        groups[2] = head
+        np.floor_divide(f, _U(10**4), out=groups[3])
+        f -= groups[3] * _U(10**4)
+        groups[4] = f
+        del f, head
+        row = buf[:m]
+        for j in range(5):
+            row[:, j] = np.take(_ASCII4, groups[j])
+        row.view(np.uint64)[:, _EXPONENT // 8] = np.take(_EXPONENTS, d - _K_MIN)
+        length = np.take(_KEPT[0], groups[1])
+        for j in (1, 2, 3):
+            np.maximum(length, np.take(_KEPT[j], groups[j + 1]), out=length)
+        del groups
+        # the layout, d - _D_LO where positional, then the template's row
+        positional = (_D_LO <= d) & (d <= _D_HI)
+        d -= _D_LO
+        np.copyto(d, _EXP, where=~positional)
+        del positional
+        d += length * (_EXP + 1)
+        del length
+        index = offsets[:m] + np.take(_TEMPLATES, d, axis=0)
+        del d
+        chars = np.take(row.view(np.uint8).reshape(-1), index).astype(np.uint32)
+        del index
+        out[lo : lo + m] = chars.view(f"<U{_WIDTH}").reshape(-1).tolist()
+    for i in small:
+        out[i] = float.__repr__(float(values[i]))
+    return out

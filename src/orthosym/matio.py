@@ -75,12 +75,6 @@ def _parse_matrix_text(text: str) -> np.ndarray:
     return m
 
 
-def format_matrix(a) -> str:
-    """Emit with full round-trip precision, one row per line."""
-    m = np.asarray(a, dtype=float)
-    return "\n".join(" ".join(repr(float(x)) for x in row) for row in m) + "\n"
-
-
 def parse_graph(source) -> Graph:
     """Parse a graph from either format.
 

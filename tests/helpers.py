@@ -17,6 +17,13 @@ from orthosym.errors import DivergenceError, LimitExceededError
 MASTER_SEED = 20260810
 
 
+def format_matrix(a) -> str:
+    """A matrix file: one row per line, each value with full round-trip
+    precision."""
+    m = np.asarray(a, dtype=float)
+    return "\n".join(" ".join(repr(float(x)) for x in row) for row in m) + "\n"
+
+
 def random_symmetric(rng, n):
     m = rng.standard_normal((n, n))
     return (m + m.T) / 2.0

@@ -24,7 +24,7 @@ from orthosym.isotropy import (
     sample_block_orthogonal,
     sample_gamma,
 )
-from orthosym.matio import format_matrix, parse_matrix
+from orthosym.matio import parse_matrix
 from orthosym.procrustes import cost, family_sample, solve
 from orthosym.spectral import align_basis, eig_sym
 from orthosym.stencil import BUILTIN_FIELDS, fourth_order_probe, hessian_fd
@@ -32,6 +32,7 @@ from orthosym.stencil import BUILTIN_FIELDS, fourth_order_probe, hessian_fd
 from helpers import (
     MASTER_SEED,
     brute_force_isomorphisms,
+    format_matrix,
     haar_orthogonal,
     newton_equilibrium,
     random_symmetric,

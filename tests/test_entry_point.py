@@ -19,7 +19,8 @@ import pytest
 
 import orthosym
 from orthosym import cli, dynsys
-from orthosym.matio import format_matrix
+
+from helpers import format_matrix
 
 SRC = str(Path(orthosym.__file__).resolve().parents[1])
 ENV = dict(
@@ -69,7 +70,7 @@ _PROBE = ["--function", "trig-quartic", "--x", "1,1,1", "--h", "0.2,0.05,0.1"]
 # ``__main__``, so it is not among them)
 RUNS = [
     (["eig", "--input", "A", "--format", "csv"], {"matio"}),
-    (["isotropy", "gamma2", "--input", "A"], {"matio", "isotropy"}),
+    (["isotropy", "gamma2", "--input", "A"], {"matio", "isotropy", "floatrepr"}),
     (["isotropy", "sample", "--input", "A", "--count", "2", "--seed", "5"], {"matio", "isotropy"}),
     (["isotropy", "check", "--input", "A", "--candidate", "ID", "--format", "text"], {"matio", "isotropy"}),
     (["procrustes", "solve", "--input-a", "A", "--input-b", "A"], {"matio", "isotropy", "procrustes"}),

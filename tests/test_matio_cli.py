@@ -21,9 +21,9 @@ from orthosym import cli, dynsys, fixtures, isotropy, spectral, stencil, verify
 from orthosym.cli import EXIT_VERIFY, run
 from orthosym.errors import InputFormatError, StructureError
 from orthosym.isotropy import commutator_residual, gamma2_elements
-from orthosym.matio import format_matrix, parse_graph, parse_matrix
+from orthosym.matio import parse_graph, parse_matrix
 
-from helpers import MASTER_SEED, random_symmetric, symmetric_matrices
+from helpers import MASTER_SEED, format_matrix, random_symmetric, symmetric_matrices
 
 
 def run_capture(capsys, argv):
@@ -986,11 +986,13 @@ def test_non_finite_or_negative_cluster_tol_is_an_input_error(diag21_files, tol)
         (["stencil", "probe", "--function", "quadratic", "--x=inf,1,1", *_PROBE[4:]], "x must be finite, got [inf, 1.0, 1.0]"),
         (["dynsys", "integrate", "--steps", "5", "--x0=nan,0,0"], "x0 must be finite, got [nan, 0.0, 0.0]"),
         (["dynsys", "sweep", "--samples", "3", "--from=-inf"], "the mu range must be finite, got -inf to 1.5"),
+        (["dynsys", "sweep", "--samples", "3", "--from=-1e308", "--to=1e308"], "the mu range is wider than the float range, got -1e+308 to 1e+308"),
         (["isotropy", "check", "--input", "A", "--candidate", "INF"], "candidate entries must be finite"),
     ],
     ids=[
         "tol-inf", "tol-nan", "tol-negative", "dt-nan", "dt-inf", "step-inf", "step-nan",
-        "count-negative", "step-underflow", "h-inf", "x-inf", "x0-nan", "from-inf", "candidate-inf",
+        "count-negative", "step-underflow", "h-inf", "x-inf", "x0-nan", "from-inf", "range-overflow",
+        "candidate-inf",
     ],
 )
 def test_option_out_of_range_is_an_input_error(diag21_files, argv, message):

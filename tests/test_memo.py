@@ -11,10 +11,10 @@ import pytest
 
 from orthosym import cli, dynsys, matio, spectral
 from orthosym.errors import InputFormatError
-from orthosym.matio import format_matrix, parse_matrix
+from orthosym.matio import parse_matrix
 from orthosym.spectral import eig_sym
 
-from helpers import MASTER_SEED, random_symmetric
+from helpers import MASTER_SEED, format_matrix, random_symmetric
 
 
 def run(argv):
