@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DivergenceError
-from .spectral import _eigh, _scaled, _spectrum, as_sym, eig_sym
+from .spectral import as_sym, eig_stack, eig_sym
 
 #: The coordinate swap commuting with the coefficient matrix for every mu.
 SWAP_23 = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
@@ -117,9 +117,6 @@ class EquilibriumSet:
     def inventory(self) -> tuple[str, ...]:
         """Sorted component kinds; the signature used to detect transitions."""
         return tuple(sorted(c.kind for c in self.components))
-
-    def contains(self, x, tol: float) -> bool:
-        return any(c.distance(x) <= tol for c in self.components)
 
     def sample_points(self, per_component: int = 16) -> np.ndarray:
         return np.vstack([c.points(per_component) for c in self.components])
@@ -234,34 +231,26 @@ def sweep(mu_from: float, mu_to: float, samples: int) -> list[SweepRow]:
     if not math.isfinite(mu_to - mu_from):
         # np.linspace would overflow on the width and fill the grid with inf
         raise ValueError(f"the mu range is wider than the float range, got {mu_from:g} to {mu_to:g}")
-    # every matrix of the grid is solved in one stacked call, each at the
-    # power-of-two scale eig_sym would solve it at; eig_sym symmetrises
-    # only a matrix that is not exactly symmetric, and no guiding matrix is
     grid = np.linspace(mu_from, mu_to, samples).tolist()
-    work = np.empty((samples, 3, 3))
-    shifts = []
+    matrices = []
     failed = None
     for mu in grid:
         try:
-            a = guiding_matrix(mu)
+            matrices.append(guiding_matrix(mu))
         except ValueError as exc:
             # the rows before it are classified first, so that an error of
             # theirs is raised in its place, as row by row
             failed = exc
             break
-        shift, work[len(shifts)] = _scaled(a)
-        shifts.append(shift)
-    diag, _ = _eigh(work[:len(shifts)])
     rows: list[SweepRow] = []
     previous = None
-    for mu, d, shift in zip(grid, diag, shifts):
-        lam, clusters, tol, _ = _spectrum(d, shift)
-        components = tuple((_KINDS[m], radius) for _, m, radius in _orbits(clusters, tol))
+    for mu, dec in zip(grid, eig_stack(np.reshape(matrices, (-1, 3, 3)))):
+        components = tuple((_KINDS[m], radius) for _, m, radius in _orbits(dec.clusters, dec.cluster_tol))
         inventory = sorted(kind for kind, _ in components)
         rows.append(
             SweepRow(
                 mu=mu,
-                lambdas=tuple(lam.tolist()),
+                lambdas=tuple(dec.lambdas.tolist()),
                 components=components,
                 transition=previous is not None and inventory != previous,
             )

@@ -10,7 +10,7 @@ and tests membership directly through the commutation characterization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -232,20 +232,6 @@ def sample_gamma(dec: SpectralDecomposition, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     sigma = sample_block_orthogonal(dec.multiplicities, rng)
     return conjugate(dec, sigma)
-
-
-def rotate_basis(
-    dec: SpectralDecomposition, sigma: BlockOrthogonal
-) -> SpectralDecomposition:
-    """An equally valid decomposition of the same matrix with the eigenbasis
-    mixed inside each cluster by ``sigma``.  Exercises the fact that the
-    symmetry group does not depend on which diagonalizing basis is used."""
-    if sigma.m != dec.multiplicities:
-        raise StructureError(
-            f"block structure {sigma.m} does not match decomposition "
-            f"multiplicities {dec.multiplicities}"
-        )
-    return replace(dec, v=sigma.full() @ dec.v)
 
 
 def _residual(a, b, p, tol: float = 0.0) -> tuple[float, float, int]:

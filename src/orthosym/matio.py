@@ -3,8 +3,8 @@
 Matrix files hold n lines of n whitespace- or comma-separated numbers;
 lines starting with '#' are comments.  Graphs are either an adjacency
 matrix in the same format or an edge list with one "u v" pair per line
-(0-indexed).  Numbers are emitted as shortest round-trip decimals, so an
-emit/parse cycle reproduces every entry exactly.
+(0-indexed).  Parsing is exact: a matrix written with shortest round-trip
+decimals, as ``repr`` gives them, reads back bit for bit.
 """
 
 from __future__ import annotations

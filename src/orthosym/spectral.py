@@ -172,14 +172,15 @@ class SpectralDecomposition:
 
 def _fix_signs(u: np.ndarray) -> np.ndarray:
     # sign convention: first entry of largest magnitude in each eigenvector
-    # is positive (ties resolved by argmax taking the lowest index); that
-    # entry of a unit vector is nonzero, so its sign is +/-1.0, and scaling
-    # by -1.0 is as exact as negation.  A 0 x 0 basis has no entry to take
-    # an argmax of, and no sign to fix
+    # (a column of one matrix of the stack) is positive, ties resolved by
+    # argmax taking the lowest index; that entry of a unit vector is
+    # nonzero, so its sign is +/-1.0, and scaling by -1.0 is as exact as
+    # negation.  An empty basis has no entry to take an argmax of, and no
+    # sign to fix
     if not u.size:
         return u
-    k = np.abs(u).argmax(axis=0)
-    return u * np.sign(u[k, np.arange(u.shape[1])])
+    k = np.abs(u).argmax(axis=1, keepdims=True)
+    return u * np.sign(u[np.arange(len(u))[:, None, None], k, np.arange(u.shape[2])])
 
 
 def eig_sym(a, cluster_tol: float | None = None) -> SpectralDecomposition:
@@ -205,49 +206,70 @@ def eig_sym(a, cluster_tol: float | None = None) -> SpectralDecomposition:
 # an error is not stored, so it is raised again on every call
 @lru_cache(maxsize=2)
 def _decompose(shape, entries, cluster_tol_hex) -> SpectralDecomposition:
-    m = np.frombuffer(entries).reshape(shape)
-    # solve at max |A_ij| in [0.5, 1) and scale back by the same power of
-    # two: both steps are exact, so eig_sym(2^k A) = 2^k eig_sym(A), and
-    # LAPACK, which can fail to converge on a matrix of huge entries mixed
-    # with tiny ones, sees the same matrix at every scale
-    shift, work = _scaled(m)
-    # an exactly symmetric matrix is its own (A + A^T)/2.  Otherwise the
-    # mean is taken at that scale, where it cannot overflow, and scaled
-    # again, as it can fall below 0.5: the total shift is that of
-    # (A + A^T)/2, and the bits are those of scaling it, unless an entry is
-    # subnormal
-    if not (m == m.T).all():
-        extra, work = _scaled((work + work.T) / 2.0)
+    return _solve(np.frombuffer(entries).reshape(1, *shape), cluster_tol_hex)[0]
+
+
+def eig_stack(stack) -> list[SpectralDecomposition]:
+    """``eig_sym`` of each matrix of a (k, n, n) stack, in one LAPACK call:
+    element i is bit for bit ``eig_sym(stack[i])``, memo aside.
+
+    Raises DimensionError unless the stack holds square matrices, and for
+    the first matrix that ``as_sym`` rejects, the error ``as_sym`` raises
+    for it; then as ``eig_sym`` does."""
+    s = np.asarray(stack, dtype=float)
+    if s.ndim != 3 or s.shape[1] != s.shape[2]:
+        raise DimensionError(f"expected a (k, n, n) stack of square matrices, got shape {s.shape}")
+    # a matrix that is finite and exactly symmetric passes as_sym; any other
+    # goes through it, in order, and the first that it rejects raises
+    finite = np.isfinite(np.abs(s).max(axis=(1, 2), initial=0.0))
+    for j in np.flatnonzero(~(finite & (s == s.swapaxes(1, 2)).all(axis=(1, 2)))).tolist():
+        as_sym(s[j])
+    return _solve(s)
+
+
+def _solve(stack, cluster_tol_hex=None) -> list[SpectralDecomposition]:
+    """The decompositions of a validated (k, n, n) stack, each solved as it
+    would be alone; a LAPACK failure is raised as ConvergenceError, and the
+    first error of ``_spectrum``, in stack order, as it is."""
+    # each matrix is solved at max |A_ij| in [0.5, 1) and scaled back by the
+    # same power of two: both steps are exact, so eig_sym(2^k A) =
+    # 2^k eig_sym(A), and LAPACK, which can fail to converge on a matrix of
+    # huge entries mixed with tiny ones, sees the same matrix at every scale
+    shift = np.frexp(np.abs(stack).max(axis=(1, 2), keepdims=True, initial=0.0))[1]
+    work = np.ldexp(stack, -shift)
+    # a matrix that is not exactly symmetric is replaced by (A + A^T)/2,
+    # taken at that scale, where it cannot overflow, and scaled again, as it
+    # can fall below 0.5: the total shift is that of (A + A^T)/2, and the
+    # bits are those of scaling it, unless an entry is subnormal.  An
+    # exactly symmetric matrix is its own mean, bit for bit, with no
+    # further shift, so a stack is symmetrised whole or not at all
+    if not (stack == stack.swapaxes(1, 2)).all():
+        work = (work + work.swapaxes(1, 2)) / 2.0
+        extra = np.frexp(np.abs(work).max(axis=(1, 2), keepdims=True, initial=0.0))[1]
+        work = np.ldexp(work, -extra)
         shift += extra
-    diag, u = _eigh(work)
-    lam, clusters, tol, borderline = _spectrum(diag, shift, cluster_tol_hex)
-    return SpectralDecomposition(
-        v=_fix_signs(u).T,
-        lambdas=lam,
-        clusters=clusters,
-        cluster_tol=tol,
-        borderline=borderline,
-    )
-
-
-def _eigh(work):
-    """``np.linalg.eigh`` of a matrix or of a stack of them, each solved as
-    it would be alone; a LAPACK failure is raised as ConvergenceError."""
     try:
         # LAPACK returns the eigenvalues in ascending order
-        return np.linalg.eigh(work)
+        diag, u = np.linalg.eigh(work)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
+    v = _fix_signs(u).swapaxes(1, 2)
+    return [
+        SpectralDecomposition(vi, *_spectrum(d, s, cluster_tol_hex))
+        for vi, d, s in zip(v, diag, shift.ravel().tolist())
+    ]
 
 
-def _spectrum(diag, shift, cluster_tol_hex=None):
+def _spectrum(diag, shift, cluster_tol_hex):
     """The eigenvalues ``diag`` of a matrix solved at a scale of 2^-shift,
     scaled back and clustered: (lambdas, clusters, cluster_tol, borderline)
     as ``SpectralDecomposition`` holds them.
 
     Raises ValueError if an eigenvalue overflows or the tolerance (given as
     ``float.hex``, or None for the default) is negative or not finite."""
-    top = float(np.abs(diag).max(initial=0.0))
+    # diag is ascending, as LAPACK returns it, so the largest |lambda| is
+    # at one end
+    top = max(abs(float(diag[0])), abs(float(diag[-1]))) if len(diag) else 0.0
     # np.ldexp below would return inf, with only a warning, for an
     # eigenvalue past the float range
     if math.isinf(_unscaled(top, shift)):
@@ -275,9 +297,10 @@ def _spectrum(diag, shift, cluster_tol_hex=None):
             if gap <= tol:
                 continue
         # the mean of one value is that value; a larger cluster's is taken
-        # of the scaled eigenvalues, whose sum cannot overflow
+        # of the scaled eigenvalues, whose sum cannot overflow, as np.mean
+        # takes it (the pairwise sum over the count) without its overhead
         size = i - start
-        rep = values[start] if size == 1 else _unscaled(float(np.mean(diag[start:i])), shift)
+        rep = values[start] if size == 1 else _unscaled(float(np.add.reduce(diag[start:i])) / size, shift)
         clusters.append((rep, size))
         start = i
     return lam, tuple(clusters), tol, tuple(borderline)

@@ -97,20 +97,6 @@ def _require_member(hessian, gamma, label: str) -> np.ndarray:
     return g
 
 
-def second_diff(f: ScalarField, x, gamma, h, hessian) -> float:
-    """f(x + gamma h) - 2 f(x) + f(x - gamma h).
-
-    For gamma in the Hessian's symmetry group this equals h^T H h plus a
-    fourth-order remainder, whatever gamma is chosen: the quadratic term is
-    invariant under the group action.
-    """
-    pt = np.asarray(x, dtype=float)
-    g = _require_member(hessian, gamma, "gamma")
-    with np.errstate(over="ignore", invalid="ignore"):
-        gh = g @ np.asarray(h, dtype=float)
-        return f(pt + gh) - 2.0 * f(pt) + f(pt - gh)
-
-
 def _probe_value(f: ScalarField, pt, g1, g2, h) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         g1h = g1 @ h

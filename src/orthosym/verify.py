@@ -90,12 +90,13 @@ def _checks():
     yield "threefold eigenvalue 2 at mu=0.5", spectrum_mu_half, "max eigenvalue diff"
 
     def formula_grid():
+        grid = np.linspace(-1.0, 2.0, 100).tolist()
+        decs = spectral.eig_stack([dynsys.guiding_matrix(mu) for mu in grid])
         worst = 0.0
-        for mu in np.linspace(-1.0, 2.0, 100):
-            l1, l2 = dynsys.spectrum_formula(float(mu))
+        for mu, dec in zip(grid, decs):
+            l1, l2 = dynsys.spectrum_formula(mu)
             expected = np.sort(np.array([l1, l2, l2]))
-            lam = spectral.eig_sym(dynsys.guiding_matrix(float(mu))).lambdas
-            worst = max(worst, float(np.max(np.abs(lam - expected))))
+            worst = max(worst, float(np.max(np.abs(dec.lambdas - expected))))
         return worst, 1e-8
 
     yield "eigenvalue formulas over 100 mu values", formula_grid, "max eigenvalue diff"

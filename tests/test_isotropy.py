@@ -16,7 +16,6 @@ from orthosym.isotropy import (
     gamma2_elements,
     is_member,
     orthogonality_residual,
-    rotate_basis,
     sample_block_orthogonal,
     sample_gamma,
 )
@@ -400,18 +399,13 @@ def test_basis_independence_of_membership():
     a, _ = planted_matrix(rng, [1.0, 4.0, 4.0, 6.0, 6.0, 9.0])
     dec1 = eig_sym(a)
     sigma = sample_block_orthogonal(dec1.multiplicities, rng)
-    dec2 = rotate_basis(dec1, sigma)
+    dec2 = replace(dec1, v=sigma.full() @ dec1.v)
     assert np.linalg.norm(dec2.v @ a @ dec2.v.T - np.diag(dec2.lambdas)) <= 1e-9
     for seed in range(20):
         g1 = sample_gamma(dec1, seed)
         g2 = sample_gamma(dec2, seed + 1000)
         for g in (g1, g2):
             assert is_member(dec1, g) and is_member(dec2, g)
-
-
-def test_rotate_basis_structure_mismatch(dec_mu0):
-    with pytest.raises(StructureError):
-        rotate_basis(dec_mu0, BlockOrthogonal((1, 1, 1), (np.eye(1),) * 3))
 
 
 def test_haar_block_determinism():

@@ -177,29 +177,16 @@ _PROBE = ["--function", "trig-quartic", "--x", "1,1,1", "--h", "0.2,0.05,0.1"]
     ],
 )
 def test_cli_decomposes_each_matrix_once(monkeypatch, capsys, argv, decompositions):
-    # a matrix is decomposed by one eig_sym call, or as one matrix of a stack
-    # handed to the solver outside eig_sym (every grid matrix of a sweep);
-    # no matrix is decomposed twice, either way
-    decomposed, inside = [], []
-    eig_sym, eigh = spectral.eig_sym, spectral._eigh
+    # every decomposition, by eig_sym or eig_stack, is solved in
+    # spectral._solve, one matrix of a stack each; no matrix is solved twice
+    decomposed = []
+    solve = spectral._solve
 
-    def counted(*args, **kwargs):
-        decomposed.append(np.asarray(args[0]))
-        inside.append(True)
-        try:
-            return eig_sym(*args, **kwargs)
-        finally:
-            inside.pop()
+    def counted(stack, *args):
+        decomposed.extend(stack)
+        return solve(stack, *args)
 
-    def stacked(work):
-        if not inside:
-            decomposed.extend(work.reshape(-1, *work.shape[-2:]))
-        return eigh(work)
-
-    for module in (spectral, dynsys, stencil):
-        monkeypatch.setattr(module, "eig_sym", counted)
-    for module in (spectral, dynsys):
-        monkeypatch.setattr(module, "_eigh", stacked)
+    monkeypatch.setattr(spectral, "_solve", counted)
     code, _, _ = run_capture(capsys, argv)
     assert code == 0
     assert len(decomposed) == decompositions

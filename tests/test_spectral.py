@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -20,6 +21,7 @@ from orthosym.spectral import (
     align_basis,
     as_sym,
     check_symmetric,
+    eig_stack,
     eig_sym,
     isospectral,
 )
@@ -469,16 +471,101 @@ def test_eig_sym_signs_clusters_and_borderline(a, tol):
 @given(
     u=hnp.arrays(
         np.float64,
-        st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        st.tuples(st.integers(0, 4), st.integers(1, 6), st.integers(0, 6)),
         elements=st.sampled_from([-1.0, -0.5, 0.5, 1.0, -0.25]),
     )
 )
 def test_fix_signs_matches_the_column_loop(u):
-    # the loop it replaced, as the reference; entries drawn from a few
-    # values so that ties for the largest magnitude are common
+    # the loop it replaced, run on each matrix of the stack, as the
+    # reference; entries drawn from a few values so that ties for the
+    # largest magnitude are common
     expected = u.copy()
-    for j in range(u.shape[1]):
-        k = int(np.argmax(np.abs(u[:, j])))
-        if u[k, j] < 0:
-            expected[:, j] = -expected[:, j]
+    for i in range(u.shape[0]):
+        for j in range(u.shape[2]):
+            k = int(np.argmax(np.abs(u[i, :, j])))
+            if u[i, k, j] < 0:
+                expected[i, :, j] = -expected[i, :, j]
     assert _fix_signs(u).tobytes() == expected.tobytes()
+
+
+@st.composite
+def stacks(draw):
+    # k matrices of one size n, each random or with planted repeated
+    # eigenvalues, symmetric or only within symtol, at a scale of 2^j
+    k, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    out = np.empty((k, n, n))
+    for i in range(k):
+        if draw(st.booleans()):
+            m, _ = planted_matrix(rng, rng.choice([-1.0, 0.5, 2.0], n))
+        else:
+            m = random_symmetric(rng, n)
+        if draw(st.booleans()):
+            m = m + 1e-13 * rng.standard_normal((n, n))
+        out[i] = np.ldexp(m, draw(st.integers(-1000, 1000)))
+    return out
+
+
+def outcome(call):
+    """(type, message) of what ``call`` raises, or None."""
+    try:
+        call()
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=stacks())
+def test_eig_stack_matches_eig_sym_on_each_matrix(s):
+    errors = [outcome(lambda: eig_sym(m)) for m in s]
+    first = next((e for e in errors if e is not None), None)
+    if first is not None:
+        assert outcome(lambda: eig_stack(s)) == first
+        return
+    decs = eig_stack(s)
+    assert len(decs) == len(s)
+    for m, got in zip(s, decs):
+        want = eig_sym(m)
+        assert got.v.tobytes() == want.v.tobytes()
+        assert got.lambdas.tobytes() == want.lambdas.tobytes()
+        assert repr((got.clusters, got.cluster_tol, got.borderline)) == repr(
+            (want.clusters, want.cluster_tol, want.borderline)
+        )
+
+
+def _stack_entry(kind):
+    m = np.diag([1.0, 2.0, 3.0])
+    if kind == "asymmetric":
+        m[0, 1] = 1.0
+    elif kind == "nan":
+        m[2, 2] = np.nan
+    elif kind == "inf":
+        m[0, 1] = m[1, 0] = np.inf
+    elif kind == "near":  # asymmetric within symtol: accepted
+        m[0, 1] = 1e-12
+    return m
+
+
+@pytest.mark.parametrize(
+    "kinds",
+    [
+        ("ok", "asymmetric", "nan"),
+        ("near", "nan", "asymmetric"),
+        ("inf", "asymmetric"),
+        ("ok", "near", "ok", "asymmetric"),
+    ],
+)
+def test_eig_stack_raises_what_as_sym_raises_for_the_first_bad_matrix(kinds):
+    s = np.stack([_stack_entry(kind) for kind in kinds])
+    j = next(i for i, kind in enumerate(kinds) if kind not in ("ok", "near"))
+    with pytest.raises((ValueError, SymmetryError)) as want:
+        as_sym(s[j])
+    with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+        eig_stack(s)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 3, 4), (1, 2, 2, 2)])
+def test_eig_stack_rejects_what_is_not_a_stack_of_square_matrices(shape):
+    with pytest.raises(DimensionError):
+        eig_stack(np.zeros(shape))

@@ -13,7 +13,6 @@ from orthosym.stencil import (
     fourth_order_probe,
     hessian_fd,
     probe_ladder,
-    second_diff,
 )
 from orthosym.verify import matched_reflection
 
@@ -58,48 +57,11 @@ def test_nonfinite_evaluation_reports_point():
     assert err.value.point is not None
 
 
-def test_second_diff_quadratic_exact():
-    rng = np.random.default_rng(MASTER_SEED + 41)
-    m = rng.standard_normal((3, 3))
-    m = (m + m.T) / 2
-    f = quadratic_field(m)
-    x = np.array([0.1, 0.5, -0.3])
-    h = np.array([0.02, -0.01, 0.03])
-    hess = hessian_fd(f, x)
-    gammas = gamma2_elements(eig_sym(hess))
-    for g in gammas[:4]:
-        got = second_diff(f, x, g, h, hessian=hess)
-        gh = g @ h
-        assert abs(got - 2.0 * float(gh @ m @ gh)) <= 1e-12
-
-
-def test_second_diff_identity_is_plain_difference():
-    h = np.array([0.2, 0.05, 0.1])
-    got = second_diff(TRIG, XBAR, np.eye(3), h, hessian=hessian_fd(TRIG, XBAR))
-    expected = TRIG(XBAR + h) - 2.0 * TRIG(XBAR) + TRIG(XBAR - h)
-    assert got == expected
-
-
-def test_second_diff_remainder_is_fourth_order():
-    h0 = np.array([0.2, 0.05, 0.1])
-    hess = hessian_fd(TRIG, XBAR)
-    xs, ys = [], []
-    for k in range(4):
-        h = h0 / 2.0**k
-        rem = second_diff(TRIG, XBAR, np.eye(3), h, hessian=hess) - float(h @ H_REF @ h)
-        xs.append(np.log(np.linalg.norm(h)))
-        ys.append(np.log(abs(rem)))
-    slope = np.polyfit(xs, ys, 1)[0]
-    assert 3.7 <= slope <= 4.3
-
-
 def test_membership_precondition():
     rng = np.random.default_rng(MASTER_SEED + 42)
     rotation = haar_orthogonal(rng, 3)
     hess = hessian_fd(TRIG, XBAR)
     h = np.array([0.1, 0.0, 0.0])
-    with pytest.raises(MembershipError):
-        second_diff(TRIG, XBAR, rotation, h, hessian=hess)
     with pytest.raises(MembershipError):
         fourth_order_probe(TRIG, XBAR, np.eye(3), rotation, h, hessian=hess)
     with pytest.raises(MembershipError):
