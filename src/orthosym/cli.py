@@ -665,7 +665,9 @@ def run(argv=None) -> int:
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (OrthosymError, ValueError, OSError) as exc:
+    # a MemoryError is a request too large for the host (--steps 1e12);
+    # numpy's names the size it could not allocate
+    except (OrthosymError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

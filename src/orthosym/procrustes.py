@@ -16,6 +16,8 @@ import numpy as np
 
 from .errors import DimensionError, StructureError
 from .isotropy import _residual, sample_block_orthogonal
+# nothing here calls as_sym; it is imported only because perfbench's
+# binding test calls procrustes.as_sym (ROADMAP item 8 retires both)
 from .spectral import SpectralDecomposition, _scaled, _unscaled, as_sym, eig_sym
 
 
@@ -43,10 +45,9 @@ def cost(a, b, p) -> float:
 def _ordered_pair(a, b, order: str) -> tuple[SpectralDecomposition, SpectralDecomposition, float]:
     if order not in ("ascending", "descending"):
         raise ValueError(f"order must be 'ascending' or 'descending', got {order!r}")
-    sa, sb = as_sym(a), as_sym(b)
-    if len(sa) != len(sb):
-        raise DimensionError(f"dimension mismatch: {len(sa)} vs {len(sb)}")
-    da, db = eig_sym(sa), eig_sym(sb)
+    da, db = eig_sym(a), eig_sym(b)
+    if da.n != db.n:
+        raise DimensionError(f"dimension mismatch: {da.n} vs {db.n}")
     if order == "descending":
         da, db = da.reversed(), db.reversed()
     # and the lower bound ||D_A - D_B||_F, of both spectra over one power of two

@@ -46,11 +46,17 @@ def _unscaled(x: float, shift: int) -> float:
         return math.inf
 
 
-def check_symmetric(a) -> bool:
-    """True iff ||A - A^T||_F <= DEFAULT_SYMTOL * max(1, ||A||_F)."""
+def _square(a) -> np.ndarray:
+    """``a`` as a float64 array; raises DimensionError unless it is square."""
     m = np.asarray(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+    return m
+
+
+def check_symmetric(a) -> bool:
+    """True iff ||A - A^T||_F <= DEFAULT_SYMTOL * max(1, ||A||_F)."""
+    m = _square(a)
     # the inequality above divided by 2^s; at a zero tolerance the shift
     # comes from A alone, so a subnormal asymmetry is scaled up and seen
     _, b, tol = _scaled(m, DEFAULT_SYMTOL)
@@ -64,9 +70,7 @@ def as_sym(a) -> np.ndarray:
     finite and SymmetryError unless it is symmetric within DEFAULT_SYMTOL.
     A read-only float64 array is returned as it is; anything else is copied,
     so the caller's array is never frozen."""
-    m = np.asarray(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+    m = _square(a)
     # the largest magnitude is NaN or inf iff some entry is
     if not math.isfinite(np.abs(m).max(initial=0.0)):
         raise ValueError("matrix entries must be finite")
@@ -191,13 +195,15 @@ def eig_sym(a, cluster_tol: float | None = None) -> SpectralDecomposition:
     input give bit-identical output, in one process or in processes that run
     BLAS with different thread counts.
 
-    The input is checked as ``as_sym`` checks it on every call.  The last
-    two decompositions are remembered, keyed by the exact entries and the
-    bits of ``cluster_tol``, and a repeated call returns the same read-only
-    decomposition.  Raises ConvergenceError if LAPACK fails to converge, and
+    The last two decompositions are remembered, keyed by the exact entries
+    and the bits of ``cluster_tol``, and a repeated call returns the same
+    read-only decomposition without checking the entries again: they passed
+    the first time.  A matrix the memo has not seen is checked as ``as_sym``
+    checks it, and raises what ``as_sym`` raises; an error is never
+    remembered.  Raises ConvergenceError if LAPACK fails to converge, and
     ValueError if an eigenvalue overflows.
     """
-    m = as_sym(a)
+    m = _square(a)
     # the bit pattern, so that -0.0 and 0.0 are two keys
     tol = None if cluster_tol is None else float(cluster_tol).hex()
     return _decompose(m.shape, m.tobytes(), tol)
@@ -215,27 +221,31 @@ def eig_stack(stack) -> list[SpectralDecomposition]:
 
     Raises DimensionError unless the stack holds square matrices, and for
     the first matrix that ``as_sym`` rejects, the error ``as_sym`` raises
-    for it; then as ``eig_sym`` does."""
+    for it (``_solve`` checks the stack); then as ``eig_sym`` does."""
     s = np.asarray(stack, dtype=float)
     if s.ndim != 3 or s.shape[1] != s.shape[2]:
         raise DimensionError(f"expected a (k, n, n) stack of square matrices, got shape {s.shape}")
-    # a matrix that is finite and exactly symmetric passes as_sym; any other
-    # goes through it, in order, and the first that it rejects raises
-    finite = np.isfinite(np.abs(s).max(axis=(1, 2), initial=0.0))
-    for j in np.flatnonzero(~(finite & (s == s.swapaxes(1, 2)).all(axis=(1, 2)))).tolist():
-        as_sym(s[j])
     return _solve(s)
 
 
 def _solve(stack, cluster_tol_hex=None) -> list[SpectralDecomposition]:
-    """The decompositions of a validated (k, n, n) stack, each solved as it
-    would be alone; a LAPACK failure is raised as ConvergenceError, and the
-    first error of ``_spectrum``, in stack order, as it is."""
+    """The decompositions of a (k, n, n) stack, each solved as it would be
+    alone.  The solve path's one input check: the first matrix that
+    ``as_sym`` rejects, in stack order, raises what ``as_sym`` raises, before
+    anything is solved.  Then a LAPACK failure is raised as
+    ConvergenceError, and the first error of ``_spectrum``, in stack order,
+    as it is."""
+    top = np.abs(stack).max(axis=(1, 2), keepdims=True, initial=0.0)
+    exact = (stack == stack.swapaxes(1, 2)).all(axis=(1, 2))
+    # a matrix that is finite (its largest magnitude is) and exactly
+    # symmetric passes as_sym; any other goes through it, in order
+    for j in np.flatnonzero(~(np.isfinite(top.ravel()) & exact)).tolist():
+        as_sym(stack[j])
     # each matrix is solved at max |A_ij| in [0.5, 1) and scaled back by the
     # same power of two: both steps are exact, so eig_sym(2^k A) =
     # 2^k eig_sym(A), and LAPACK, which can fail to converge on a matrix of
     # huge entries mixed with tiny ones, sees the same matrix at every scale
-    shift = np.frexp(np.abs(stack).max(axis=(1, 2), keepdims=True, initial=0.0))[1]
+    shift = np.frexp(top)[1]
     work = np.ldexp(stack, -shift)
     # a matrix that is not exactly symmetric is replaced by (A + A^T)/2,
     # taken at that scale, where it cannot overflow, and scaled again, as it
@@ -243,7 +253,7 @@ def _solve(stack, cluster_tol_hex=None) -> list[SpectralDecomposition]:
     # bits are those of scaling it, unless an entry is subnormal.  An
     # exactly symmetric matrix is its own mean, bit for bit, with no
     # further shift, so a stack is symmetrised whole or not at all
-    if not (stack == stack.swapaxes(1, 2)).all():
+    if not exact.all():
         work = (work + work.swapaxes(1, 2)) / 2.0
         extra = np.frexp(np.abs(work).max(axis=(1, 2), keepdims=True, initial=0.0))[1]
         work = np.ldexp(work, -extra)

@@ -167,30 +167,76 @@ def test_cli_equilibria_sphere(capsys):
 _PROBE = ["--function", "trig-quartic", "--x", "1,1,1", "--h", "0.2,0.05,0.1"]
 
 
+def _wrap_everywhere(monkeypatch, original, wrapper):
+    # at every binding site, so that a call through a module's own import
+    # of the function is seen too
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "orthosym":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapper)
+
+
+_ONCE = [
+    (["dynsys", "equilibria", "--mu", "0.25"], 1, 1),
+    (["dynsys", "sweep", "--samples", "5"], 5, 5),
+    (["stencil", "probe"] + _PROBE, 1, 3),
+    (["stencil", "order"] + _PROBE, 1, 3),
+    (["eig", "--input", "A"], 1, 1),
+    (["isotropy", "sample", "--input", "A"], 1, 1),
+    (["isotropy", "check", "--input", "A", "--candidate", "G"], 1, 1),
+    (["procrustes", "solve", "--input-a", "A", "--input-b", "B"], 2, 2),
+    (["procrustes", "family", "--input-a", "A", "--input-b", "B"], 2, 2),
+]
+
+
 @pytest.mark.parametrize(
-    "argv,decompositions",
-    [
-        (["dynsys", "equilibria", "--mu", "0.25"], 1),
-        (["dynsys", "sweep", "--samples", "5"], 5),
-        (["stencil", "probe"] + _PROBE, 1),
-        (["stencil", "order"] + _PROBE, 1),
-    ],
+    "argv,decompositions,checks",
+    _ONCE,
+    ids=[f"argv{i}-{row[1]}" for i, row in enumerate(_ONCE)],
 )
-def test_cli_decomposes_each_matrix_once(monkeypatch, capsys, argv, decompositions):
+def test_cli_decomposes_each_matrix_once(monkeypatch, capsys, tmp_path, argv, decompositions, checks):
     # every decomposition, by eig_sym or eig_stack, is solved in
-    # spectral._solve, one matrix of a stack each; no matrix is solved twice
-    decomposed = []
-    solve = spectral._solve
+    # spectral._solve, one matrix of a stack each; no matrix is solved twice.
+    # ``checks`` counts as_sym calls: each input is checked where it is
+    # made (a file read, dynsys.guiding_matrix, stencil.hessian_fd), and the
+    # solve path checks again only a matrix that is not finite or not
+    # exactly symmetric, so eig_sym checks none of these
+    files = {"A": dynsys.guiding_matrix(0.0), "B": dynsys.guiding_matrix(-0.25), "G": np.eye(3)}
+    for key, m in files.items():
+        files[key] = tmp_path / f"{key}.txt"
+        files[key].write_text(format_matrix(np.asarray(m)))
+    argv = [str(files[arg]) if arg in files else arg for arg in argv]
+    decomposed, checked, inside = [], [], []
+    solve, as_sym, eig_sym = spectral._solve, spectral.as_sym, spectral.eig_sym
 
     def counted(stack, *args):
         decomposed.extend(stack)
         return solve(stack, *args)
 
+    def checking(a):
+        checked.append(bool(inside))
+        return as_sym(a)
+
+    def in_eig_sym(*args, **kwargs):
+        inside.append(True)
+        try:
+            return eig_sym(*args, **kwargs)
+        finally:
+            inside.pop()
+
     monkeypatch.setattr(spectral, "_solve", counted)
-    code, _, _ = run_capture(capsys, argv)
-    assert code == 0
-    assert len(decomposed) == decompositions
-    assert len({m.tobytes() for m in decomposed}) == decompositions
+    _wrap_everywhere(monkeypatch, as_sym, checking)
+    _wrap_everywhere(monkeypatch, eig_sym, in_eig_sym)
+    for again in (False, True):
+        decomposed.clear()
+        checked.clear()
+        code, _, _ = run_capture(capsys, argv)
+        assert code == 0
+        assert len(checked) == checks and not any(checked)
+        # the second run is answered by eig_sym's memo; eig_stack keeps none
+        assert len(decomposed) == (0 if again and argv[1] != "sweep" else decompositions)
+        assert len({m.tobytes() for m in decomposed}) == len(decomposed)
 
 
 @pytest.mark.parametrize("action", ["probe", "order"])
@@ -569,6 +615,35 @@ def test_cli_eig_rejects_an_eigenvalue_that_overflows(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert "eigenvalue overflows" in err
+
+
+def test_cli_procrustes_reports_a_solve_error_before_a_dimension_mismatch(capsys, tmp_path):
+    # A is finite and symmetric, so it loads, but an eigenvalue of it
+    # overflows; it is solved before the sizes are compared
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text("1.7e308 1.7e308\n1.7e308 1.7e308\n")
+    b.write_text(format_matrix(np.eye(3)))
+    argv = ["procrustes", "solve", "--input-a", str(a), "--input-b", str(b)]
+    assert run_capture(capsys, argv) == (1, "", "error: an eigenvalue overflows the float range\n")
+
+
+@pytest.mark.parametrize(
+    "name,argv",
+    [
+        ("integrate", ["dynsys", "integrate", "--steps", "1000000000000"]),
+        ("sweep", ["dynsys", "sweep", "--samples", "1000000000000"]),
+    ],
+)
+def test_cli_reports_an_allocation_failure_as_an_input_error(monkeypatch, capsys, name, argv):
+    # a real allocation of terabytes fails at once or is granted, as the
+    # host's overcommit setting decides, so the failure is simulated
+    message = "Unable to allocate 21.8 TiB for an array with shape (1000000000001, 3)"
+
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(dynsys, name, refuse)
+    assert run_capture(capsys, argv) == (1, "", f"error: {message}\n")
 
 
 def test_cli_procrustes_solve(capsys, tmp_path):

@@ -47,6 +47,13 @@ def test_solve_rejects_dimension_mismatch():
         solve(np.eye(2), np.eye(3))
 
 
+def test_solve_reports_a_solve_error_before_a_dimension_mismatch():
+    # each input is checked and solved by eig_sym before the sizes are
+    # compared, so A's overflowing eigenvalue is what is reported
+    with pytest.raises(ValueError, match="^an eigenvalue overflows the float range$"):
+        solve(np.full((2, 2), 1.7e308), np.eye(3))
+
+
 def test_solve_rejects_asymmetric():
     from orthosym.errors import SymmetryError
 

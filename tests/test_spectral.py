@@ -104,14 +104,26 @@ def test_as_sym_and_the_producers_return_stored_matrices():
 
 
 def test_as_sym_raises_what_sym_matrix_raises():
+    eig_sym(np.eye(2))
+    stored = spectral._decompose.cache_info().currsize
     for bad, error in (
         (np.zeros((2, 3)), DimensionError),
         ([[np.nan, 0.0], [0.0, 1.0]], ValueError),
+        ([[np.inf, 0.0], [0.0, 1.0]], ValueError),
         ([[1.0, 2.0], [0.0, 1.0]], SymmetryError),
     ):
-        for make in (as_sym, SymMatrix, eig_sym):
-            with pytest.raises(error):
+        for make in (as_sym, SymMatrix):
+            with pytest.raises(error) as want:
                 make(bad)
+        # eig_sym checks a matrix its memo has not seen, and never stores
+        # an error: a second call raises the same again
+        for _ in range(2):
+            with pytest.raises(error, match=f"^{re.escape(str(want.value))}$"):
+                eig_sym(bad)
+        assert spectral._decompose.cache_info().currsize == stored
+    near = [[1.0, 1e-12], [0.0, 1.0]]  # symmetric within symtol
+    np.testing.assert_allclose(eig_sym(near).lambdas, [1.0 - 5e-13, 1.0 + 5e-13], rtol=0, atol=1e-15)
+    assert spectral._decompose.cache_info().currsize == stored + 1
 
 
 def test_decomposition_id_does_not_depend_on_the_input_type():
