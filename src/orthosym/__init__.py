@@ -21,7 +21,6 @@ from .spectral import SpectralDecomposition, SymMatrix, eig_sym
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockOrthogonal",
     "Graph",
     "OrthosymError",
     "ProcrustesSolution",
@@ -44,7 +43,6 @@ __all__ = [
 
 # the module that defines each lazily loaded class
 _CLASS_HOME = {
-    "BlockOrthogonal": "isotropy",
     "Graph": "graphsym",
     "ProcrustesSolution": "procrustes",
     "ScalarField": "stencil",

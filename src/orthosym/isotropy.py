@@ -5,12 +5,13 @@ block-diagonal orthogonal with block sizes given by the eigenvalue
 multiplicities of A.  This module enumerates the finite sign subgroup
 (2^n diagonal-sign elements), Haar-samples the continuous block group,
 and tests membership directly through the commutation characterization.
+A block element sigma is a plain read-only (n, n) float64 array, zero off
+its diagonal blocks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,132 +27,39 @@ MEMBER_TOL = 1e-8
 _BLOCK_ORTH_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class BlockOrthogonal:
-    """A block-diagonal orthogonal matrix stored blockwise.
-
-    Block i is an orthogonal m_i x m_i matrix; the implied full matrix is
-    zero off the diagonal blocks by construction.  The blocks of one size
-    are held as one read-only (k, s, s) stack, in ``m`` order, and
-    ``blocks`` are views into those stacks, so each size is checked,
-    multiplied and transposed in one call.
-    """
-
-    m: tuple[int, ...]
-    blocks: tuple[np.ndarray, ...]
-    _stacks: dict[int, np.ndarray] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if len(self.m) != len(self.blocks):
-            raise StructureError("one block per multiplicity entry required")
-        m = tuple(int(s) for s in self.m)
-        blocks = [np.asarray(b, dtype=float) for b in self.blocks]
-        # a stack holds only well-shaped blocks, so those before the first
-        # misshapen one are checked first: the error names the first
-        # failing block in m order
-        cut = next(
-            (i for i, (s, b) in enumerate(zip(m, blocks)) if b.shape != (s, s)), len(m)
-        )
-        stacks = {s: np.array(bs) for s, bs in _by_size(m[:cut], blocks[:cut]).items()}
-        _check_orthogonal(m[:cut], stacks)
-        if cut < len(m):
-            raise StructureError(
-                f"block of shape {blocks[cut].shape} does not match multiplicity {m[cut]}"
-            )
-        self._freeze(m, stacks)
-
-    @classmethod
-    def _from_stacks(cls, m: tuple[int, ...], stacks: dict[int, np.ndarray]) -> BlockOrthogonal:
-        """The element whose blocks of size s are the new arrays stacks[s],
-        in m order; checked as the constructor checks its blocks."""
-        m = tuple(int(s) for s in m)
-        _check_orthogonal(m, stacks)
-        out = object.__new__(cls)
-        out._freeze(m, stacks)
-        return out
-
-    def _freeze(self, m: tuple[int, ...], stacks: dict[int, np.ndarray]) -> None:
-        for stack in stacks.values():
-            stack.setflags(write=False)
-        rows = {s: iter(stack) for s, stack in stacks.items()}
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "blocks", tuple(next(rows[s]) for s in m))
-        object.__setattr__(self, "_stacks", stacks)
-
-    @property
-    def n(self) -> int:
-        return sum(self.m)
-
-    def full(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n))
-        start = 0
-        for size, b in zip(self.m, self.blocks):
-            out[start : start + size, start : start + size] = b
-            start += size
-        return out
-
-    def transposed(self) -> BlockOrthogonal:
-        return BlockOrthogonal._from_stacks(
-            self.m, {s: b.transpose(0, 2, 1).copy() for s, b in self._stacks.items()}
-        )
-
-    def compose(self, other: BlockOrthogonal) -> BlockOrthogonal:
-        """Blockwise product self @ other; block structures must agree."""
-        if self.m != other.m:
-            raise StructureError(
-                f"block structures differ: {self.m} vs {other.m}",
-                details={"m_left": self.m, "m_right": other.m},
-            )
-        return BlockOrthogonal._from_stacks(
-            self.m, {s: a @ other._stacks[s] for s, a in self._stacks.items()}
-        )
-
-
-def _by_size(m: tuple[int, ...], items) -> dict[int, list]:
-    """items[i] grouped under m[i], in m order within each group."""
-    groups: dict[int, list] = {}
-    for size, item in zip(m, items):
-        groups.setdefault(size, []).append(item)
-    return groups
-
-
-def _check_orthogonal(m: tuple[int, ...], stacks: dict[int, np.ndarray]) -> None:
-    """Raise for the first block in m order, of the blocks stacked by size,
-    that is not orthogonal.  A block far from orthogonal may overflow the
-    residual; an infinite or NaN residual counts as not orthogonal."""
-    failed = {}
-    for size, stack in stacks.items():
-        with np.errstate(over="ignore", invalid="ignore"):
-            err = np.linalg.norm(stack @ stack.transpose(0, 2, 1) - np.eye(size), axis=(1, 2))
-        failed[size] = ~(err <= _BLOCK_ORTH_TOL * size)
-    if any(f.any() for f in failed.values()):
-        rows = {s: iter(f) for s, f in failed.items()}
-        size = next(s for s in m if next(rows[s]))
-        raise StructureError(f"block of size {size} is not orthogonal")
-
-
-def conjugate(dec: SpectralDecomposition, sigma: BlockOrthogonal) -> np.ndarray:
+def conjugate(dec: SpectralDecomposition, sigma) -> np.ndarray:
     """gamma = V^T sigma V, read-only, for a block element sigma of the
-    decomposition.
+    decomposition: an (n, n) array that is zero off the diagonal blocks
+    ``dec.cluster_slices()`` gives.
 
-    The structure of ``sigma`` must equal the decomposition's multiplicity
-    vector.  Raises StructureError if gamma is not orthogonal (V is not) or
+    Raises StructureError if sigma has another shape or a nonzero entry off
+    those blocks, if gamma is not orthogonal (sigma or V is not) or if it
     does not commute with the matrix (sigma does not respect its
-    eigenspaces).
+    eigenspaces).  A NaN residual fails either check.
     """
-    if sigma.m != dec.multiplicities:
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.shape != (dec.n, dec.n):
         raise StructureError(
-            f"block structure {sigma.m} does not match decomposition "
-            f"multiplicities {dec.multiplicities}",
-            details={"sigma_m": sigma.m, "dec_m": dec.multiplicities},
+            f"block element of shape {sigma.shape} does not match a {dec.n} x {dec.n} decomposition"
         )
-    gamma = dec.v.T @ sigma.full() @ dec.v
-    orth = orthogonality_residual(gamma)
-    if orth > 1e-9 * dec.n:
+    off = np.ones(sigma.shape, dtype=bool)
+    for block in dec.cluster_slices():
+        off[block, block] = False
+    if np.any(sigma[off]):
+        raise StructureError(
+            f"block element is nonzero off the blocks of multiplicities {dec.multiplicities}",
+            details={"dec_m": dec.multiplicities},
+        )
+    # a sigma far from orthogonal may overflow gamma or its residual, and an
+    # infinite or NaN entry gives a NaN residual: both fail the check
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma = dec.v.T @ sigma @ dec.v
+        orth = orthogonality_residual(gamma)
+    if not (orth <= 1e-9 * dec.n):
         raise StructureError(f"conjugated element lost orthogonality ({orth:.2e})")
     a = dec.reconstruct()
     comm, bound, shift = _residual(a, a, gamma, 1e-8)
-    if comm > bound:
+    if not (comm <= bound):
         raise StructureError(
             f"conjugated element fails to commute ({_unscaled(comm, shift):.2e})"
         )
@@ -198,10 +106,10 @@ def gamma2_elements(dec: SpectralDecomposition, indices=None) -> np.ndarray:
     return gammas
 
 
-def sample_block_orthogonal(
-    m: tuple[int, ...], rng: np.random.Generator
-) -> BlockOrthogonal:
-    """Haar sample from the block-orthogonal group with block sizes ``m``.
+def sample_block_orthogonal(m: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    """Haar sample sigma from the block-orthogonal group with block sizes
+    ``m``, as one read-only (n, n) array that is zero off the diagonal
+    blocks.
 
     Per block: Gaussian draw, QR factorization, column signs fixed so the
     triangular factor has a positive diagonal, then the first column is
@@ -215,15 +123,22 @@ def sample_block_orthogonal(
     stacked QR per block size.
     """
     draws = [(rng.standard_normal((size, size)), rng.random()) for size in m]
-    stacks = {}
-    for size, group in _by_size(m, draws).items():
-        normals, uniforms = zip(*group)
-        q, r = np.linalg.qr(np.array(normals))
+    starts = np.cumsum((0, *m))
+    sigma = np.zeros((starts[-1], starts[-1]))
+    for size in dict.fromkeys(m):
+        at = [i for i, s in enumerate(m) if s == size]
+        q, r = np.linalg.qr(np.array([draws[i][0] for i in at]))
         q = q * np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)[:, None, :]
-        flip = np.array(uniforms) < 0.5
+        flip = np.array([draws[i][1] for i in at]) < 0.5
         q[flip, :, 0] = -q[flip, :, 0]
-        stacks[size] = q
-    return BlockOrthogonal._from_stacks(m, stacks)
+        # a post-condition of QR, checked for the whole stack at once
+        err = np.linalg.norm(q @ q.transpose(0, 2, 1) - np.eye(size), axis=(1, 2))
+        if not np.all(err <= _BLOCK_ORTH_TOL * size):
+            raise StructureError(f"block of size {size} is not orthogonal")
+        for i, block in zip(at, q):
+            sigma[starts[i] : starts[i] + size, starts[i] : starts[i] + size] = block
+    sigma.setflags(write=False)
+    return sigma
 
 
 def sample_gamma(dec: SpectralDecomposition, seed: int) -> np.ndarray:

@@ -88,7 +88,7 @@ def family_sample(a, b, seed: int, count: int) -> list[ProcrustesSolution]:
     for _ in range(count):
         sigma_a = sample_block_orthogonal(da.multiplicities, rng)
         sigma_b = sample_block_orthogonal(db.multiplicities, rng)
-        p = db.v.T @ sigma_b.transposed().compose(sigma_a).full() @ da.v
+        p = db.v.T @ (sigma_b.T @ sigma_a) @ da.v
         out.append(ProcrustesSolution(p=p, cost=cost(a, b, p), lower_bound=lower))
     return out
 

@@ -138,15 +138,6 @@ class SpectralDecomposition:
     def multiplicities(self) -> tuple[int, ...]:
         return tuple(m for _, m in self.clusters)
 
-    @cached_property
-    def decomposition_id(self) -> str:
-        import hashlib  # only here: it costs a few ms of every start
-
-        h = hashlib.sha256()
-        h.update(self.v.tobytes())
-        h.update(self.lambdas.tobytes())
-        return h.hexdigest()[:12]
-
     def cluster_slices(self) -> list[slice]:
         out, start = [], 0
         for _, m in self.clusters:

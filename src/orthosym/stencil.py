@@ -152,6 +152,17 @@ def fourth_order_probe(f: ScalarField, x, g1, g2, h, hessian) -> float:
     return _probe_value(f, np.asarray(x, dtype=float), g1, g2, h)
 
 
+def _log_norm(h) -> float:
+    """log ||h||: of the plain norm wherever that is finite, and
+    log ||h / 2^s|| + s log 2 where it overflows."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(h))
+    if norm < math.inf:
+        return math.log(norm)
+    shift, hs = _scaled(h)
+    return math.log(float(np.linalg.norm(hs))) + shift * math.log(2.0)
+
+
 def probe_ladder(
     f: ScalarField, x, g1, g2, h, hessian, levels: int = 5
 ) -> tuple[list[float], float]:
@@ -173,7 +184,7 @@ def probe_ladder(
                 f"start from a larger displacement"
             )
         values.append(s)
-        logs_h.append(math.log(float(np.linalg.norm(hk))))
+        logs_h.append(_log_norm(hk))
         logs_s.append(math.log(abs(s)))
     return values, float(np.polyfit(logs_h, logs_s, 1)[0])
 

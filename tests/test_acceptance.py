@@ -197,7 +197,7 @@ def test_criterion_10_basis_independent_membership():
         dec1 = eig_sym(a)
         ok = ok and sorted(dec1.multiplicities) == [1, 1, 2, 2]
         sigma = sample_block_orthogonal(dec1.multiplicities, rng)
-        dec2 = dataclasses.replace(dec1, v=sigma.full() @ dec1.v)
+        dec2 = dataclasses.replace(dec1, v=sigma @ dec1.v)
         for k in range(100):
             source = dec1 if k % 2 == 0 else dec2
             g = sample_gamma(source, MASTER_SEED + 1000 * case + k)

@@ -123,10 +123,9 @@ def test_lazy_names_load_on_first_use():
 
 
 def test_public_names_resolve():
-    from orthosym import graphsym, isotropy, procrustes, stencil
+    from orthosym import graphsym, procrustes, stencil
 
     assert orthosym.Graph is graphsym.Graph
-    assert orthosym.BlockOrthogonal is isotropy.BlockOrthogonal
     assert orthosym.ProcrustesSolution is procrustes.ProcrustesSolution
     assert orthosym.ScalarField is stencil.ScalarField
     assert orthosym.dynsys is dynsys and orthosym.cli is cli
@@ -140,3 +139,7 @@ def test_public_names_resolve():
     with pytest.raises(AttributeError, match="has no attribute 'Permutation'"):
         orthosym.Permutation
     assert "Permutation" not in dir(orthosym) and "Permutation" not in orthosym.__all__
+    # retired: a block element is a read-only (n, n) array
+    with pytest.raises(AttributeError, match="has no attribute 'BlockOrthogonal'"):
+        orthosym.BlockOrthogonal
+    assert "BlockOrthogonal" not in dir(orthosym) and "BlockOrthogonal" not in orthosym.__all__

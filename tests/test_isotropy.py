@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from orthosym import dynsys, fixtures
 from orthosym.errors import DimensionError, SizeCapError, StructureError, SymmetryError
 from orthosym.isotropy import (
-    BlockOrthogonal,
     commutator_residual,
     conjugate,
     gamma2_elements,
@@ -51,75 +50,67 @@ def signs_of(k, n):
     return np.array([-1.0 if (k >> (n - 1 - i)) & 1 else 1.0 for i in range(n)])
 
 
-def test_block_orthogonal_validation():
-    with pytest.raises(StructureError):
-        BlockOrthogonal((2,), (np.array([[1.0, 1.0], [0.0, 1.0]]),))
-    with pytest.raises(StructureError):
-        BlockOrthogonal((2,), (np.eye(3),))
+def block_diag(*blocks):
+    """The (n, n) block element with these diagonal blocks, in order."""
+    n = sum(len(b) for b in blocks)
+    out, start = np.zeros((n, n)), 0
+    for b in blocks:
+        out[start : start + len(b), start : start + len(b)] = b
+        start += len(b)
+    return out
 
 
-def test_block_orthogonal_reports_an_earlier_non_orthogonal_block_first():
+@pytest.fixture(scope="module")
+def dec_123():
+    # multiplicities (1, 2, 3)
+    return eig_sym(np.diag([1.0, 2.0, 2.0, 3.0, 3.0, 3.0]))
+
+
+def test_block_orthogonal_validation(dec_mu0, dec_123):
+    # conjugate checks its block element: a non-orthogonal block, a
+    # misshapen element and an entry off the blocks each raise
     skew = np.array([[1.0, 1.0], [0.0, 1.0]])
-    with pytest.raises(StructureError, match=r"^block of size 2 is not orthogonal$"):
-        BlockOrthogonal((1, 2, 3), (np.eye(1), skew, np.eye(2)))
+    with pytest.raises(StructureError, match="lost orthogonality"):
+        conjugate(dec_mu0, block_diag(np.eye(1), skew))
+    with pytest.raises(StructureError, match="lost orthogonality"):
+        conjugate(dec_123, block_diag(np.eye(1), skew, np.eye(3)))
+    with pytest.raises(StructureError, match="lost orthogonality"):
+        conjugate(dec_123, block_diag(np.eye(1), np.eye(2), 2.0 * np.eye(3)))
+    for sigma in (np.eye(2), np.eye(4), np.ones(3), block_diag(np.eye(1), skew, np.eye(2))):
+        with pytest.raises(StructureError, match="does not match"):
+            conjugate(dec_mu0, sigma)
+    swap = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(StructureError, match=r"nonzero off the blocks of multiplicities \(1, 2\)"):
+        conjugate(dec_mu0, swap)
+    tiny = block_diag(np.eye(1), np.eye(2), np.eye(3))
+    tiny[5, 0] = 5e-324
+    with pytest.raises(StructureError, match="nonzero off the blocks"):
+        conjugate(dec_123, tiny)
 
 
-def test_block_orthogonal_reports_an_earlier_misshapen_block_first():
-    skew = np.array([[1.0, 1.0], [0.0, 1.0]])
-    with pytest.raises(
-        StructureError, match=r"^block of shape \(2, 2\) does not match multiplicity 3$"
-    ):
-        BlockOrthogonal((1, 3, 2), (np.eye(1), np.eye(2), skew))
-
-
-def test_block_orthogonal_names_the_first_of_two_non_orthogonal_blocks():
-    # the size-3 block fails first in m order although its size group comes
-    # second in the order sizes first appear
-    skew = np.array([[1.0, 1.0], [0.0, 1.0]])
-    with pytest.raises(StructureError, match=r"^block of size 3 is not orthogonal$"):
-        BlockOrthogonal((2, 3, 2), (np.eye(2), 2.0 * np.eye(3), skew))
-    with pytest.raises(StructureError, match=r"^block of size 2 is not orthogonal$"):
-        BlockOrthogonal((3, 2, 3), (np.eye(3), skew, 2.0 * np.eye(3)))
-
-
-def test_block_orthogonal_rejects_a_block_whose_residual_is_not_finite():
-    # Q Q^T of 1e200 I overflows to an infinite residual (which warned
-    # before the error); a NaN entry gives a NaN residual, which passed the
-    # old ``residual > tol`` test as orthogonal
+def test_block_orthogonal_rejects_a_block_whose_residual_is_not_finite(dec_mu0):
+    # gamma's residual overflows for a 1e200 I block; a NaN or infinite
+    # entry gives a NaN residual, which a ``residual > tol`` test passes as
+    # orthogonal
     for block in (1e200 * np.eye(2), np.diag([np.nan, 1.0]), np.diag([np.inf, 1.0])):
-        with pytest.raises(StructureError, match=r"^block of size 2 is not orthogonal$"):
-            BlockOrthogonal((2,), (block,))
-
-
-def test_block_orthogonal_compose_full():
-    m = (1, 2)
-    rng = np.random.default_rng(MASTER_SEED)
-    b1 = sample_block_orthogonal(m, rng)
-    b2 = sample_block_orthogonal(m, rng)
-    np.testing.assert_allclose(
-        b1.compose(b2).full(), b1.full() @ b2.full(), atol=1e-12
-    )
-    np.testing.assert_allclose(b1.transposed().full(), b1.full().T, atol=0)
-    ident = BlockOrthogonal(m, tuple(np.eye(s) for s in m))
-    np.testing.assert_allclose(ident.full(), np.eye(3), atol=0)
+        with pytest.raises(StructureError, match="lost orthogonality"):
+            conjugate(dec_mu0, block_diag(np.eye(1), block))
+    nan_off = block_diag(np.eye(1), np.eye(2))
+    nan_off[0, 2] = np.nan
+    with pytest.raises(StructureError, match="nonzero off the blocks"):
+        conjugate(dec_mu0, nan_off)
 
 
 def test_conjugate_identity_and_center(dec_mu0):
-    ident = BlockOrthogonal(
-        dec_mu0.multiplicities, tuple(np.eye(m) for m in dec_mu0.multiplicities)
-    )
-    g = conjugate(dec_mu0, ident)
+    g = conjugate(dec_mu0, np.eye(3))
     assert g.shape == (3, 3) and not g.flags.writeable
     np.testing.assert_allclose(g, np.eye(3), atol=1e-12)
-    minus = BlockOrthogonal(
-        dec_mu0.multiplicities,
-        tuple(-np.eye(m) for m in dec_mu0.multiplicities),
-    )
-    np.testing.assert_allclose(conjugate(dec_mu0, minus), -np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(conjugate(dec_mu0, -np.eye(3)), -np.eye(3), atol=1e-12)
 
 
 def test_conjugate_structure_mismatch(dec_mu0):
-    wrong = BlockOrthogonal((1, 1, 1), (np.eye(1),) * 3)  # dec has m = (1, 2)
+    # a block element for m = (2, 1) on a decomposition with m = (1, 2)
+    wrong = block_diag(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(1))
     with pytest.raises(StructureError):
         conjugate(dec_mu0, wrong)
 
@@ -130,7 +121,7 @@ def test_conjugate_rejects_a_basis_that_is_not_orthogonal():
     dec = eig_sym(dynsys.guiding_matrix(-0.25))
     scaled = replace(dec, v=1.01 * dec.v)
     assert dec.multiplicities == (1, 2)
-    sigma = BlockOrthogonal((1, 2), (np.eye(1), np.diag([1.0, -1.0])))
+    sigma = np.diag([1.0, 1.0, -1.0])
     with pytest.raises(StructureError, match="lost orthogonality"):
         conjugate(scaled, sigma)
 
@@ -399,7 +390,7 @@ def test_basis_independence_of_membership():
     a, _ = planted_matrix(rng, [1.0, 4.0, 4.0, 6.0, 6.0, 9.0])
     dec1 = eig_sym(a)
     sigma = sample_block_orthogonal(dec1.multiplicities, rng)
-    dec2 = replace(dec1, v=sigma.full() @ dec1.v)
+    dec2 = replace(dec1, v=sigma @ dec1.v)
     assert np.linalg.norm(dec2.v @ a @ dec2.v.T - np.diag(dec2.lambdas)) <= 1e-9
     for seed in range(20):
         g1 = sample_gamma(dec1, seed)
@@ -412,8 +403,7 @@ def test_haar_block_determinism():
     m = (2, 3)
     b1 = sample_block_orthogonal(m, np.random.default_rng(99))
     b2 = sample_block_orthogonal(m, np.random.default_rng(99))
-    for x, y in zip(b1.blocks, b2.blocks):
-        assert x.tobytes() == y.tobytes()
+    assert b1.tobytes() == b2.tobytes()
 
 
 def test_haar_covers_both_components():
@@ -421,7 +411,7 @@ def test_haar_covers_both_components():
     dets = set()
     for seed in range(24):
         b = sample_block_orthogonal((2,), np.random.default_rng(seed))
-        dets.add(int(round(np.linalg.det(b.blocks[0]))))
+        dets.add(int(round(np.linalg.det(b))))
     assert dets == {-1, 1}
 
 
@@ -449,14 +439,22 @@ def test_stacked_sampler_matches_the_loop_bit_for_bit(m, seed):
     sigma = sample_block_orthogonal(m, rng)
     ref = loop_sample_block_orthogonal(m, ref_rng)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    assert sigma.m == m
-    assert [b.tobytes() for b in sigma.blocks] == [b.tobytes() for b in ref]
-    assert all(b.shape == (s, s) and not b.flags.writeable for s, b in zip(m, sigma.blocks))
-    other = loop_sample_block_orthogonal(m, rng)
-    product = sigma.transposed().compose(BlockOrthogonal(m, tuple(other)))
-    assert [b.tobytes() for b in product.blocks] == [
-        (np.array(a.T) @ b).tobytes() for a, b in zip(ref, other)
+    n = sum(m)
+    assert sigma.shape == (n, n) and sigma.dtype == np.float64 and not sigma.flags.writeable
+    blocks = [slice(start - size, start) for size, start in zip(m, np.cumsum(m))]
+    assert [sigma[b, b].tobytes() for b in blocks] == [b.tobytes() for b in ref]
+    off = np.ones((n, n), dtype=bool)
+    for b in blocks:
+        off[b, b] = False
+    assert sigma[off].tobytes() == np.zeros(off.sum()).tobytes()  # +0.0 only
+    # the product procrustes family forms is the blockwise one, bit for bit
+    other = sample_block_orthogonal(m, rng)
+    ref_other = loop_sample_block_orthogonal(m, ref_rng)
+    product = other.T @ sigma
+    assert [product[b, b].tobytes() for b in blocks] == [
+        (np.array(b.T) @ a).tobytes() for a, b in zip(ref, ref_other)
     ]
+    assert product[off].tobytes() == np.zeros(off.sum()).tobytes()
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4])

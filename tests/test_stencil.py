@@ -141,6 +141,35 @@ def test_probe_ladder_matches_probe_and_fit_per_level():
     assert slope == float(np.polyfit(logs_h, logs_s, 1)[0])
 
 
+def test_probe_ladder_slope_is_the_plain_log_fit_for_ordinary_h():
+    # the scaled log norm is taken only where the plain one overflows, so
+    # every printed slope keeps its bits
+    hess = hessian_fd(TRIG, XBAR)
+    g2 = matched_reflection(hess)
+    rng = np.random.default_rng(MASTER_SEED + 45)
+    for _ in range(40):
+        h = rng.uniform(0.02, 0.5, 3) * rng.choice([-1.0, 1.0], 3)
+        levels = int(rng.integers(3, 7))
+        values, slope = probe_ladder(TRIG, XBAR, np.eye(3), g2, h, levels=levels, hessian=hess)
+        logs_h = [math.log(float(np.linalg.norm(h / 2.0**k))) for k in range(levels)]
+        logs_s = [math.log(abs(v)) for v in values]
+        assert slope == float(np.polyfit(logs_h, logs_s, 1)[0])
+
+
+def test_probe_ladder_of_a_displacement_whose_norm_overflows():
+    # ||h|| near 2.2e200 squares past the float range: the plain norm warned
+    # "overflow encountered in dot", an error under -W error::RuntimeWarning
+    f = ScalarField(lambda x: math.cos(x[0] + x[1]), 3)
+    x = np.array([math.pi / 2.0, 0.0, 0.0])
+    g2 = np.diag([-1.0, 1.0, -1.0])
+    h = np.array([1e200, 2e200, 0.0])
+    hess = hessian_fd(f, x)
+    values, slope = probe_ladder(f, x, np.eye(3), g2, h, hessian=hess, levels=3)
+    logs_h = [math.log(math.sqrt(5.0)) + math.log(1e200) - k * math.log(2.0) for k in range(3)]
+    logs_s = [math.log(abs(v)) for v in values]
+    assert slope == pytest.approx(float(np.polyfit(logs_h, logs_s, 1)[0]), rel=1e-9)
+
+
 def test_quadratic_form_invariant_under_group():
     hess = np.asarray(hessian_fd(TRIG, XBAR))
     dec = eig_sym(hess)
