@@ -88,6 +88,64 @@ def test_block_orthogonal_validation(dec_mu0, dec_123):
         conjugate(dec_123, tiny)
 
 
+def test_block_orthogonal_reports_an_earlier_non_orthogonal_block_first(dec_123):
+    # a skew size-2 block before a size-3 block holding only I_2: the element
+    # has the right shape and no entry off the blocks, so orthogonality is
+    # what conjugate reports
+    skew = np.array([[1.0, 1.0], [0.0, 1.0]])
+    padded = np.zeros((3, 3))
+    padded[:2, :2] = np.eye(2)
+    with pytest.raises(StructureError, match=r"^conjugated element lost orthogonality \("):
+        conjugate(dec_123, block_diag(np.eye(1), skew, padded))
+
+
+def test_block_orthogonal_reports_an_earlier_misshapen_block_first():
+    # I_2 where m = (1, 3, 2) asks for a size-3 block makes the element 5 x 5:
+    # the shape is reported before the later skew block's orthogonality
+    dec_132 = eig_sym(np.diag([1.0, 2.0, 2.0, 2.0, 3.0, 3.0]))
+    assert dec_132.multiplicities == (1, 3, 2)
+    skew = np.array([[1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(
+        StructureError,
+        match=r"^block element of shape \(5, 5\) does not match a 6 x 6 decomposition$",
+    ):
+        conjugate(dec_132, block_diag(np.eye(1), np.eye(2), skew))
+
+
+def test_block_orthogonal_names_the_first_of_two_non_orthogonal_blocks():
+    # two non-orthogonal blocks, 2 I_3 and a skew block, in either order:
+    # the element is refused, and so is each bad block alone
+    skew = np.array([[1.0, 1.0], [0.0, 1.0]])
+    cases = (
+        ((2.0, 2.0, 3.0, 3.0, 3.0, 4.0, 4.0), (np.eye(2), 2.0 * np.eye(3), skew)),
+        ((2.0, 2.0, 2.0, 3.0, 3.0, 4.0, 4.0, 4.0), (np.eye(3), skew, 2.0 * np.eye(3))),
+    )
+    for lambdas, blocks in cases:
+        dec = eig_sym(np.diag(lambdas))
+        assert dec.multiplicities == tuple(len(b) for b in blocks)
+        with pytest.raises(StructureError, match="lost orthogonality"):
+            conjugate(dec, block_diag(*blocks))
+        for bad in (i for i, b in enumerate(blocks) if np.any(b @ b.T != np.eye(len(b)))):
+            alone = [np.eye(len(b)) for b in blocks]
+            alone[bad] = blocks[bad]
+            with pytest.raises(StructureError, match="lost orthogonality"):
+                conjugate(dec, block_diag(*alone))
+
+
+def test_block_orthogonal_compose_full(dec_mu0):
+    # products and transposes of block elements are block elements, and
+    # conjugation carries them to the products and transposes of the gammas
+    m = (1, 2)
+    rng = np.random.default_rng(MASTER_SEED)
+    b1 = sample_block_orthogonal(m, rng)
+    b2 = sample_block_orthogonal(m, rng)
+    g1, g2 = conjugate(dec_mu0, b1), conjugate(dec_mu0, b2)
+    np.testing.assert_allclose(conjugate(dec_mu0, b1 @ b2), g1 @ g2, atol=1e-12)
+    np.testing.assert_allclose(conjugate(dec_mu0, b1.T), g1.T, atol=1e-12)
+    np.testing.assert_allclose(b1 @ b1.T, np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(conjugate(dec_mu0, np.eye(3)), np.eye(3), atol=1e-12)
+
+
 def test_block_orthogonal_rejects_a_block_whose_residual_is_not_finite(dec_mu0):
     # gamma's residual overflows for a 1e200 I block; a NaN or infinite
     # entry gives a NaN residual, which a ``residual > tol`` test passes as
