@@ -131,21 +131,9 @@ def _cmd_eig(args):
 
 # ---------------------------------------------------------------- isotropy
 
-# elements per piece of streamed gamma2 JSON: about 0.8 MB of text at n = 12
+# elements per piece of streamed gamma2 JSON: about 0.8 MB of text at n = 12,
+# from a slot buffer of about 1.1 MB
 _GAMMA2_BLOCK = 256
-
-
-@functools.cache
-def _separators(n):
-    """What goes before entry j of an n x n element of gamma2 JSON, at 2j
-    without and at 2j + 1 with a minus sign (no repr of a negative value is
-    kept: that would double the table), and the 2j."""
-    row = ["], ["] + [", "] * (n - 1)
-    before = [s + m for s in [""] + row[1:] + row * (n - 1) for m in ("", "-")]
-    tables = np.array(before, dtype=object), 2 * np.arange(n * n)
-    for table in tables:
-        table.setflags(write=False)
-    return tables
 
 
 def _unique_codes(values):
@@ -163,6 +151,42 @@ def _unique_codes(values):
     return ranked[fresh].view(np.float64), codes
 
 
+@functools.cache
+def _separators(n):
+    """What json writes before each entry of an n x n element of gamma2, as
+    rows of 4 bytes padded with NULs: "[[" before the first, "], [" before
+    the first of every later row, ", " before the rest."""
+    kinds = np.array(["[[", ", ", "], ["], dtype="S4").view(np.uint8).reshape(3, 4)
+    kind = np.ones(n * n, dtype=np.intp)
+    kind[::n] = 2
+    kind[:1] = 0
+    before = kinds[kind]
+    before.setflags(write=False)
+    return before
+
+
+def _slot_text(before, negative, tokens, after):
+    """Text assembled from fixed-width slots, with every NUL byte deleted.
+    Row i of the text is a slot per column of the boolean array
+    ``negative``, then ``after[i]``: slot j holds ``before[j]`` (bytes
+    padded with NULs), "-" if ``negative[i, j]`` else a NUL, and the token
+    ``tokens[i, j]`` (a void array of NUL-padded bytes).  One bytearray
+    holds every slot, and one ``translate`` and one ASCII decode give the
+    text."""
+    rows, cols = negative.shape
+    w = before.shape[1]
+    slot = w + 1 + tokens.itemsize
+    width = cols * slot + after.shape[1]
+    text = bytearray(rows * width)
+    buf = np.frombuffer(text, dtype=np.uint8).reshape(rows, width)
+    entries = buf[:, : cols * slot].reshape(rows, cols, slot)
+    entries[:, :, :w].view(f"V{w}")[:, :, 0] = before.view(f"V{w}")[:, 0]
+    np.multiply(negative, np.uint8(ord("-")), out=entries[:, :, w])
+    entries[:, :, w + 1 :].view(tokens.dtype)[:, :, 0] = tokens
+    buf[:, cols * slot :] = after
+    return text.translate(None, b"\0").decode("ascii")
+
+
 def _gamma2_json(elements, count, multiplicities):
     """The bytes of ``json.dumps({"count": count, "elements": [{"index": k,
     "gamma": elements([k])[0]}, ...], "multiplicities": [...]},
@@ -175,20 +199,16 @@ def _gamma2_json(elements, count, multiplicities):
     So each distinct magnitude of the first half of the elements is
     formatted once, into the token json would write for it, and element
     count - 1 - k is written with the codes of element k into that table.
-    The tokens come from ``floatrepr.reprs``, which is ``float.__repr__``
-    (json's form of a finite float) byte for byte: below
-    ``floatrepr.MIN_VECTOR`` magnitudes it calls ``float.__repr__``, above
-    it computes the shortest round-trip digits of a whole chunk at once
-    with numpy integer arithmetic (Schubfach), leaving zeros and subnormals
-    to ``float.__repr__``.
-    "-" goes in front wherever an element's own sign bit is set:
-    ``repr(-x) == "-" + repr(x)`` for every finite x, -0.0 included.
-    Element k's sign bits, flipped, would not do: an entry that cancels
-    exactly is +0.0 in both elements.  So the second half is computed
-    again, one piece at a time, for its sign bits only.  The first half's
-    tables are built before this returns, so a failure there writes
+    The tokens come from ``floatrepr.table``, ``float.__repr__`` (json's
+    form of a finite float) byte for byte, and each piece is laid out by
+    ``_slot_text``.  "-" goes in front wherever an element's own sign bit
+    is set: ``repr(-x) == "-" + repr(x)`` for every finite x, -0.0
+    included.  Element k's sign bits, flipped, would not do: an entry that
+    cancels exactly is +0.0 in both elements.  So the second half is
+    computed again, one piece at a time, for its sign bits only.  The first
+    half's tables are built before this returns, so a failure there writes
     nothing."""
-    from .floatrepr import reprs
+    from . import floatrepr
 
     half = count // 2
     # a first piece that spans both halves comes from the same product
@@ -196,13 +216,22 @@ def _gamma2_json(elements, count, multiplicities):
     n = first.shape[1]
     negative = np.signbit(first).reshape(len(first), n * n)
     mags, codes = _unique_codes(np.abs(first[:half]).reshape(half, n * n))
-    del first  # the tokens below are the peak of the call
-    tokens = np.array(reprs(mags), dtype=object)
+    del first  # not kept while the token table is built
+    table = floatrepr.table(mags)
+    # the last columns that every token leaves NUL need no slot bytes: the
+    # longest repr is 23 bytes, and most tables' longest is 22
+    width = floatrepr.WIDTH
+    while width > 1 and not table[:, width - 1].any():
+        width -= 1
+    tokens = table[:, :width].view(f"V{width}")[:, 0]
     # the row of codes that element k is written with
     rows = np.arange(count)
     rows = np.minimum(rows, rows[::-1])
-    before, slot = _separators(n)
-    tail = f'}}], "multiplicities": {json.dumps(list(multiplicities))}}}\n'
+    before = _separators(n)
+    # each element's slots open its "[[", and what follows them closes it
+    after = ']], "index": {}}}, {{"gamma": '
+    ends_width = len(after.format(count - 1))
+    tail = f'], "multiplicities": {json.dumps(list(multiplicities))}}}\n'
 
     def block(lo):
         hi = min(lo + _GAMMA2_BLOCK, count)
@@ -210,15 +239,14 @@ def _gamma2_json(elements, count, multiplicities):
         if len(signs) < hi - lo:
             rest = elements(np.arange(lo + len(signs), hi))
             signs = np.concatenate([signs, np.signbit(rest).reshape(-1, n * n)])
-        piece = np.empty((hi - lo, 2 * n * n + 1), dtype=object)
-        piece[:, 0:-1:2] = before[slot + signs]
-        piece[:, 1:-1:2] = tokens[codes[rows[lo:hi]]]
-        piece[:, -1] = [f']], "index": {k}}}, {{"gamma": [[' for k in range(lo, hi)]
+        ends = [after.format(k) for k in range(lo, hi)]
         if hi == count:
-            piece[-1, -1] = f']], "index": {count - 1}{tail}'
-        return "".join(piece.ravel().tolist())
+            ends[-1] = f']], "index": {count - 1}}}'
+        ends = np.array(ends, dtype=f"S{ends_width}").view(np.uint8).reshape(-1, ends_width)
+        text = _slot_text(before, signs, tokens[codes[rows[lo:hi]]], ends)
+        return text + tail if hi == count else text
 
-    head = f'{{"count": {count}, "elements": [{{"gamma": [['
+    head = f'{{"count": {count}, "elements": [{{"gamma": '
     return itertools.chain((head,), map(block, range(0, count, _GAMMA2_BLOCK)))
 
 

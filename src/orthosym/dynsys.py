@@ -25,9 +25,18 @@ SWAP_23.setflags(write=False)
 
 
 def guiding_matrix(mu: float) -> np.ndarray:
-    """The 3x3 coefficient matrix of the guiding system, as ``as_sym`` returns it."""
+    """The 3x3 coefficient matrix of the guiding system, as ``as_sym`` returns it.
+
+    Raises ValueError, naming mu, unless mu and every entry of the matrix
+    are finite (|mu| up to about 6.4e307)."""
+    if not math.isfinite(mu):
+        raise ValueError(f"mu must be finite, got {mu:g}")
     c = 2.0 * mu - 1.0
     r = math.sqrt(2.0) * c
+    # r is the entry of largest magnitude to within 2: |c| <= |r| and
+    # |3 - 2 mu| <= |r| + 2
+    if not math.isfinite(r):
+        raise ValueError(f"mu is too large for the guiding matrix, whose entries overflow, got {mu:g}")
     return as_sym(
         np.array(
             [

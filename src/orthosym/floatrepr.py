@@ -1,18 +1,21 @@
 """``float.__repr__`` for a whole float64 array, at numpy speed.
 
-``reprs(values)`` returns ``list(map(float.__repr__, values.tolist()))``
-byte for byte.  The shortest round-trip digits come from Schubfach
-(R. Giulietti, "The Schubfach way to render doubles", 2020) on uint64
-arrays, and are laid out as repr lays them out.  Python's repr is David
-Gay's shortest, correctly rounded string, and so is Schubfach's, as long
-as the rounding interval takes both of its ends when the significand is
-even (round-half-even parsing) and a tie between two shortest candidates
-goes to the even one.  JDK's treatment of subnormals is not Python's
-(it prints ``4.9E-324`` for what Python prints as ``5e-324``), so zeros and
-subnormals are left to ``float.__repr__``.
+``table(values)`` returns the token of each value as one row of a uint8
+array, padded with NUL bytes: row i, NULs deleted, is
+``float.__repr__(values[i])`` byte for byte.  The shortest round-trip
+digits come from Schubfach (R. Giulietti, "The Schubfach way to render
+doubles", 2020) on uint64 arrays, and are laid out as repr lays them out.
+Python's repr is David Gay's shortest, correctly rounded string, and so is
+Schubfach's, as long as the rounding interval takes both of its ends when
+the significand is even (round-half-even parsing) and a tie between two
+shortest candidates goes to the even one.  JDK's treatment of subnormals is
+not Python's (it prints ``4.9E-324`` for what Python prints as ``5e-324``),
+so zeros and subnormals are left to ``float.__repr__``.
 """
 
 from __future__ import annotations
+
+import mmap
 
 import numpy as np
 
@@ -22,6 +25,8 @@ MIN_VECTOR = 512
 # most values per chunk: an operation over a cache-sized chunk costs
 # several times less per element than over the whole array
 CHUNK = 4096
+# tables of at least this many bytes are mapped on their own (see table)
+_MAPPED_FROM = 128 * 1024
 
 _U = np.uint64
 _M32 = _U(0xFFFFFFFF)
@@ -35,7 +40,9 @@ _K_MAX = 292
 # a template is the 24 bytes of a row (below) that make up a repr
 _D_LO, _D_HI = -3, 16
 _EXP = _D_HI - _D_LO + 1
-_WIDTH = 24
+# bytes per token: the longest repr of a value without a sign bit,
+# "2.2250738585072014e-308", and a NUL at least
+WIDTH = 24
 # a row of the byte buffer: the 17 digits at bytes 3-19 (bytes 0-2 are the
 # leading zeros of the first 4-digit group), ".0" and NULs at 20-23, then
 # the exponent, "e-05" or "e+308", with NULs after it at 24-31
@@ -98,8 +105,8 @@ def _tables():
     offset[np.frombuffer(b"abcdefghijklmnopq", np.uint8)] = _DIGIT + np.arange(17)
     offset[np.frombuffer(b"vwxyz", np.uint8)] = _EXPONENT + np.arange(5)
     offset[[ord("."), ord("0")]] = _DOT, _ZERO
-    spelled = "".join(t.ljust(_WIDTH) for t in spelled).encode()
-    templates = offset[np.frombuffer(spelled, np.uint8)].reshape(18 * (_EXP + 1), _WIDTH)
+    spelled = "".join(t.ljust(WIDTH) for t in spelled).encode()
+    templates = offset[np.frombuffer(spelled, np.uint8)].reshape(18 * (_EXP + 1), WIDTH)
 
     tables = g, ascii4, kept, np.frombuffer(exponents, "<u8"), templates
     for table in tables:
@@ -205,22 +212,43 @@ def _digits(bits, g):
     return s, k
 
 
-def reprs(values) -> list[str]:
-    """``list(map(float.__repr__, values.tolist()))`` for a 1-D float64
-    array of finite values without a sign bit, such as ``np.abs`` gives."""
+def _padded(values):
+    """The rows of ``table`` from ``float.__repr__`` itself."""
+    tokens = np.array(list(map(float.__repr__, values.tolist())), dtype=f"S{WIDTH}")
+    return tokens.view(np.uint8).reshape(len(values), WIDTH)
+
+
+def table(values) -> np.ndarray:
+    """The tokens of ``float.__repr__`` for a 1-D float64 array of finite
+    values without a sign bit, such as ``np.abs`` gives: one read-only
+    ``(len(values), WIDTH)`` uint8 array whose row i is the token of
+    ``values[i]``, padded with NUL bytes."""
     values = np.ascontiguousarray(values, dtype=np.float64)
     if len(values) < MIN_VECTOR:
-        return list(map(float.__repr__, values.tolist()))
+        out = _padded(values)
+        out.setflags(write=False)
+        return out
     bits = values.view(np.uint64)
     # zeros and subnormals are written by float.__repr__ below
-    small = np.flatnonzero(bits < _U(2**52)).tolist()
+    small = np.flatnonzero(bits < _U(2**52))
     # equal chunks of at most CHUNK values: a short last chunk would give
     # arrays small enough for numpy to keep their blocks after the call
     size = -(-len(values) // -(-len(values) // CHUNK))
     buf = np.empty((size, _ROW // 4), dtype=np.uint32)
     buf[:, _DOT // 4] = np.frombuffer(b".0\0\0", dtype="<u4")[0]
     offsets = np.arange(0, len(buf) * _ROW, _ROW)[:, None]
-    out = [None] * len(values)
+    # The table outlives the chunks' temporaries, and a render's output
+    # grows while it is alive: in the heap a large table would leave a hole
+    # under that output when it is freed, which keeps the heap from
+    # shrinking.  From glibc's default mmap threshold up, it gets an
+    # anonymous mapping of its own, which goes back to the system with it,
+    # as glibc itself maps such a block until a large free raises the
+    # threshold; a smaller one costs less in the heap than a fresh mapping.
+    if len(values) * WIDTH >= _MAPPED_FROM:
+        out = np.frombuffer(mmap.mmap(-1, len(values) * WIDTH), dtype=np.uint8)
+        out = out.reshape(len(values), WIDTH)
+    else:
+        out = np.empty((len(values), WIDTH), dtype=np.uint8)
     for lo in range(0, len(values), size):
         f, d = _digits(np.maximum(bits[lo : lo + size], _U(2**52)), _G)
         m = len(f)
@@ -260,9 +288,12 @@ def reprs(values) -> list[str]:
         del length
         index = offsets[:m] + np.take(_TEMPLATES, d, axis=0)
         del d
-        chars = np.take(row.view(np.uint8).reshape(-1), index).astype(np.uint32)
+        # index is in range, and a mode other than "raise" writes straight
+        # into out
+        np.take(row.view(np.uint8).reshape(-1), index, out=out[lo : lo + m], mode="clip")
         del index
-        out[lo : lo + m] = chars.view(f"<U{_WIDTH}").reshape(-1).tolist()
-    for i in small:
-        out[i] = float.__repr__(float(values[i]))
+    # each such row still holds the kernel's bytes for 2^-1022: the whole
+    # row is overwritten
+    out[small] = _padded(values[small])
+    out.setflags(write=False)
     return out

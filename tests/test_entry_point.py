@@ -52,11 +52,13 @@ def loaded_by(code):
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("entry")
+    big = np.random.default_rng(64).standard_normal((64, 64))
     contents = {
         "A": format_matrix(np.asarray(dynsys.guiding_matrix(0.0))),
         "ID": format_matrix(np.eye(3)),
         "P4": "0 1\n1 2\n2 3\n",
         "P4R": "2 0\n0 3\n3 1\n",
+        "B64": format_matrix(big + big.T),
     }
     for name, text in contents.items():
         (root / name).write_text(text)
@@ -83,6 +85,9 @@ RUNS = [
     (["dynsys", "integrate", "--steps", "20", "--format", "csv"], {"dynsys"}),
     (["fixtures", "verify", "--format", "text"], {"verify", "fixtures", "dynsys", "graphsym", "isotropy", "stencil"}),
     (["eig"], set()),  # usage error: the parser exits before any handler runs
+    # 4096 eigenvector entries still go through json.dumps: only isotropy
+    # gamma2 loads floatrepr
+    (["eig", "--input", "B64"], {"matio"}),
 ]
 
 

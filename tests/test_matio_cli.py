@@ -449,6 +449,27 @@ def test_gamma2_json_formats_every_kind_of_float(k):
 
 
 @pytest.mark.parametrize(
+    "magnitudes",
+    [
+        [0.0, 1.0],  # tokens of 3 bytes
+        [2.2250738585072014e-308, 1.2345678901234567e-100, 0.5],  # 23, the longest
+        None,  # about 760 distinct magnitudes: floatrepr's vector path
+    ],
+    ids=["3-byte tokens", "23-byte tokens", "vector path"],
+)
+def test_gamma2_json_slots_are_as_wide_as_the_longest_token(magnitudes):
+    # each piece's slots are cut to the longest token of its table
+    rng = np.random.default_rng(MASTER_SEED + 79)
+    if magnitudes is None:
+        magnitudes = rng.random(600) * 10.0 ** rng.integers(-7, 3, 600)
+    pool = np.concatenate([magnitudes, np.negative(magnitudes)])
+    first = rng.choice(pool, size=(max(4, len(pool) // 9 + 1), 3, 3))
+    els = np.concatenate([first, -first[::-1]])
+    want = _gamma2_reference(els, (1, 2))
+    assert _per_element(_rendered(els, (1, 2))) == _per_element(want)
+
+
+@pytest.mark.parametrize(
     "values",
     [[0.0], [5e-324, 0.0, 5e-324], [1.0, 1 / 3, 0.1, 1 / 3, 1e16, 0.0, 1.0], np.arange(12.0)[::-1]],
 )
@@ -1212,3 +1233,30 @@ def test_cli_fuzz_exits_cleanly_with_strict_json(fuzz_dir, argv, m, m2, g, g2):
         assert out == ""
     elif argv[-1] == "json":
         json.loads(out, parse_constant=_no_constant)
+
+
+@pytest.mark.parametrize("action", ["equilibria", "integrate"])
+@pytest.mark.parametrize(
+    "mu,message",
+    [
+        ("nan", "mu must be finite, got nan"),
+        ("inf", "mu must be finite, got inf"),
+        ("-inf", "mu must be finite, got -inf"),
+        ("1e308", "mu is too large for the guiding matrix, whose entries overflow, got 1e+308"),
+        ("-7e307", "mu is too large for the guiding matrix, whose entries overflow, got -7e+307"),
+    ],
+)
+def test_mu_out_of_range_is_an_input_error_about_mu(action, mu, message):
+    # before: "error: matrix entries must be finite", about a matrix the
+    # user never gave
+    code, out, err = run_quiet(["dynsys", action, "--steps", "5", f"--mu={mu}"])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_mu_inside_the_range_gets_past_the_mu_check():
+    # at 6e307 every entry of the guiding matrix is finite, but not the
+    # eigenvalue 4 mu; at 1e300 both are
+    code, out, err = run_quiet(["dynsys", "equilibria", "--mu=6e307"])
+    assert (code, out, err) == (1, "", "error: an eigenvalue overflows the float range\n")
+    code, out, err = run_quiet(["dynsys", "equilibria", "--mu=1e300"])
+    assert (code, err) == (0, "")
