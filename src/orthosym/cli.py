@@ -134,6 +134,8 @@ def _cmd_eig(args):
 # elements per piece of streamed gamma2 JSON: about 0.8 MB of text at n = 12,
 # from a slot buffer of about 1.1 MB
 _GAMMA2_BLOCK = 256
+# elements per token gather in a piece
+_GATHER_ROWS = 32
 
 
 def _unique_codes(values):
@@ -165,14 +167,14 @@ def _separators(n):
     return before
 
 
-def _slot_text(before, negative, tokens, after):
+def _slot_text(before, negative, tokens, codes, after):
     """Text assembled from fixed-width slots, with every NUL byte deleted.
     Row i of the text is a slot per column of the boolean array
     ``negative``, then ``after[i]``: slot j holds ``before[j]`` (bytes
     padded with NULs), "-" if ``negative[i, j]`` else a NUL, and the token
-    ``tokens[i, j]`` (a void array of NUL-padded bytes).  One bytearray
-    holds every slot, and one ``translate`` and one ASCII decode give the
-    text."""
+    ``tokens[codes[i, j]]`` (a void array of NUL-padded bytes).  One
+    bytearray holds every slot, and one ``translate`` and one ASCII decode
+    give the text."""
     rows, cols = negative.shape
     w = before.shape[1]
     slot = w + 1 + tokens.itemsize
@@ -182,7 +184,11 @@ def _slot_text(before, negative, tokens, after):
     entries = buf[:, : cols * slot].reshape(rows, cols, slot)
     entries[:, :, :w].view(f"V{w}")[:, :, 0] = before.view(f"V{w}")[:, 0]
     np.multiply(negative, np.uint8(ord("-")), out=entries[:, :, w])
-    entries[:, :, w + 1 :].view(tokens.dtype)[:, :, 0] = tokens
+    # gathered a few rows at a time: a gather's temporary the size of the
+    # piece would be fresh memory, and cost page faults, in every call
+    slots = entries[:, :, w + 1 :].view(tokens.dtype)[:, :, 0]
+    for lo in range(0, rows, _GATHER_ROWS):
+        slots[lo : lo + _GATHER_ROWS] = tokens[codes[lo : lo + _GATHER_ROWS]]
     buf[:, cols * slot :] = after
     return text.translate(None, b"\0").decode("ascii")
 
@@ -243,7 +249,7 @@ def _gamma2_json(elements, count, multiplicities):
         if hi == count:
             ends[-1] = f']], "index": {count - 1}}}'
         ends = np.array(ends, dtype=f"S{ends_width}").view(np.uint8).reshape(-1, ends_width)
-        text = _slot_text(before, signs, tokens[codes[rows[lo:hi]]], ends)
+        text = _slot_text(before, signs, tokens, codes[rows[lo:hi]], ends)
         return text + tail if hi == count else text
 
     head = f'{{"count": {count}, "elements": [{{"gamma": '
