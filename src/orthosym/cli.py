@@ -138,21 +138,6 @@ _GAMMA2_BLOCK = 256
 _GATHER_ROWS = 32
 
 
-def _unique_codes(values):
-    """``np.unique(values, return_inverse=True)`` for an array of finite
-    floats that are not negative, without np.unique's fixed cost, and with
-    the codes as int32 in the shape of ``values``."""
-    flat = values.reshape(-1).view(np.uint64)
-    order = np.argsort(flat)
-    ranked = flat[order]
-    fresh = np.empty(len(ranked), dtype=bool)
-    fresh[:1] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=fresh[1:])
-    codes = np.empty(values.shape, dtype=np.int32)
-    codes.reshape(-1)[order] = np.cumsum(fresh) - 1
-    return ranked[fresh].view(np.float64), codes
-
-
 @functools.cache
 def _separators(n):
     """What json writes before each entry of an n x n element of gamma2, as
@@ -165,6 +150,20 @@ def _separators(n):
     before = kinds[kind]
     before.setflags(write=False)
     return before
+
+
+@functools.cache
+def _triangle(n):
+    """The flat indices of the upper triangle of an n x n matrix, i <= j in
+    row-major order, those of its mirror image (j, i), and the map from each
+    of the n^2 flat indices to its entry's place in the upper triangle."""
+    i, j = np.triu_indices(n)
+    up, down = i * n + j, j * n + i
+    place = np.empty(n * n, dtype=np.intp)
+    place[up] = place[down] = np.arange(len(up))
+    for a in (up, down, place):
+        a.setflags(write=False)
+    return up, down, place
 
 
 def _slot_text(before, negative, tokens, codes, after):
@@ -202,18 +201,21 @@ def _gamma2_json(elements, count, multiplicities):
     magnitudes of element k bit for bit, as in the sign group, which holds
     -I, under sign-symmetric IEEE rounding.
 
-    So each distinct magnitude of the first half of the elements is
-    formatted once, into the token json would write for it, and element
-    count - 1 - k is written with the codes of element k into that table.
-    The tokens come from ``floatrepr.table``, ``float.__repr__`` (json's
-    form of a finite float) byte for byte, and each piece is laid out by
-    ``_slot_text``.  "-" goes in front wherever an element's own sign bit
-    is set: ``repr(-x) == "-" + repr(x)`` for every finite x, -0.0
-    included.  Element k's sign bits, flipped, would not do: an entry that
-    cancels exactly is +0.0 in both elements.  So the second half is
-    computed again, one piece at a time, for its sign bits only.  The first
-    half's tables are built before this returns, so a failure there writes
-    nothing."""
+    Each element of the group is self-adjoint, so the upper triangle of
+    each element of the first half is formatted, in (k, i <= j) order, into
+    the tokens json would write, and element k, like element count - 1 - k,
+    is written with codes k T + ``place`` into that table, T = n (n + 1) / 2.
+    A product need not come out symmetric bit for bit, so each lower entry
+    whose magnitude differs from its mirror's gets a row of its own after
+    the triangles.  The tokens come from ``floatrepr.table``,
+    ``float.__repr__`` (json's form of a finite float) byte for byte, and
+    each piece is laid out by ``_slot_text``.  "-" goes in front wherever an
+    element's own sign bit is set: ``repr(-x) == "-" + repr(x)`` for every
+    finite x, -0.0 included.  Element k's sign bits, flipped, would not do:
+    an entry that cancels exactly is +0.0 in both elements.  So the second
+    half is computed again, one piece at a time, for its sign bits only.
+    The first half's table is built before this returns, so a failure there
+    writes nothing."""
     from . import floatrepr
 
     half = count // 2
@@ -221,18 +223,28 @@ def _gamma2_json(elements, count, multiplicities):
     first = elements(np.arange(max(half, min(count, _GAMMA2_BLOCK))))
     n = first.shape[1]
     negative = np.signbit(first).reshape(len(first), n * n)
-    mags, codes = _unique_codes(np.abs(first[:half]).reshape(half, n * n))
-    del first  # not kept while the token table is built
-    table = floatrepr.table(mags)
-    # the last columns that every token leaves NUL need no slot bytes: the
-    # longest repr is 23 bytes, and most tables' longest is 22
-    width = floatrepr.WIDTH
-    while width > 1 and not table[:, width - 1].any():
-        width -= 1
-    tokens = table[:, :width].view(f"V{width}")[:, 0]
-    # the row of codes that element k is written with
-    rows = np.arange(count)
-    rows = np.minimum(rows, rows[::-1])
+    up, down, place = _triangle(n)
+    flat = first[:half].reshape(half, n * n)
+    mags, mirror = np.take(flat, up, axis=1), np.take(flat, down, axis=1)
+    np.abs(mags, out=mags)
+    np.abs(mirror, out=mirror)
+    del first, flat  # not kept while the token table is built
+    # the lower entries, (element, place), that need a row of their own
+    own_k, own_t = np.nonzero(mags.view(np.uint64) != mirror.view(np.uint64))
+    values = mags.reshape(-1)
+    if len(own_k):
+        values = np.concatenate([values, mirror[own_k, own_t]])
+        # each such row for both elements written with it
+        own_at = np.concatenate([own_k, count - 1 - own_k])
+        own_entry = np.tile(down[own_t], 2)
+        own_code = np.tile(np.arange(mags.size, len(values)), 2)
+    del mags, mirror
+    table = floatrepr.table(values)
+    del values
+    tokens = table.view(f"V{table.shape[1]}")[:, 0]
+    # element k's first code: the row of codes it is written with, times T
+    base = np.arange(count)
+    base = np.minimum(base, base[::-1]) * len(up)
     before = _separators(n)
     # each element's slots open its "[[", and what follows them closes it
     after = ']], "index": {}}}, {{"gamma": '
@@ -245,11 +257,15 @@ def _gamma2_json(elements, count, multiplicities):
         if len(signs) < hi - lo:
             rest = elements(np.arange(lo + len(signs), hi))
             signs = np.concatenate([signs, np.signbit(rest).reshape(-1, n * n)])
+        codes = base[lo:hi, None] + place
+        if len(own_k):
+            hit = (lo <= own_at) & (own_at < hi)
+            codes[own_at[hit] - lo, own_entry[hit]] = own_code[hit]
         ends = [after.format(k) for k in range(lo, hi)]
         if hi == count:
             ends[-1] = f']], "index": {count - 1}}}'
         ends = np.array(ends, dtype=f"S{ends_width}").view(np.uint8).reshape(-1, ends_width)
-        text = _slot_text(before, signs, tokens, codes[rows[lo:hi]], ends)
+        text = _slot_text(before, signs, tokens, codes, ends)
         return text + tail if hi == count else text
 
     head = f'{{"count": {count}, "elements": [{{"gamma": '

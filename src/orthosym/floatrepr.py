@@ -1,7 +1,7 @@
 """``float.__repr__`` for a whole float64 array, at numpy speed.
 
 ``table(values)`` returns the token of each value as one row of a uint8
-array, padded with NUL bytes: row i, NULs deleted, is
+array, padded with NUL bytes to the longest token: row i, NULs deleted, is
 ``float.__repr__(values[i])`` byte for byte.  The shortest round-trip
 digits come from Schubfach (R. Giulietti, "The Schubfach way to render
 doubles", 2020) on uint64 arrays, and are laid out as repr lays them out.
@@ -10,7 +10,8 @@ Schubfach's, as long as the rounding interval takes both of its ends when
 the significand is even (round-half-even parsing) and a tie between two
 shortest candidates goes to the even one.  JDK's treatment of subnormals is
 not Python's (it prints ``4.9E-324`` for what Python prints as ``5e-324``),
-so zeros and subnormals are left to ``float.__repr__``.
+so subnormals are left to ``float.__repr__``, and zero, whose token is
+always ``0.0``, never goes through the kernel.
 """
 
 from __future__ import annotations
@@ -213,30 +214,39 @@ def _digits(bits, g):
 
 
 def _padded(values):
-    """The rows of ``table`` from ``float.__repr__`` itself."""
-    tokens = np.array(list(map(float.__repr__, values.tolist())), dtype=f"S{WIDTH}")
-    return tokens.view(np.uint8).reshape(len(values), WIDTH)
+    """The tokens of ``float.__repr__``, NUL-padded bytes as wide as the
+    longest, as rows of a uint8 array."""
+    tokens = np.array(list(map(float.__repr__, values.tolist())), dtype="S")
+    return tokens.view(np.uint8).reshape(len(values), tokens.itemsize)
 
 
 def table(values) -> np.ndarray:
     """The tokens of ``float.__repr__`` for a 1-D float64 array of finite
     values without a sign bit, such as ``np.abs`` gives: one read-only
-    ``(len(values), WIDTH)`` uint8 array whose row i is the token of
-    ``values[i]``, padded with NUL bytes."""
+    ``(len(values), w)`` uint8 array whose row i is the token of
+    ``values[i]``, padded with NUL bytes, w the length of the longest."""
     values = np.ascontiguousarray(values, dtype=np.float64)
     if len(values) < MIN_VECTOR:
         out = _padded(values)
         out.setflags(write=False)
         return out
     bits = values.view(np.uint64)
-    # zeros and subnormals are written by float.__repr__ below
+    # the kernel writes the normal values, by index, or as one slice where
+    # every value is normal; zeros get a constant row, and subnormals are
+    # written by float.__repr__ below
     small = np.flatnonzero(bits < _U(2**52))
-    # equal chunks of at most CHUNK values: a short last chunk would give
-    # arrays small enough for numpy to keep their blocks after the call
-    size = -(-len(values) // -(-len(values) // CHUNK))
+    normal = np.flatnonzero(bits >= _U(2**52)) if len(small) else None
+    # chunks of at most CHUNK values, equal to within one: a short last
+    # chunk would give arrays small enough for numpy to keep their blocks
+    # after the call
+    total = len(values) - len(small)
+    chunks = -(-total // CHUNK)
+    cuts = [total * i // max(1, chunks) for i in range(chunks + 1)]
+    size = -(-total // max(1, chunks))
     buf = np.empty((size, _ROW // 4), dtype=np.uint32)
     buf[:, _DOT // 4] = np.frombuffer(b".0\0\0", dtype="<u4")[0]
     offsets = np.arange(0, len(buf) * _ROW, _ROW)[:, None]
+    rows = np.empty((size, WIDTH), dtype=np.uint8)
     # The table outlives the chunks' temporaries, and a render's output
     # grows while it is alive: in the heap a large table would leave a hole
     # under that output when it is freed, which keeps the heap from
@@ -244,13 +254,17 @@ def table(values) -> np.ndarray:
     # anonymous mapping of its own, which goes back to the system with it,
     # as glibc itself maps such a block until a large free raises the
     # threshold; a smaller one costs less in the heap than a fresh mapping.
+    # Either starts out all NUL.
     if len(values) * WIDTH >= _MAPPED_FROM:
         out = np.frombuffer(mmap.mmap(-1, len(values) * WIDTH), dtype=np.uint8)
         out = out.reshape(len(values), WIDTH)
     else:
-        out = np.empty((len(values), WIDTH), dtype=np.uint8)
-    for lo in range(0, len(values), size):
-        f, d = _digits(np.maximum(bits[lo : lo + size], _U(2**52)), _G)
+        out = np.zeros((len(values), WIDTH), dtype=np.uint8)
+    # each row as one item, which numpy copies faster by index
+    items = out.view(f"V{WIDTH}")[:, 0]
+    for lo, hi in zip(cuts, cuts[1:]):
+        at = slice(lo, hi) if normal is None else normal[lo:hi]
+        f, d = _digits(bits[at], _G)
         m = len(f)
         # 17 digits, the first at the decimal point position d
         long = f >= _U(10**16)
@@ -289,11 +303,23 @@ def table(values) -> np.ndarray:
         index = offsets[:m] + np.take(_TEMPLATES, d, axis=0)
         del d
         # index is in range, and a mode other than "raise" writes straight
-        # into out
-        np.take(row.view(np.uint8).reshape(-1), index, out=out[lo : lo + m], mode="clip")
+        # into rows
+        np.take(row.view(np.uint8).reshape(-1), index, out=rows[:m], mode="clip")
         del index
-    # each such row still holds the kernel's bytes for 2^-1022: the whole
-    # row is overwritten
-    out[small] = _padded(values[small])
+        items[at] = rows[:m].view(f"V{WIDTH}")[:, 0]
+    zero = bits[small] == 0
+    out[small[zero], :3] = np.frombuffer(b"0.0", dtype=np.uint8)
+    small = small[~zero]
+    tokens = _padded(values[small])
+    out[small, : tokens.shape[1]] = tokens
+    # cut to the longest token, most often 22 bytes: its last byte is the
+    # last nonzero one of the rows' 8-byte words OR-ed together, taken
+    # column by column from the last
+    words = out.view("<u8")
+    for j in (2, 1, 0):
+        word = int(np.bitwise_or.reduce(words[:, j]))
+        if word:
+            out = out[:, : 8 * j + (word.bit_length() + 7) // 8]
+            break
     out.setflags(write=False)
     return out

@@ -21,7 +21,8 @@ from .spectral import SpectralDecomposition, _scaled, _unscaled, as_sym
 # the elements alone take 2^n * n^2 * 8 bytes, 25.7 MB at n = 14 and 3.4 GB
 # at n = 20, and their JSON takes about 2.7 times as much (69,138,003 bytes
 # for a random 14 x 14 matrix); the CLI's JSON holds at most the first half
-# of them at once, 12.8 MB at n = 14, and 4-byte codes for that half
+# of them at once, 12.8 MB at n = 14, and the magnitudes of that half's
+# upper triangles and of their mirror images, 6.9 MB each
 GAMMA2_MAX_N = 14
 MEMBER_TOL = 1e-8
 _BLOCK_ORTH_TOL = 1e-10

@@ -1,5 +1,6 @@
 """``floatrepr.table`` against ``float.__repr__``, byte for byte: each row
-of the table, its NUL bytes deleted, is the repr of its value."""
+of the table, its NUL bytes deleted, is the repr of its value, and the rows
+are as wide as the longest."""
 
 import math
 import sys
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthosym import cli, floatrepr, spectral
+from orthosym import floatrepr, spectral
 from orthosym.floatrepr import CHUNK, MIN_VECTOR, WIDTH, table
 from orthosym.isotropy import gamma2_elements
 
@@ -24,7 +25,8 @@ def tokens(values):
     """The rows of ``table(values)`` with their NULs deleted, as the byte
     writer in ``cli`` deletes them."""
     out = table(np.asarray(values, dtype=float))
-    assert out.dtype == np.uint8 and out.shape == (len(values), WIDTH)
+    longest = max(map(len, expected(values)), default=1)
+    assert out.dtype == np.uint8 and out.shape == (len(values), longest) and longest <= WIDTH
     assert not out.flags.writeable
     return [row.tobytes().translate(None, b"\0").decode("ascii") for row in out]
 
@@ -104,7 +106,7 @@ def test_reprs_match_float_repr_on_a_sign_group():
     a, _ = planted_matrix(np.random.default_rng(MASTER_SEED + 91), [-2, -2, -1, 0, 0, 0, 0.5, 1, 1, 3, 3, 4.5])
     dec = spectral.eig_sym(a)
     half = 2**11
-    mags, _ = cli._unique_codes(np.abs(gamma2_elements(dec, np.arange(half))).reshape(half, -1))
+    mags = np.unique(np.abs(gamma2_elements(dec, np.arange(half))))
     assert len(mags) > 10 * CHUNK
     assert tokens(mags) == expected(mags)
 
@@ -112,8 +114,9 @@ def test_reprs_match_float_repr_on_a_sign_group():
 @pytest.mark.parametrize("size", [MIN_VECTOR - 1, MIN_VECTOR, CHUNK, CHUNK + 1, 3 * CHUNK - 7])
 def test_reprs_on_both_sides_of_the_crossover(monkeypatch, size):
     # below MIN_VECTOR every value goes to float.__repr__; from it on, the
-    # digits come from as few chunks of at most CHUNK values as will do,
-    # equal in size to within one value
+    # digits of the normal values, and of no zero or subnormal, come from
+    # as few chunks of at most CHUNK values as will do, equal in size to
+    # within one value
     chunks = []
     digits = floatrepr._digits
 
@@ -130,8 +133,50 @@ def test_reprs_on_both_sides_of_the_crossover(monkeypatch, size):
     if size < MIN_VECTOR:
         assert chunks == []
     else:
-        assert sum(chunks) == size and len(chunks) == -(-size // CHUNK)
+        normal = np.count_nonzero(values >= sys.float_info.min)
+        assert sum(chunks) == normal and len(chunks) == -(-normal // CHUNK)
         assert max(chunks) <= CHUNK and max(chunks) - min(chunks) <= 1
+
+
+_FEW_BITS = np.random.default_rng(MASTER_SEED + 94).integers(
+    2**52, 2047 * 2**52, MIN_VECTOR, dtype=np.uint64
+)
+
+
+@pytest.mark.parametrize(
+    "normal",
+    [
+        [],
+        _FEW_BITS[:3].view(np.float64),
+        1e6 + 0.25 * np.arange(MIN_VECTOR),  # tokens of 9 to 16 bytes
+        _FEW_BITS.view(np.float64),
+    ],
+    ids=["no normal", "three", "short tokens", "random"],
+)
+@pytest.mark.parametrize("size", [2 * MIN_VECTOR, 4 * CHUNK])
+def test_a_table_of_mostly_zeros(monkeypatch, size, normal):
+    # the group of a structured matrix puts mostly zeros into the table:
+    # they get a constant row, and the kernel sees the normal values alone,
+    # however few; a few subnormals are among them (tokens of 8 bytes at
+    # most), and both sizes of table, one in the heap and one mapped on its
+    # own
+    seen = []
+    digits = floatrepr._digits
+
+    def counted(bits, g):
+        seen.append(bits.copy())
+        return digits(bits, g)
+
+    monkeypatch.setattr(floatrepr, "_digits", counted)
+    rng = np.random.default_rng(MASTER_SEED + 95 + size + len(normal))
+    values = np.zeros(size)
+    at = rng.choice(size, len(normal) + 5, replace=False)
+    values[at[: len(normal)]] = normal
+    values[at[len(normal) :]] = [5e-324, 2.5e-310, 1e-320, 1e-310, 4e-323]
+    assert tokens(values) == expected(values)
+    assert all(len(bits) for bits in seen)
+    seen = np.concatenate([np.empty(0, dtype=np.uint64), *seen])
+    assert np.array_equal(np.sort(seen), np.sort(np.asarray(normal, dtype=float).view(np.uint64)))
 
 
 def test_table_of_nothing():

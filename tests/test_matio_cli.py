@@ -469,18 +469,6 @@ def test_gamma2_json_slots_are_as_wide_as_the_longest_token(magnitudes):
     assert _per_element(_rendered(els, (1, 2))) == _per_element(want)
 
 
-@pytest.mark.parametrize(
-    "values",
-    [[0.0], [5e-324, 0.0, 5e-324], [1.0, 1 / 3, 0.1, 1 / 3, 1e16, 0.0, 1.0], np.arange(12.0)[::-1]],
-)
-def test_unique_codes_match_np_unique(values):
-    values = np.array(values).reshape(1, -1)
-    mags, codes = cli._unique_codes(values)
-    want_mags, want_codes = np.unique(values, return_inverse=True)
-    assert mags.tobytes() == want_mags.tobytes()
-    assert codes.dtype == np.int32 and np.array_equal(codes, want_codes.reshape(values.shape))
-
-
 @pytest.mark.parametrize("block", [1, 3, 5, 256])
 def test_gamma2_json_does_not_depend_on_the_piece_size(monkeypatch, block):
     # pieces of 3 or 5 elements span both halves of the group, so their
@@ -496,6 +484,55 @@ def test_gamma2_json_does_not_depend_on_the_piece_size(monkeypatch, block):
         lambda k: gamma2_elements(dec, k), 2**dec.n, dec.multiplicities
     )
     assert _per_element("".join(pieces)) == _per_element(want)
+
+
+@pytest.mark.parametrize("block", [5, 256])
+@pytest.mark.parametrize(
+    "flips",
+    [[(0, 1, 0)], [(21, 5, 2)], [(31, 5, 4), (31, 3, 0), (2, 4, 1)]],
+    ids=["identity", "one entry", "three entries"],
+)
+def test_gamma2_json_writes_a_lower_entry_that_is_not_its_mirror(monkeypatch, flips, block):
+    # a product need not come out symmetric bit for bit: with the last bit
+    # of a lower entry (i, j) flipped in element k and in element
+    # 2^n - 1 - k, so that the two keep equal magnitudes, each element is
+    # still written as it is; pieces of 5 elements span both halves
+    rng = np.random.default_rng(MASTER_SEED + 86)
+    dec = spectral.eig_sym(random_symmetric(rng, 6))
+    count = 2**dec.n
+
+    def elements(indices):
+        els = gamma2_elements(dec, indices).copy()
+        for k, i, j in flips:
+            hit = (indices == k) | (indices == count - 1 - k)
+            els.view(np.uint64)[hit, i, j] ^= np.uint64(1)
+        return els
+
+    els = elements(np.arange(count))
+    assert all(els[k, i, j] != els[k, j, i] for k, i, j in flips)
+    monkeypatch.setattr(cli, "_GAMMA2_BLOCK", block)
+    want = _gamma2_reference(els, dec.multiplicities)
+    got = "".join(cli._gamma2_json(elements, count, dec.multiplicities))
+    assert _per_element(got) == _per_element(want)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.diag(np.arange(1.0, 13.0)),
+        np.kron(np.eye(6), [[2.0, 1.0], [1.0, 2.0]]) + np.diag(np.arange(12.0)),
+    ],
+    ids=["diag", "2x2 blocks"],
+)
+def test_cli_isotropy_gamma2_of_a_structured_n12_matrix(capsys, tmp_path, a):
+    # most entries of these groups are exact zeros, and few magnitudes are
+    # distinct
+    path = tmp_path / "a.txt"
+    path.write_text(format_matrix(a))
+    dec = spectral.eig_sym(parse_matrix(str(path)))
+    code, out, err = run_capture(capsys, ["isotropy", "gamma2", "--input", str(path)])
+    assert (code, err) == (0, "")
+    assert _per_element(out) == _per_element(_gamma2_reference(gamma2_elements(dec), dec.multiplicities))
 
 
 _BLOCK_DIAGONAL = np.zeros((6, 6))
@@ -559,8 +596,9 @@ def test_cli_isotropy_gamma2_bytes_at_one_and_two_blas_threads(n12_file, threads
 
 def test_cli_isotropy_gamma2_peak_memory_at_n12(n12_file, tmp_path):
     # numpy reports its buffers to tracemalloc, so the peak is a property of
-    # the code, not of the host; the bound sits between tabulating half the
-    # group (about 19 MiB) and all of it (about 33 MiB)
+    # the code, not of the host; the bound sits between formatting the upper
+    # triangles of half the group (about 5 MiB) and sorting all the
+    # magnitudes of that half to find the distinct ones (about 15 MiB)
     argv = ["isotropy", "gamma2", "--input", n12_file, "--output", str(tmp_path / "out.json")]
     tracemalloc.start()
     try:
@@ -569,7 +607,7 @@ def test_cli_isotropy_gamma2_peak_memory_at_n12(n12_file, tmp_path):
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert peak < 24 * 2**20
+    assert peak < 12 * 2**20
 
 
 def test_cli_isotropy_gamma2_of_a_scalar(capsys, tmp_path):
