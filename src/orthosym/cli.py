@@ -73,97 +73,101 @@ def _emit(args, payload, text, table=None):
     """Render one result in the requested format.  Each form is a function
     of no arguments, and only the requested one is called: ``payload()``
     gives the json value, ``text()`` a human-readable string and
-    ``table()`` (header, rows) for csv; a None table means no csv form."""
+    ``table()`` (header, rows) for csv; a None table means no csv form.
+    The json value may hold ndarrays: the bytes are those of its
+    ``.tolist()``, and a large finite float64 array is written from
+    ``floatrepr``'s token table (see ``_json_pieces``)."""
     fmt = args.format
     if fmt == "json":
-        out = json.dumps(payload(), sort_keys=True, allow_nan=False) + "\n"
+        pieces = _json_pieces(payload())
     elif fmt == "csv":
         if table is None:
             raise _UsageError(f"subcommand {args.command!r} has no csv form")
         header, rows = table()
         lines = [",".join(header)]
         lines += [",".join(str(c) for c in row) for row in rows]
-        out = "\n".join(lines) + "\n"
+        pieces = ("\n".join(lines) + "\n",)
     else:
-        out = text() + "\n"
-    _write(args, (out,))
+        pieces = (text() + "\n",)
+    _write(args, pieces)
 
 
-def _load_sym(path) -> np.ndarray:
-    from . import matio
-
-    return spectral.as_sym(matio.parse_matrix(path))
-
-
-def _mat(a) -> list:
-    return np.asarray(a).tolist()
-
-
-# --------------------------------------------------------------------- eig
-
-def _cmd_eig(args):
-    dec = spectral.eig_sym(_load_sym(args.input), cluster_tol=args.cluster_tol)
-
-    def payload():
-        return {
-            "lambdas": _mat(dec.lambdas),
-            "clusters": [[rep, m] for rep, m in dec.clusters],
-            "multiplicities": list(dec.multiplicities),
-            "borderline_gaps": list(dec.borderline),
-            "v": _mat(dec.v),
-        }
-
-    def table():
-        labels = np.repeat(np.arange(len(dec.clusters)), dec.multiplicities)
-        return (
-            ("index", "lambda", "cluster"),
-            [(i, repr(float(l)), int(c)) for i, (l, c) in enumerate(zip(dec.lambdas, labels))],
-        )
-
-    def text():
-        return "eigenvalues: " + " ".join(repr(float(x)) for x in dec.lambdas) + (
-            f"\nmultiplicities: {list(dec.multiplicities)}"
-        )
-
-    _emit(args, payload, text, table)
-    return EXIT_OK
+# From this many values on, an array's JSON is written by _array_json, below
+# it by json.dumps.  In whole requests, timed in-process in alternation, the
+# array writer cost 2-12% more at 529-729 values and less from 784 on, so
+# its crossover sits above floatrepr.MIN_VECTOR, that of the token table
+# alone
+_ARRAY_FROM = 768
+# what json.dumps writes for the string an array's text replaces: no string
+# in a payload holds a NUL
+_PLACEHOLDER = "\0"
+_PLACEHOLDER_JSON = json.dumps(_PLACEHOLDER)
 
 
-# ---------------------------------------------------------------- isotropy
+def _json_pieces(value):
+    """The text of ``json.dumps(value, sort_keys=True, allow_nan=False)``
+    plus a newline, as a list of pieces, every ndarray in ``value`` taken as
+    its ``.tolist()``.  A 1-D or 2-D float64 array of at least
+    ``_ARRAY_FROM`` values, all finite, is written by ``_array_json``:
+    ``json.dumps`` leaves a placeholder in its place, and the text around
+    the placeholders becomes the pieces between the arrays' texts.  Any
+    other array goes through ``.tolist()``, so a non-finite one raises
+    json's ``ValueError``."""
+    arrays = []
 
-# elements per piece of streamed gamma2 JSON: about 0.8 MB of text at n = 12,
-# from a slot buffer of about 1.1 MB
-_GAMMA2_BLOCK = 256
-# elements per token gather in a piece
+    def hook(o):
+        if not isinstance(o, np.ndarray):
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        if o.dtype == np.float64 and o.ndim in (1, 2) and o.size >= _ARRAY_FROM and np.isfinite(o).all():
+            arrays.append(o)
+            return _PLACEHOLDER
+        return o.tolist()
+
+    parts = json.dumps(value, sort_keys=True, allow_nan=False, default=hook).split(_PLACEHOLDER_JSON)
+    pieces = [parts[0]]
+    for a, part in zip(arrays, parts[1:]):
+        pieces += (_array_json(a), part)
+    pieces.append("\n")
+    return pieces
+
+
+def _array_json(a):
+    """json's text of a finite float64 array, 1-D or 2-D: the tokens of its
+    magnitudes come from ``floatrepr.table`` (``float.__repr__`` byte for
+    byte), and ``_slot_text`` lays them out in row-major order with "-"
+    wherever a sign bit is set."""
+    from . import floatrepr
+
+    flat = a.reshape(1, -1)
+    table = floatrepr.table(np.abs(flat[0]))
+    tokens = table.view(f"V{table.shape[1]}")[:, 0]
+    rows, cols = a.shape if a.ndim == 2 else (1, a.size)
+    before = _separators(rows, cols, "[" * a.ndim)
+    after = np.frombuffer(b"]" * a.ndim, dtype=np.uint8).reshape(1, -1)
+    codes = np.arange(a.size).reshape(1, -1)
+    return _slot_text(before, np.signbit(flat), tokens, codes, after)
+
+
+# rows of slots per token gather in _slot_text
 _GATHER_ROWS = 32
 
 
-@functools.cache
-def _separators(n):
-    """What json writes before each entry of an n x n element of gamma2, as
-    rows of 4 bytes padded with NULs: "[[" before the first, "], [" before
-    the first of every later row, ", " before the rest."""
-    kinds = np.array(["[[", ", ", "], ["], dtype="S4").view(np.uint8).reshape(3, 4)
-    kind = np.ones(n * n, dtype=np.intp)
-    kind[::n] = 2
-    kind[:1] = 0
-    before = kinds[kind]
-    before.setflags(write=False)
-    return before
+# the separators json writes between two entries of a row and between rows,
+# as little-endian words of 4 bytes padded with NULs
+_COMMA, _NEXT_ROW = np.frombuffer(b", \0\0], [", dtype="<u4")
 
 
-@functools.cache
-def _triangle(n):
-    """The flat indices of the upper triangle of an n x n matrix, i <= j in
-    row-major order, those of its mirror image (j, i), and the map from each
-    of the n^2 flat indices to its entry's place in the upper triangle."""
-    i, j = np.triu_indices(n)
-    up, down = i * n + j, j * n + i
-    place = np.empty(n * n, dtype=np.intp)
-    place[up] = place[down] = np.arange(len(up))
-    for a in (up, down, place):
-        a.setflags(write=False)
-    return up, down, place
+def _separators(rows, cols, opener):
+    """What json writes before each entry of a rows x cols matrix in
+    row-major order, as rows of 4 bytes padded with NULs: ``opener`` before
+    the first, "], [" before the first of every later row, ", " before the
+    rest.  Not cached: a cached array made in the middle of a request would
+    stay in the heap for good wherever it landed, and keep the heap from
+    shrinking below it."""
+    before = np.full(rows * cols, _COMMA)
+    before[::cols] = _NEXT_ROW
+    before[:1] = np.frombuffer(opener.encode().ljust(4, b"\0"), dtype="<u4")
+    return before.view(np.uint8).reshape(-1, 4)
 
 
 def _slot_text(before, negative, tokens, codes, after):
@@ -190,6 +194,63 @@ def _slot_text(before, negative, tokens, codes, after):
         slots[lo : lo + _GATHER_ROWS] = tokens[codes[lo : lo + _GATHER_ROWS]]
     buf[:, cols * slot :] = after
     return text.translate(None, b"\0").decode("ascii")
+
+
+def _load_sym(path) -> np.ndarray:
+    from . import matio
+
+    return spectral.as_sym(matio.parse_matrix(path))
+
+
+# --------------------------------------------------------------------- eig
+
+def _cmd_eig(args):
+    dec = spectral.eig_sym(_load_sym(args.input), cluster_tol=args.cluster_tol)
+
+    def payload():
+        return {
+            "lambdas": dec.lambdas,
+            "clusters": [[rep, m] for rep, m in dec.clusters],
+            "multiplicities": list(dec.multiplicities),
+            "borderline_gaps": list(dec.borderline),
+            "v": dec.v,
+        }
+
+    def table():
+        labels = np.repeat(np.arange(len(dec.clusters)), dec.multiplicities)
+        return (
+            ("index", "lambda", "cluster"),
+            [(i, repr(float(l)), int(c)) for i, (l, c) in enumerate(zip(dec.lambdas, labels))],
+        )
+
+    def text():
+        return "eigenvalues: " + " ".join(repr(float(x)) for x in dec.lambdas) + (
+            f"\nmultiplicities: {list(dec.multiplicities)}"
+        )
+
+    _emit(args, payload, text, table)
+    return EXIT_OK
+
+
+# ---------------------------------------------------------------- isotropy
+
+# elements per piece of streamed gamma2 JSON: about 0.8 MB of text at n = 12,
+# from a slot buffer of about 1.1 MB
+_GAMMA2_BLOCK = 256
+
+
+@functools.cache
+def _triangle(n):
+    """The flat indices of the upper triangle of an n x n matrix, i <= j in
+    row-major order, those of its mirror image (j, i), and the map from each
+    of the n^2 flat indices to its entry's place in the upper triangle."""
+    i, j = np.triu_indices(n)
+    up, down = i * n + j, j * n + i
+    place = np.empty(n * n, dtype=np.intp)
+    place[up] = place[down] = np.arange(len(up))
+    for a in (up, down, place):
+        a.setflags(write=False)
+    return up, down, place
 
 
 def _gamma2_json(elements, count, multiplicities):
@@ -245,7 +306,7 @@ def _gamma2_json(elements, count, multiplicities):
     # element k's first code: the row of codes it is written with, times T
     base = np.arange(count)
     base = np.minimum(base, base[::-1]) * len(up)
-    before = _separators(n)
+    before = _separators(n, n, "[[")
     # each element's slots open its "[[", and what follows them closes it
     after = ']], "index": {}}}, {{"gamma": '
     ends_width = len(after.format(count - 1))
@@ -296,7 +357,7 @@ def _cmd_isotropy(args):
             samples.append(
                 {
                     "seed": seed,
-                    "gamma": _mat(g),
+                    "gamma": g,
                     "commutator_residual": isotropy.commutator_residual(a, g),
                 }
             )
@@ -340,7 +401,7 @@ def _cmd_procrustes(args):
         _emit(
             args,
             lambda: {
-                "p": _mat(sol.p),
+                "p": sol.p,
                 "cost": sol.cost,
                 "lower_bound": sol.lower_bound,
                 "order": args.order,
@@ -354,7 +415,7 @@ def _cmd_procrustes(args):
             lambda: {
                 "count": len(sols),
                 "lower_bound": sols[0].lower_bound if sols else None,
-                "solutions": [{"p": _mat(s.p), "cost": s.cost} for s in sols],
+                "solutions": [{"p": s.p, "cost": s.cost} for s in sols],
             },
             lambda: f"{len(sols)} solutions, costs {[s.cost for s in sols]}",
         )
@@ -387,10 +448,10 @@ def _cmd_graph(args):
             lambda: {
                 "n": graph.n,
                 "edges": graph.edges(),
-                "lambdas": _mat(dec.lambdas),
+                "lambdas": dec.lambdas,
                 "multiplicities": list(dec.multiplicities),
             },
-            lambda: f"lambdas: {_mat(dec.lambdas)}\nm: {list(dec.multiplicities)}",
+            lambda: f"lambdas: {dec.lambdas.tolist()}\nm: {list(dec.multiplicities)}",
         )
     elif args.action == "aut":
         limit = graphsym.DEFAULT_AUT_LIMIT if args.limit is None else args.limit
@@ -409,7 +470,7 @@ def _cmd_graph(args):
         _emit(
             args,
             lambda: {
-                "gamma": _mat(g),
+                "gamma": g,
                 "commutator_residual": residual,
                 "permutation": perm.tolist() if perm is not None else None,
             },
@@ -463,11 +524,11 @@ def _cmd_stencil(args):
             args,
             lambda: {
                 "function": args.function,
-                "x": _mat(x),
-                "h": _mat(h),
+                "x": x,
+                "h": h,
                 "value": values[0],
                 "slope": slope,
-                "gammas": [_mat(g1), _mat(g2)],
+                "gammas": [g1, g2],
             },
             lambda: f"value: {values[0]!r}\nslope: {slope!r}",
         )
@@ -479,7 +540,7 @@ def _cmd_stencil(args):
                 "levels": args.levels,
                 "slope": slope,
                 "values": values,
-                "gammas": [_mat(g1), _mat(g2)],
+                "gammas": [g1, g2],
             },
             lambda: f"slope: {slope!r}",
         )
@@ -491,9 +552,9 @@ def _cmd_stencil(args):
 def _component_payload(c) -> dict:
     out = {"kind": c.kind, "radius": float(c.radius)}
     if len(c.basis) == 1:
-        out["direction"] = _mat(c.basis[0])
+        out["direction"] = c.basis[0]
     elif len(c.basis) > 1:
-        out["basis"] = _mat(c.basis)
+        out["basis"] = c.basis
     return out
 
 
@@ -506,7 +567,7 @@ def _cmd_dynsys(args):
             args,
             lambda: {
                 "mu": args.mu,
-                "lambdas": _mat(eq.lambdas),
+                "lambdas": eq.lambdas,
                 "components": [_component_payload(c) for c in eq.components],
             },
             lambda: "\n".join(f"{c.kind}: radius {c.radius!r}" for c in eq.components),
@@ -563,9 +624,9 @@ def _cmd_dynsys(args):
                 "mu": args.mu,
                 "dt": args.dt,
                 "steps": args.steps,
-                "terminal": _mat(terminal),
+                "terminal": terminal,
                 "terminal_residual": residual,
-                "trajectory": _mat(traj),
+                "trajectory": traj,
             }
 
         def table():
@@ -577,7 +638,7 @@ def _cmd_dynsys(args):
                 ],
             )
 
-        _emit(args, payload, lambda: f"terminal: {_mat(terminal)}\nresidual: {residual!r}", table)
+        _emit(args, payload, lambda: f"terminal: {terminal.tolist()}\nresidual: {residual!r}", table)
     return EXIT_OK
 
 

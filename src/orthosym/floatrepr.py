@@ -28,6 +28,15 @@ MIN_VECTOR = 512
 CHUNK = 4096
 # tables of at least this many bytes are mapped on their own (see table)
 _MAPPED_FROM = 128 * 1024
+# A chunk's tokens are assembled a block of rows at a time, and each block's
+# template gather a sub-block at a time, so that every temporary stays below
+# glibc's default mmap threshold, 128 KiB: a block's 32-byte rows take 64
+# KiB, and a gather's index, WIDTH intp offsets a row, 96 KiB.  A larger
+# block is mapped afresh, with its page faults, on every use, and freeing it
+# raises that threshold and the heap's trim threshold with it: about a
+# megabyte of heap top stayed resident after a whole chunk's index, 768 KiB
+_BLOCK = 2048
+_GATHER = 512
 
 _U = np.uint64
 _M32 = _U(0xFFFFFFFF)
@@ -164,7 +173,11 @@ def _digits(bits, g):
     h += q
     h += 2
     del q
-    limbs = np.take(g, k - _K_MIN, axis=1)  # g1, g1h, g1l, g0h, g0l
+    # g1, then the limbs of g1 and those of g0: all five rows taken as one
+    # (5, m) array would pass the mmap threshold (see _BLOCK)
+    at = k - _K_MIN
+    g1, g1hl, g0hl = g[0].take(at), g[1:3].take(at, axis=1), g[3:].take(at, axis=1)
+    del at
     # the rounding interval's middle and ends, times 2^(h + 2), rounded to odd
     cp = np.empty((3, len(c)), dtype=np.uint64)
     np.left_shift(c, _U(2), out=cp[0])
@@ -174,13 +187,13 @@ def _digits(bits, g):
     del irregular
     cp <<= h.view(np.uint64)
     del h
-    z = limbs[0] * cp
+    z = g1 * cp
     z >>= 1
     cph = cp >> 32
     cp &= _M32
-    z += _hi64(limbs[3], limbs[4], cph, cp)
-    v = _hi64(limbs[1], limbs[2], cph, cp)
-    del limbs, cp, cph
+    z += _hi64(*g0hl, cph, cp)
+    v = _hi64(*g1hl, cph, cp)
+    del g1, g1hl, g0hl, cp, cph
     v += z >> 63
     z &= _M63
     v |= z != 0
@@ -243,10 +256,13 @@ def table(values) -> np.ndarray:
     chunks = -(-total // CHUNK)
     cuts = [total * i // max(1, chunks) for i in range(chunks + 1)]
     size = -(-total // max(1, chunks))
-    buf = np.empty((size, _ROW // 4), dtype=np.uint32)
+    buf = np.empty((min(size, _BLOCK), _ROW // 4), dtype=np.uint32)
     buf[:, _DOT // 4] = np.frombuffer(b".0\0\0", dtype="<u4")[0]
     offsets = np.arange(0, len(buf) * _ROW, _ROW)[:, None]
-    rows = np.empty((size, WIDTH), dtype=np.uint8)
+    index = np.empty((min(size, _GATHER), WIDTH), dtype=np.intp)
+    # the kernel's rows, copied into the table by index, or gathered
+    # straight into it where every value is normal
+    rows = None if normal is None else np.empty((size, WIDTH), dtype=np.uint8)
     # The table outlives the chunks' temporaries, and a render's output
     # grows while it is alive: in the heap a large table would leave a hole
     # under that output when it is freed, which keeps the heap from
@@ -264,6 +280,7 @@ def table(values) -> np.ndarray:
     items = out.view(f"V{WIDTH}")[:, 0]
     for lo, hi in zip(cuts, cuts[1:]):
         at = slice(lo, hi) if normal is None else normal[lo:hi]
+        dest = out[at] if normal is None else rows
         f, d = _digits(bits[at], _G)
         m = len(f)
         # 17 digits, the first at the decimal point position d
@@ -285,14 +302,10 @@ def table(values) -> np.ndarray:
         f -= groups[3] * _U(10**4)
         groups[4] = f
         del f, head
-        row = buf[:m]
-        for j in range(5):
-            row[:, j] = np.take(_ASCII4, groups[j])
-        row.view(np.uint64)[:, _EXPONENT // 8] = np.take(_EXPONENTS, d - _K_MIN)
         length = np.take(_KEPT[0], groups[1])
         for j in (1, 2, 3):
             np.maximum(length, np.take(_KEPT[j], groups[j + 1]), out=length)
-        del groups
+        exponent = d - _K_MIN
         # the layout, d - _D_LO where positional, then the template's row
         positional = (_D_LO <= d) & (d <= _D_HI)
         d -= _D_LO
@@ -300,13 +313,25 @@ def table(values) -> np.ndarray:
         del positional
         d += length * (_EXP + 1)
         del length
-        index = offsets[:m] + np.take(_TEMPLATES, d, axis=0)
+        templates = _TEMPLATES.take(d, axis=0)
         del d
-        # index is in range, and a mode other than "raise" writes straight
-        # into rows
-        np.take(row.view(np.uint8).reshape(-1), index, out=rows[:m], mode="clip")
-        del index
-        items[at] = rows[:m].view(f"V{WIDTH}")[:, 0]
+        # the rows of digits and exponent, then the tokens gathered from
+        # them by template, a block at a time (see _BLOCK)
+        for b in range(0, m, _BLOCK):
+            row = buf[: min(_BLOCK, m - b)]
+            for j in range(5):
+                row[:, j] = _ASCII4.take(groups[j, b : b + _BLOCK])
+            row.view(np.uint64)[:, _EXPONENT // 8] = _EXPONENTS.take(exponent[b : b + _BLOCK])
+            source = row.view(np.uint8).reshape(-1)
+            # index is in range, and a mode other than "raise" writes
+            # straight into dest
+            for top in range(0, len(row), _GATHER):
+                end = min(top + _GATHER, len(row))
+                np.add(offsets[top:end], templates[b + top : b + end], out=index[: end - top])
+                source.take(index[: end - top], out=dest[b + top : b + end], mode="clip")
+        del groups, exponent, templates
+        if normal is not None:
+            items[at] = rows[:m].view(f"V{WIDTH}")[:, 0]
     zero = bits[small] == 0
     out[small[zero], :3] = np.frombuffer(b"0.0", dtype=np.uint8)
     small = small[~zero]

@@ -85,9 +85,10 @@ RUNS = [
     (["dynsys", "integrate", "--steps", "20", "--format", "csv"], {"dynsys"}),
     (["fixtures", "verify", "--format", "text"], {"verify", "fixtures", "dynsys", "graphsym", "isotropy", "stencil"}),
     (["eig"], set()),  # usage error: the parser exits before any handler runs
-    # 4096 eigenvector entries still go through json.dumps: only isotropy
-    # gamma2 loads floatrepr
-    (["eig", "--input", "B64"], {"matio"}),
+    # 4096 eigenvector entries are written from floatrepr's token table
+    (["eig", "--input", "B64"], {"matio", "floatrepr"}),
+    # a payload of small arrays stays on json.dumps, without floatrepr
+    (["eig", "--input", "A"], {"matio"}),
 ]
 
 
