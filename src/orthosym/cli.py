@@ -350,17 +350,11 @@ def _cmd_isotropy(args):
     elif args.action == "sample":
         if args.count < 0:
             raise _UsageError(f"count must be nonnegative, got {args.count}")
-        samples = []
-        for k in range(args.count):
-            seed = derive_seed(args.seed, k)
-            g = isotropy.sample_gamma(dec, seed)
-            samples.append(
-                {
-                    "seed": seed,
-                    "gamma": g,
-                    "commutator_residual": isotropy.commutator_residual(a, g),
-                }
-            )
+        seeds = [derive_seed(args.seed, k) for k in range(args.count)]
+        samples = [
+            {"seed": seed, "gamma": g, "commutator_residual": isotropy.commutator_residual(a, g)}
+            for seed, g in zip(seeds, isotropy.sample_gammas(dec, seeds))
+        ]
         _emit(
             args,
             lambda: {"count": len(samples), "elements": samples},

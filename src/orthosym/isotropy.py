@@ -26,44 +26,53 @@ from .spectral import SpectralDecomposition, _scaled, _unscaled, as_sym
 GAMMA2_MAX_N = 14
 MEMBER_TOL = 1e-8
 _BLOCK_ORTH_TOL = 1e-10
+# entries of one (k, n, n) stack of sampled symmetries (2 MiB): 64 samples
+# at n = 64, and a request for more draws them a chunk at a time
+_STACK_VALUES = 1 << 18
 
 
 def conjugate(dec: SpectralDecomposition, sigma) -> np.ndarray:
     """gamma = V^T sigma V, read-only, for a block element sigma of the
     decomposition: an (n, n) array that is zero off the diagonal blocks
-    ``dec.cluster_slices()`` gives.
+    ``dec.cluster_slices()`` gives.  For a (k, n, n) stack of block
+    elements, the (k, n, n) stack of their conjugates, element i bit for bit
+    ``conjugate(dec, sigma[i])``.
 
-    Raises StructureError if sigma has another shape or a nonzero entry off
-    those blocks, if gamma is not orthogonal (sigma or V is not) or if it
-    does not commute with the matrix (sigma does not respect its
-    eigenspaces).  A NaN residual fails either check.
+    Raises StructureError if sigma has another shape or an element has a
+    nonzero entry off those blocks, is not orthogonal once conjugated
+    (sigma or V is not) or does not commute with the matrix (sigma does not
+    respect its eigenspaces).  A NaN residual fails either check.
     """
     sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape != (dec.n, dec.n):
+    n = dec.n
+    if sigma.ndim not in (2, 3) or sigma.shape[-2:] != (n, n):
         raise StructureError(
-            f"block element of shape {sigma.shape} does not match a {dec.n} x {dec.n} decomposition"
+            f"block element of shape {sigma.shape} does not match a {n} x {n} decomposition"
         )
-    off = np.ones(sigma.shape, dtype=bool)
-    for block in dec.cluster_slices():
-        off[block, block] = False
-    if np.any(sigma[off]):
+    stack = sigma if sigma.ndim == 3 else sigma[None]
+    m = dec.multiplicities
+    block = np.repeat(np.arange(len(m)), m)
+    if np.any(stack[:, block[:, None] != block]):
         raise StructureError(
-            f"block element is nonzero off the blocks of multiplicities {dec.multiplicities}",
-            details={"dec_m": dec.multiplicities},
+            f"block element is nonzero off the blocks of multiplicities {m}",
+            details={"dec_m": m},
         )
-    # a sigma far from orthogonal may overflow gamma or its residual, and an
-    # infinite or NaN entry gives a NaN residual: both fail the check
-    with np.errstate(over="ignore", invalid="ignore"):
-        gamma = dec.v.T @ sigma @ dec.v
-        orth = orthogonality_residual(gamma)
-    if not (orth <= 1e-9 * dec.n):
-        raise StructureError(f"conjugated element lost orthogonality ({orth:.2e})")
     a = dec.reconstruct()
-    comm, bound, shift = _residual(a, a, gamma, 1e-8)
-    if not (comm <= bound):
-        raise StructureError(
-            f"conjugated element fails to commute ({_unscaled(comm, shift):.2e})"
-        )
+    # a sigma far from orthogonal may overflow gamma or its residual, and an
+    # infinite or NaN entry gives a NaN residual: both fail the check.  The
+    # elements are checked in order, each as it would be alone
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma = dec.v.T @ stack @ dec.v
+        for g in gamma:
+            orth = orthogonality_residual(g)
+            if not (orth <= 1e-9 * n):
+                raise StructureError(f"conjugated element lost orthogonality ({orth:.2e})")
+            comm, bound, shift = _residual(a, a, g, 1e-8)
+            if not (comm <= bound):
+                raise StructureError(
+                    f"conjugated element fails to commute ({_unscaled(comm, shift):.2e})"
+                )
+    gamma = gamma.reshape(sigma.shape)
     gamma.setflags(write=False)
     return gamma
 
@@ -110,44 +119,104 @@ def gamma2_elements(dec: SpectralDecomposition, indices=None) -> np.ndarray:
 def sample_block_orthogonal(m: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """Haar sample sigma from the block-orthogonal group with block sizes
     ``m``, as one read-only (n, n) array that is zero off the diagonal
-    blocks.
+    blocks: ``sample_block_stack(m, [rng])[0]``."""
+    return sample_block_stack(m, [rng])[0]
+
+
+def sample_block_stack(m: tuple[int, ...], rngs) -> np.ndarray:
+    """One Haar sample sigma per generator of the sequence ``rngs``, from
+    the block-orthogonal group with block sizes ``m``, as one read-only
+    (k, n, n) stack that is zero off the diagonal blocks.
 
     Per block: Gaussian draw, QR factorization, column signs fixed so the
     triangular factor has a positive diagonal, then the first column is
     negated with probability 1/2 to cover both components of the block's
     orthogonal group (Mezzadri 2007).
 
-    The draws from ``rng`` are, per block and in ``m`` order, one (s, s)
-    standard normal array and then one uniform; the output of ``isotropy
-    sample``, ``procrustes family`` and ``graph hidden`` stays byte-stable
-    only as long as that order holds.  The factorizations then run as one
-    stacked QR per block size.
+    Sample i draws from ``rngs[i]``, after sample i - 1 has drawn: per
+    block and in ``m`` order, one (s, s) standard normal array and then one
+    uniform.  A generator may appear more than once, and sample i is then
+    bit for bit ``sample_block_orthogonal`` drawn right after sample i - 1.
+    The output of ``isotropy sample``, ``procrustes family`` and ``graph
+    hidden`` stays byte-stable only as long as that order holds.  The
+    factorizations then run as one stacked QR per block size of 2 or more,
+    for all samples at once.
     """
-    draws = [(rng.standard_normal((size, size)), rng.random()) for size in m]
-    starts = np.cumsum((0, *m))
-    sigma = np.zeros((starts[-1], starts[-1]))
-    for size in dict.fromkeys(m):
-        at = [i for i, s in enumerate(m) if s == size]
-        q, r = np.linalg.qr(np.array([draws[i][0] for i in at]))
-        q = q * np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)[:, None, :]
-        flip = np.array([draws[i][1] for i in at]) < 0.5
-        q[flip, :, 0] = -q[flip, :, 0]
-        # a post-condition of QR, checked for the whole stack at once
-        err = np.linalg.norm(q @ q.transpose(0, 2, 1) - np.eye(size), axis=(1, 2))
-        if not np.all(err <= _BLOCK_ORTH_TOL * size):
-            raise StructureError(f"block of size {size} is not orthogonal")
-        for i, block in zip(at, q):
-            sigma[starts[i] : starts[i] + size, starts[i] : starts[i] + size] = block
+    m = tuple(m)
+    normals = {s: [] for s in m}
+    uniforms = {s: [] for s in m}
+    # a 1 x 1 block's normal is drawn as a float: the same draw, without
+    # making an array
+    plan = [(None if s == 1 else (s, s), normals[s].append, uniforms[s].append) for s in m]
+    for rng in rngs:
+        normal, uniform = rng.standard_normal, rng.random
+        for shape, add_normal, add_uniform in plan:
+            add_normal(normal(shape))
+            add_uniform(uniform())
+    k, n = len(rngs), sum(m)
+    sigma = np.zeros((k, n, n))
+    # the flat index of each block's first entry in sigma: q holds sample
+    # 0's blocks of size s in m order, then sample 1's, ...
+    corner = np.cumsum((0, *m[:-1])) * (n + 1)
+    sizes = np.array(m)
+    for s in normals:
+        q = _haar_blocks(np.array(normals[s]).reshape(-1, s, s), np.array(uniforms[s]))
+        first = (np.arange(0, k * n * n, n * n)[:, None] + corner[sizes == s]).ravel()
+        entry = np.arange(0, s * n, n)[:, None] + np.arange(s)
+        sigma.flat[first[:, None, None] + entry] = q
     sigma.setflags(write=False)
     return sigma
 
 
+def _haar_blocks(z: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The Haar factors of the (K, s, s) standard normal draws ``z`` and
+    the K uniforms ``u``: Q of z = QR with each column's sign set so that R
+    has a positive diagonal, then the first column negated where u < 0.5.
+
+    A 1 x 1 block takes no QR: LAPACK's reflector of a single entry x is
+    the identity (dlarfg sets tau = 0), so Q = 1.0 and R = x exactly, and
+    the sign-fixed Q is -1.0 where x < 0 and 1.0 elsewhere, -0.0 included.
+    """
+    s = z.shape[1]
+    if s == 1:
+        q = np.where(z < 0.0, -1.0, 1.0)
+    else:
+        q, r = np.linalg.qr(z)
+        q = q * np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)[:, None, :]
+    flip = u < 0.5
+    q[flip, :, 0] = -q[flip, :, 0]
+    # a post-condition of QR, checked for the whole stack at once
+    err = np.linalg.norm(q @ q.transpose(0, 2, 1) - np.eye(s), axis=(1, 2))
+    if not np.all(err <= _BLOCK_ORTH_TOL * s):
+        raise StructureError(f"block of size {s} is not orthogonal")
+    return q
+
+
+def _chunk(n: int) -> int:
+    """Samples per stacked draw at size n: as many as fit in
+    ``_STACK_VALUES`` entries, and at least one."""
+    return max(1, _STACK_VALUES // max(1, n * n))
+
+
+def sample_gammas(dec: SpectralDecomposition, seeds) -> np.ndarray:
+    """``sample_gamma(dec, seed)`` for each of the seeds, bit for bit, as
+    one read-only (k, n, n) stack.  The samples are drawn, factored and
+    conjugated ``_chunk(n)`` at a time, so that no temporary grows with k."""
+    seeds = list(seeds)
+    n = dec.n
+    out = np.empty((len(seeds), n, n))
+    step = _chunk(n)
+    for lo in range(0, len(seeds), step):
+        rngs = [np.random.default_rng(seed) for seed in seeds[lo : lo + step]]
+        out[lo : lo + step] = conjugate(dec, sample_block_stack(dec.multiplicities, rngs))
+    out.setflags(write=False)
+    return out
+
+
 def sample_gamma(dec: SpectralDecomposition, seed: int) -> np.ndarray:
     """Haar-distributed symmetry of the decomposed matrix, read-only;
-    deterministic for a fixed seed."""
-    rng = np.random.default_rng(seed)
-    sigma = sample_block_orthogonal(dec.multiplicities, rng)
-    return conjugate(dec, sigma)
+    deterministic for a fixed seed: ``sample_gammas(dec, [seed])[0]``."""
+    return sample_gammas(dec, [seed])[0]
 
 
 def _residual(a, b, p, tol: float = 0.0) -> tuple[float, float, int]:

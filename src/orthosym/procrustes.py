@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, StructureError
-from .isotropy import _residual, sample_block_orthogonal
+from .isotropy import _chunk, _residual, sample_block_stack
 # nothing here calls as_sym; it is imported only because perfbench's
-# binding test calls procrustes.as_sym (ROADMAP item 8 retires both)
+# binding test calls procrustes.as_sym (ROADMAP item 10 retires both)
 from .spectral import SpectralDecomposition, _scaled, _unscaled, as_sym, eig_sym
 
 
@@ -84,11 +84,13 @@ def family_sample(a, b, seed: int, count: int) -> list[ProcrustesSolution]:
             details={"m_a": da.multiplicities, "m_b": db.multiplicities},
         )
     rng = np.random.default_rng(seed)
+    # sigma_A of solution i is sample 2i of the stack and sigma_B sample
+    # 2i + 1, drawn from one generator in that order, a chunk at a time
+    step = max(1, _chunk(da.n) // 2)
     out = []
-    for _ in range(count):
-        sigma_a = sample_block_orthogonal(da.multiplicities, rng)
-        sigma_b = sample_block_orthogonal(db.multiplicities, rng)
-        p = db.v.T @ (sigma_b.T @ sigma_a) @ da.v
-        out.append(ProcrustesSolution(p=p, cost=cost(a, b, p), lower_bound=lower))
+    for lo in range(0, count, step):
+        sigma = sample_block_stack(da.multiplicities, [rng] * (2 * min(step, count - lo)))
+        ps = db.v.T @ (sigma[1::2].transpose(0, 2, 1) @ sigma[::2]) @ da.v
+        out += [ProcrustesSolution(p=p, cost=cost(a, b, p), lower_bound=lower) for p in ps]
     return out
 

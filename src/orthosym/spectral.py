@@ -18,6 +18,13 @@ import numpy as np
 from .errors import ConvergenceError, DimensionError, SymmetryError
 
 DEFAULT_SYMTOL = 1e-10
+# c of the solver's resolution r = c n eps max |lambda|: a computed gap at or
+# below r separates nothing.  Over 7960 seeded planted-multiplicity families
+# (n = 2-128; blocks of 1-3, one cluster of 2 to n, or a single cluster; at
+# scales 2^-40 to 2^40), the widest computed spread of a planted cluster was
+# 3.03 n eps max |lambda|, at n = 2, falling to 0.07 at n = 128, under both
+# the SkylakeX and the Prescott OpenBLAS kernels
+RESOLUTION = 8.0
 
 
 def _scaled(*operands):
@@ -111,7 +118,9 @@ class SpectralDecomposition:
     Satisfies V A V^T = diag(lambdas) for the decomposed matrix A.
     ``clusters`` holds (representative value, multiplicity) pairs;
     ``borderline`` lists gap indices that fell within a factor 10 of
-    ``cluster_tol`` and were therefore ambiguous.
+    ``cluster_tol``, or split two clusters at or below the solver's
+    resolution ``RESOLUTION * n * eps * max |lambda|``, and were therefore
+    ambiguous.
     """
 
     v: np.ndarray
@@ -283,9 +292,10 @@ def _spectrum(diag, shift, cluster_tol_hex):
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"cluster_tol must be finite and nonnegative, got {tol:g}")
     # the greedy gap rule; a gap within a factor 10 of the tolerance is an
-    # ambiguous merge/split decision, and callers get its index instead of a
-    # silent choice
+    # ambiguous merge/split decision, and so is a split at a gap the solver
+    # cannot resolve: callers get its index instead of a silent choice
     values = lam.tolist()
+    res = _unscaled(RESOLUTION * len(values) * math.ulp(1.0) * top, shift)
     clusters, borderline, start = [], [], 0
     for i in range(1, len(values) + 1):
         if i < len(values):
@@ -293,7 +303,7 @@ def _spectrum(diag, shift, cluster_tol_hex):
             # between eigenvalues of opposite sign overflows; an infinite
             # gap splits correctly
             gap = values[i] - values[i - 1]
-            if 0.1 * tol < gap <= 10.0 * tol:
+            if 0.1 * tol < gap <= 10.0 * tol or tol < gap <= res:
                 borderline.append(i - 1)
             if gap <= tol:
                 continue

@@ -245,6 +245,45 @@ def test_borderline_gap_is_flagged():
     assert 0 in dec.borderline
 
 
+def test_split_below_the_solver_resolution_is_flagged():
+    # three planted eigenvalue 1s and two 3s come out of the solver with
+    # gaps of 5.6e-16, 8.9e-16 and 4.4e-16; at cluster_tol 0 each of those
+    # splits is below the resolution and must be reported, not taken as
+    # six simple eigenvalues
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 6)))
+    a = q @ np.diag([1.0, 1.0, 1.0, 2.0, 3.0, 3.0]) @ q.T
+    dec = eig_sym(a, 0.0)
+    assert dec.multiplicities == (1, 1, 1, 1, 1, 1)
+    assert dec.borderline == (0, 1, 4)
+    assert dec.reversed().borderline == (0, 3, 4)
+    # the default tolerance merges them, and nothing is borderline
+    assert eig_sym(a).multiplicities == (3, 1, 2) and eig_sym(a).borderline == ()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    reps=st.lists(st.sampled_from([-2.0, -0.5, 1.0, 3.0]), min_size=2, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.integers(-60, 60),
+    frac=st.floats(0.0, 1.0),
+)
+def test_rotated_repeats_are_merged_or_flagged_at_any_tol_up_to_the_resolution(
+    reps, seed, scale, frac
+):
+    # eigenvalues planted with repeats in a Haar basis, at a scale of 2^scale,
+    # and a cluster_tol anywhere in [0, r]: every gap inside a planted
+    # cluster is merged or listed as borderline, never split silently
+    a, lam = planted_matrix(np.random.default_rng(seed), reps)
+    a = np.ldexp((a + a.T) / 2.0, scale)
+    n = len(lam)
+    res = spectral.RESOLUTION * n * np.finfo(float).eps * float(np.ldexp(np.abs(lam).max(), scale))
+    dec = eig_sym(a, frac * res)
+    starts = {sl.start for sl in dec.cluster_slices()}
+    for i in range(n - 1):
+        if lam[i] == lam[i + 1]:
+            assert i + 1 not in starts or i in dec.borderline
+
+
 def test_sign_convention():
     rng = np.random.default_rng(MASTER_SEED + 5)
     a = random_symmetric(rng, 6)
@@ -473,8 +512,9 @@ def test_eig_sym_signs_clusters_and_borderline(a, tol):
     gaps = np.diff(dec.lambdas)
     starts = [sl.start for sl in dec.cluster_slices()]
     assert starts == [0] + [i + 1 for i, g in enumerate(gaps) if g > tol]
+    res = spectral.RESOLUTION * dec.n * np.finfo(float).eps * float(np.abs(dec.lambdas).max())
     assert dec.borderline == tuple(
-        i for i, g in enumerate(gaps) if 0.1 * tol < g <= 10.0 * tol
+        i for i, g in enumerate(gaps) if 0.1 * tol < g <= 10.0 * tol or tol < g <= res
     )
     for (rep, _), sl in zip(dec.clusters, dec.cluster_slices()):
         assert rep == float(np.mean(dec.lambdas[sl]))
