@@ -116,13 +116,6 @@ def gamma2_elements(dec: SpectralDecomposition, indices=None) -> np.ndarray:
     return gammas
 
 
-def sample_block_orthogonal(m: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Haar sample sigma from the block-orthogonal group with block sizes
-    ``m``, as one read-only (n, n) array that is zero off the diagonal
-    blocks: ``sample_block_stack(m, [rng])[0]``."""
-    return sample_block_stack(m, [rng])[0]
-
-
 def sample_block_stack(m: tuple[int, ...], rngs) -> np.ndarray:
     """One Haar sample sigma per generator of the sequence ``rngs``, from
     the block-orthogonal group with block sizes ``m``, as one read-only
@@ -136,7 +129,8 @@ def sample_block_stack(m: tuple[int, ...], rngs) -> np.ndarray:
     Sample i draws from ``rngs[i]``, after sample i - 1 has drawn: per
     block and in ``m`` order, one (s, s) standard normal array and then one
     uniform.  A generator may appear more than once, and sample i is then
-    bit for bit ``sample_block_orthogonal`` drawn right after sample i - 1.
+    bit for bit ``sample_block_stack(m, [rng])[0]`` drawn right after
+    sample i - 1.
     The output of ``isotropy sample``, ``procrustes family`` and ``graph
     hidden`` stays byte-stable only as long as that order holds.  The
     factorizations then run as one stacked QR per block size of 2 or more,

@@ -42,24 +42,31 @@ def cost(a, b, p) -> float:
     return _unscaled(r, shift)
 
 
-def _ordered_pair(a, b, order: str) -> tuple[SpectralDecomposition, SpectralDecomposition, float]:
+def _ordered_pair(a, b, order: str) -> tuple[SpectralDecomposition, SpectralDecomposition, np.ndarray, np.ndarray, float]:
+    """The decompositions of A and B, then V_A and V_B with both spectra
+    sorted per ``order``, and the lower bound ||D_A - D_B||_F in that order."""
     if order not in ("ascending", "descending"):
         raise ValueError(f"order must be 'ascending' or 'descending', got {order!r}")
     da, db = eig_sym(a), eig_sym(b)
     if da.n != db.n:
         raise DimensionError(f"dimension mismatch: {da.n} vs {db.n}")
+    va, vb, la, lb = da.v, db.v, da.lambdas, db.lambdas
     if order == "descending":
-        da, db = da.reversed(), db.reversed()
-    # and the lower bound ||D_A - D_B||_F, of both spectra over one power of two
-    shift, la, lb = _scaled(da.lambdas, db.lambdas)
-    return da, db, _unscaled(float(np.linalg.norm(la - lb)), shift)
+        # reversing both spectra pairs the same eigenvalues, so each V is
+        # read bottom row first, copied in C order: V's memory layout sets
+        # the bits of the product V_B^T V_A
+        va, vb = np.ascontiguousarray(va[::-1]), np.ascontiguousarray(vb[::-1])
+        la, lb = la[::-1], lb[::-1]
+    # both spectra over one power of two
+    shift, la, lb = _scaled(la, lb)
+    return da, db, va, vb, _unscaled(float(np.linalg.norm(la - lb)), shift)
 
 
 def solve(a, b, order: str = "ascending") -> ProcrustesSolution:
     """Canonical optimal solution P = V_B^T V_A with both spectra sorted per
     ``order``; the lower bound is ||D_A - D_B||_F in that ordering."""
-    da, db, lower = _ordered_pair(a, b, order)
-    p = db.v.T @ da.v
+    _, _, va, vb, lower = _ordered_pair(a, b, order)
+    p = vb.T @ va
     return ProcrustesSolution(
         p=p,
         cost=cost(a, b, p),
@@ -75,7 +82,7 @@ def family_sample(a, b, seed: int, count: int) -> list[ProcrustesSolution]:
     raised carrying both vectors."""
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
-    da, db, lower = _ordered_pair(a, b, "ascending")
+    da, db, _, _, lower = _ordered_pair(a, b, "ascending")
     if da.multiplicities != db.multiplicities:
         raise StructureError(
             f"multiplicity vectors differ: {da.multiplicities} vs "

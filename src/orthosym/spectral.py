@@ -165,14 +165,6 @@ class SpectralDecomposition:
         a.setflags(write=False)
         return a
 
-    def reversed(self) -> SpectralDecomposition:
-        """The same decomposition with eigenvalues in descending order."""
-        lam = self.lambdas[::-1].copy()
-        v = self.v[::-1].copy()
-        clusters = tuple((rep, m) for rep, m in reversed(self.clusters))
-        border = tuple(sorted(self.n - 2 - i for i in self.borderline))
-        return SpectralDecomposition(v, lam, clusters, self.cluster_tol, border)
-
 
 def _fix_signs(u: np.ndarray) -> np.ndarray:
     # sign convention: first entry of largest magnitude in each eigenvector

@@ -22,7 +22,9 @@ import numpy as np
 
 from .errors import DegenerateProbeError, EvaluationError, MembershipError
 from .isotropy import is_member
-from .spectral import SpectralDecomposition, _scaled, _unscaled, as_sym, eig_sym
+# nothing here calls eig_sym; it is imported only because perfbench's
+# binding test requires this module to bind it (ROADMAP item 10)
+from .spectral import _scaled, _unscaled, as_sym, eig_sym
 
 MEMBERSHIP_TOL = 1e-6  # looser than the group default: the FD Hessian itself
                        # carries noise of order 1e-5 .. 1e-6
@@ -79,12 +81,6 @@ def hessian_fd(f: ScalarField, x, step: float | None = None) -> np.ndarray:
                     f(pt + ei + ej) - f(pt + ei - ej) - f(pt - ei + ej) + f(pt - ei - ej)
                 ) / (4.0 * s * s)
         return as_sym((h + h.T) / 2.0)
-
-
-def hessian_decomposition(
-    f: ScalarField, x, step: float | None = None
-) -> SpectralDecomposition:
-    return eig_sym(hessian_fd(f, x, step))
 
 
 def _require_member(hessian, gamma, label: str) -> np.ndarray:

@@ -21,7 +21,7 @@ from orthosym.isotropy import (
     commutator_residual,
     gamma2_elements,
     is_member,
-    sample_block_orthogonal,
+    sample_block_stack,
     sample_gamma,
 )
 from orthosym.matio import parse_matrix
@@ -196,7 +196,7 @@ def test_criterion_10_basis_independent_membership():
         a = q @ np.diag(lam) @ q.T
         dec1 = eig_sym(a)
         ok = ok and sorted(dec1.multiplicities) == [1, 1, 2, 2]
-        sigma = sample_block_orthogonal(dec1.multiplicities, rng)
+        sigma = sample_block_stack(dec1.multiplicities, [rng])[0]
         dec2 = dataclasses.replace(dec1, v=sigma @ dec1.v)
         for k in range(100):
             source = dec1 if k % 2 == 0 else dec2

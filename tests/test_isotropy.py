@@ -15,7 +15,7 @@ from orthosym.isotropy import (
     gamma2_elements,
     is_member,
     orthogonality_residual,
-    sample_block_orthogonal,
+    sample_block_stack,
     sample_gamma,
 )
 from orthosym.spectral import align_basis, eig_sym
@@ -137,8 +137,8 @@ def test_block_orthogonal_compose_full(dec_mu0):
     # conjugation carries them to the products and transposes of the gammas
     m = (1, 2)
     rng = np.random.default_rng(MASTER_SEED)
-    b1 = sample_block_orthogonal(m, rng)
-    b2 = sample_block_orthogonal(m, rng)
+    b1 = sample_block_stack(m, [rng])[0]
+    b2 = sample_block_stack(m, [rng])[0]
     g1, g2 = conjugate(dec_mu0, b1), conjugate(dec_mu0, b2)
     np.testing.assert_allclose(conjugate(dec_mu0, b1 @ b2), g1 @ g2, atol=1e-12)
     np.testing.assert_allclose(conjugate(dec_mu0, b1.T), g1.T, atol=1e-12)
@@ -447,7 +447,7 @@ def test_basis_independence_of_membership():
     rng = np.random.default_rng(MASTER_SEED + 13)
     a, _ = planted_matrix(rng, [1.0, 4.0, 4.0, 6.0, 6.0, 9.0])
     dec1 = eig_sym(a)
-    sigma = sample_block_orthogonal(dec1.multiplicities, rng)
+    sigma = sample_block_stack(dec1.multiplicities, [rng])[0]
     dec2 = replace(dec1, v=sigma @ dec1.v)
     assert np.linalg.norm(dec2.v @ a @ dec2.v.T - np.diag(dec2.lambdas)) <= 1e-9
     for seed in range(20):
@@ -459,8 +459,8 @@ def test_basis_independence_of_membership():
 
 def test_haar_block_determinism():
     m = (2, 3)
-    b1 = sample_block_orthogonal(m, np.random.default_rng(99))
-    b2 = sample_block_orthogonal(m, np.random.default_rng(99))
+    b1 = sample_block_stack(m, [np.random.default_rng(99)])[0]
+    b2 = sample_block_stack(m, [np.random.default_rng(99)])[0]
     assert b1.tobytes() == b2.tobytes()
 
 
@@ -468,7 +468,7 @@ def test_haar_covers_both_components():
     # determinants +1 and -1 must both occur across seeds
     dets = set()
     for seed in range(24):
-        b = sample_block_orthogonal((2,), np.random.default_rng(seed))
+        b = sample_block_stack((2,), [np.random.default_rng(seed)])[0]
         dets.add(int(round(np.linalg.det(b))))
     assert dets == {-1, 1}
 
@@ -494,7 +494,7 @@ def test_stacked_sampler_matches_the_loop_bit_for_bit(m, seed):
     # procrustes family draws sigma_A and then sigma_B from one generator,
     # so the generator must also be left where the loop leaves it
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    sigma = sample_block_orthogonal(m, rng)
+    sigma = sample_block_stack(m, [rng])[0]
     ref = loop_sample_block_orthogonal(m, ref_rng)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     n = sum(m)
@@ -506,7 +506,7 @@ def test_stacked_sampler_matches_the_loop_bit_for_bit(m, seed):
         off[b, b] = False
     assert sigma[off].tobytes() == np.zeros(off.sum()).tobytes()  # +0.0 only
     # the product procrustes family forms is the blockwise one, bit for bit
-    other = sample_block_orthogonal(m, rng)
+    other = sample_block_stack(m, [rng])[0]
     ref_other = loop_sample_block_orthogonal(m, ref_rng)
     product = other.T @ sigma
     assert [product[b, b].tobytes() for b in blocks] == [

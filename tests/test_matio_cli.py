@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import orthosym
@@ -417,8 +417,14 @@ def _per_element(text):
     return text.split("}, {")
 
 
+# under the Haswell, Zen and Prescott OpenBLAS kernels, though not under
+# SkylakeX or Sandybridge, first-half elements at odd n have lower entries
+# whose magnitude differs from their mirror's, so there the n = 9 and 11
+# examples write lower entries from table rows of their own
 @settings(max_examples=100, deadline=None)
 @given(a=symmetric_matrices(max_n=8))
+@example(a=random_symmetric(np.random.default_rng(MASTER_SEED + 96), 9))
+@example(a=random_symmetric(np.random.default_rng(MASTER_SEED + 98), 11))
 def test_gamma2_json_matches_json_dumps(a):
     dec = spectral.eig_sym(a)
     els = gamma2_elements(dec)

@@ -133,6 +133,21 @@ def test_order_consistency():
     assert abs(up.lower_bound - down.lower_bound) <= 1e-9
 
 
+@pytest.mark.parametrize("n", [3, 6, 16])
+def test_both_orders_give_one_solution_up_to_rounding(n):
+    # reversing both spectra pairs the same eigenvalues, so the descending
+    # order is the ascending solution, up to the rounding of the product
+    # and the sums: the order does not choose between minimum and maximum
+    eps = np.finfo(float).eps
+    for seed in range(5):
+        rng = np.random.default_rng(MASTER_SEED + 40 + seed)
+        a, b = random_symmetric(rng, n), random_symmetric(rng, n)
+        up, down = solve(a, b), solve(a, b, order="descending")
+        assert np.abs(up.p - down.p).max() <= 4 * eps
+        assert abs(up.cost - down.cost) <= 4 * eps * (np.linalg.norm(a) + np.linalg.norm(b))
+        assert abs(up.lower_bound - down.lower_bound) <= 4 * math.ulp(up.lower_bound)
+
+
 def test_cost_invariant_under_joint_conjugation():
     rng = np.random.default_rng(MASTER_SEED + 27)
     a = random_symmetric(rng, 5)

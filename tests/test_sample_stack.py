@@ -22,7 +22,6 @@ from orthosym.isotropy import (
     _BLOCK_ORTH_TOL,
     _haar_blocks,
     conjugate,
-    sample_block_orthogonal,
     sample_block_stack,
     sample_gamma,
     sample_gammas,
@@ -68,7 +67,7 @@ def test_stack_equals_single_draws_and_leaves_the_same_generator_states(m, gens)
     singles = [np.random.default_rng(s) for s in seeds]
     reference = [np.random.default_rng(s) for s in seeds]
     for i, got in zip(picks, stack):
-        assert got.tobytes() == sample_block_orthogonal(m, singles[i]).tobytes()
+        assert got.tobytes() == sample_block_stack(m, [singles[i]])[0].tobytes()
         assert got.tobytes() == reference_sample(m, reference[i]).tobytes()
     for a, b, c in zip(rngs, singles, reference):
         assert a.bit_generator.state == b.bit_generator.state == c.bit_generator.state
@@ -182,8 +181,8 @@ def reference_family(a, b, seed, count):
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
-        sigma_a = sample_block_orthogonal(da.multiplicities, rng)
-        sigma_b = sample_block_orthogonal(db.multiplicities, rng)
+        sigma_a = sample_block_stack(da.multiplicities, [rng])[0]
+        sigma_b = sample_block_stack(db.multiplicities, [rng])[0]
         out.append(db.v.T @ (sigma_b.T @ sigma_a) @ da.v)
     return out
 

@@ -255,7 +255,6 @@ def test_split_below_the_solver_resolution_is_flagged():
     dec = eig_sym(a, 0.0)
     assert dec.multiplicities == (1, 1, 1, 1, 1, 1)
     assert dec.borderline == (0, 1, 4)
-    assert dec.reversed().borderline == (0, 3, 4)
     # the default tolerance merges them, and nothing is borderline
     assert eig_sym(a).multiplicities == (3, 1, 2) and eig_sym(a).borderline == ()
 
@@ -291,15 +290,6 @@ def test_sign_convention():
     for row in dec.v:
         k = int(np.argmax(np.abs(row)))
         assert row[k] > 0
-
-
-def test_reversed_decomposition():
-    dec = eig_sym(dynsys.guiding_matrix(-0.25))
-    rev = dec.reversed()
-    np.testing.assert_allclose(rev.lambdas, [5.0, 5.0, -1.0], atol=1e-8)
-    assert rev.multiplicities == (2, 1)
-    a = np.asarray(dynsys.guiding_matrix(-0.25))
-    assert np.linalg.norm(rev.v @ a @ rev.v.T - np.diag(rev.lambdas)) <= 1e-9 * 6
 
 
 def test_align_basis_reproduces_reference():
