@@ -15,6 +15,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import sys
 
 import numpy as np
@@ -651,7 +652,9 @@ def _cmd_fixtures(args):
                 {
                     "name": r.name,
                     "passed": r.passed,
-                    "measure": r.measure,
+                    # a crashing or structurally failing row measures
+                    # inf, which strict JSON has no token for
+                    "measure": r.measure if math.isfinite(r.measure) else None,
                     "limit": r.limit,
                 }
                 for r in results

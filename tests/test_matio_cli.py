@@ -1022,6 +1022,62 @@ def test_cli_fixtures_verify_reports_a_crashing_check(monkeypatch, capsys):
     assert failed[0].endswith("(error: boom))")
 
 
+def test_cli_fixtures_verify_json_reports_a_crashing_check(monkeypatch, capsys):
+    # the crashed row's infinite measure is null: strict JSON has no token
+    # for inf, and a failed run is exit 3 in json as in text
+    def broken():
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(fixtures, "dihedral_hidden_gamma", broken)
+    code, out, _ = run_capture(capsys, ["fixtures", "verify"])
+    assert code == EXIT_VERIFY
+    d = json.loads(out)
+    failed = [r for r in d["results"] if not r["passed"]]
+    assert failed == [
+        {"name": "16x16 hidden symmetry is a member", "passed": False, "measure": None, "limit": 0.0}
+    ]
+    assert d["passed"] == d["total"] - 1 == len(d["results"]) - 1
+
+
+def test_fixtures_verify_fails_exactly_the_rows_reading_a_raising_input(monkeypatch, capsys):
+    def broken(mu):
+        raise RuntimeError("no family")
+
+    monkeypatch.setattr(fixtures, "dihedral_family", broken)
+    failed = [r for r in verify.run_all() if not r.passed]
+    assert [r.name for r in failed] == [
+        "16x16 family symmetric, generators commute",
+        "16x16 multiplicities: 8 simple, 4 double",
+        "16x16 hidden symmetry is a member",
+    ]
+    assert all(r.note.endswith("(error: no family)") for r in failed)
+    code, _, _ = run_capture(capsys, ["fixtures", "verify", "--format", "text"])
+    assert code == EXIT_VERIFY
+    code, out, _ = run_capture(capsys, ["fixtures", "verify"])
+    assert code == EXIT_VERIFY
+    assert [r["name"] for r in json.loads(out)["results"] if not r["passed"]] == [r.name for r in failed]
+
+
+def test_fixtures_verify_builds_each_shared_input_once(monkeypatch):
+    calls = {"hessian_fd": 0, "equilibria": 0, "eig_sym at mu=0": 0}
+    a0 = dynsys.guiding_matrix(0.0)
+
+    def counted(module, name, key, when=lambda *a: True):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += when(*args)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(stencil, "hessian_fd", "hessian_fd")
+    counted(dynsys, "equilibria", "equilibria")
+    counted(spectral, "eig_sym", "eig_sym at mu=0", lambda a, *_: np.array_equal(a, a0))
+    assert all(r.passed for r in verify.run_all())
+    assert calls == {"hessian_fd": 1, "equilibria": 4, "eig_sym at mu=0": 1}
+
+
 def test_cli_reuses_one_parser_with_unchanged_results(monkeypatch, capsys, a0_file, tmp_path):
     def sequence(tag):
         out_file = tmp_path / f"eig-{tag}.csv"

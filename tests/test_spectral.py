@@ -246,12 +246,15 @@ def test_borderline_gap_is_flagged():
 
 
 def test_split_below_the_solver_resolution_is_flagged():
-    # three planted eigenvalue 1s and two 3s come out of the solver with
-    # gaps of 5.6e-16, 8.9e-16 and 4.4e-16; at cluster_tol 0 each of those
+    # three eigenvalues near 1 and two near 3, planted a few ulps apart
+    # (gaps of 2, 2 and 4 eps) in a permuted diagonal, whose eigenvalues
+    # the solver returns exactly under the SkylakeX, Haswell, Zen,
+    # Sandybridge and Prescott OpenBLAS kernels; at cluster_tol 0 each of those
     # splits is below the resolution and must be reported, not taken as
     # six simple eigenvalues
-    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 6)))
-    a = q @ np.diag([1.0, 1.0, 1.0, 2.0, 3.0, 3.0]) @ q.T
+    eps = np.finfo(float).eps
+    p = np.eye(6)[[3, 0, 5, 1, 4, 2]]
+    a = p @ np.diag([1.0, 1.0 + 2 * eps, 1.0 + 4 * eps, 2.0, 3.0, 3.0 + 4 * eps]) @ p.T
     dec = eig_sym(a, 0.0)
     assert dec.multiplicities == (1, 1, 1, 1, 1, 1)
     assert dec.borderline == (0, 1, 4)
