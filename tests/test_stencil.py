@@ -81,15 +81,21 @@ def test_probe_equal_gammas_cancels_and_warns():
 
 
 def test_probe_quadratic_field_vanishes():
+    # For f = x^T m x the probe is 2 h^T (g1^T m g1 - g2^T m g2) h.  The
+    # elements of the exact Hessian 2m commute with m to rounding (1e-15),
+    # so the probe is far below 1e-12; those of a finite-difference Hessian
+    # commute only to about eps |f| / step^2 = 1e-9.  A 1e-8 turn of g2,
+    # still a member at MEMBERSHIP_TOL, reads about 2e-10.
     rng = np.random.default_rng(MASTER_SEED + 43)
     m = rng.standard_normal((3, 3))
     m = (m + m.T) / 2
     f = quadratic_field(m)
-    x = np.array([0.4, -0.1, 0.2])
-    hess = hessian_fd(f, x)
-    gammas = gamma2_elements(eig_sym(hess))
-    value = fourth_order_probe(f, x, gammas[1], gammas[2], np.array([0.05, 0.04, -0.03]), hessian=hess)
-    assert abs(value) <= 1e-12
+    x, h = np.array([0.4, -0.1, 0.2]), np.array([0.05, 0.04, -0.03])
+    gammas = gamma2_elements(eig_sym(2.0 * m))
+    assert abs(fourth_order_probe(f, x, gammas[1], gammas[2], h, hessian=2.0 * m)) <= 1e-12
+    c, s = math.cos(1e-8), math.sin(1e-8)
+    turn = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    assert abs(fourth_order_probe(f, x, gammas[1], gammas[2] @ turn, h, hessian=2.0 * m)) > 1e-12
 
 
 def test_probe_warns_on_eigenvector_displacement():
