@@ -17,6 +17,7 @@ import itertools
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -511,9 +512,15 @@ def _cmd_stencil(args):
     dec = spectral.eig_sym(hess)
     g1 = np.eye(f.dim)
     g2 = _sample_nontrivial_gamma(dec, args.seed)
-    values, slope = stencil.probe_ladder(
-        f, x, g1, g2, h, levels=args.levels, hessian=hess
-    )
+    with warnings.catch_warnings():
+        # each UserWarning of the probe as one line, on every run; others as before
+        warnings.simplefilter("always", UserWarning)
+        warnings.showwarning = lambda message, category, *rest, show=warnings.showwarning: (
+            print(f"warning: {message}", file=sys.stderr)
+            if issubclass(category, UserWarning)
+            else show(message, category, *rest)
+        )
+        values, slope = stencil.probe_ladder(f, x, g1, g2, h, levels=args.levels, hessian=hess)
     if args.action == "probe":
         _emit(
             args,
@@ -566,10 +573,7 @@ def _cmd_dynsys(args):
                 "components": [_component_payload(c) for c in eq.components],
             },
             lambda: "\n".join(f"{c.kind}: radius {c.radius!r}" for c in eq.components),
-            lambda: (
-                ("kind", "radius"),
-                [(c.kind, repr(float(c.radius))) for c in eq.components],
-            ),
+            lambda: (("kind", "radius"), [(c.kind, repr(float(c.radius))) for c in eq.components]),
         )
     elif args.action == "sweep":
         rows = dynsys.sweep(args.mu_from, args.mu_to, args.samples)
@@ -578,12 +582,12 @@ def _cmd_dynsys(args):
             return {
                 "rows": [
                     {
-                        "mu": r.mu,
-                        "lambdas": list(r.lambdas),
-                        "components": [{"kind": k, "radius": rad} for k, rad in r.components],
-                        "transition": r.transition,
+                        "mu": eq.mu,
+                        "lambdas": list(eq.lambdas),
+                        "components": [{"kind": c.kind, "radius": c.radius} for c in eq.components],
+                        "transition": transition,
                     }
-                    for r in rows
+                    for eq, transition in rows
                 ]
             }
 
@@ -592,22 +596,17 @@ def _cmd_dynsys(args):
                 ("mu", "lambda1", "lambda2", "lambda3", "components", "transition"),
                 [
                     (
-                        repr(r.mu),
-                        repr(r.lambdas[0]),
-                        repr(r.lambdas[1]),
-                        repr(r.lambdas[2]),
-                        "|".join(f"{k}:{rad!r}" for k, rad in r.components),
-                        int(r.transition),
+                        repr(eq.mu),
+                        *map(repr, eq.lambdas),
+                        "|".join(f"{c.kind}:{c.radius!r}" for c in eq.components),
+                        int(transition),
                     )
-                    for r in rows
+                    for eq, transition in rows
                 ],
             )
 
-        def text():
-            transitions = [repr(r.mu) for r in rows if r.transition]
-            return f"{len(rows)} rows; transitions near mu = {', '.join(transitions)}"
-
-        _emit(args, payload, text, table)
+        transitions = ", ".join(repr(eq.mu) for eq, transition in rows if transition)
+        _emit(args, payload, lambda: f"{len(rows)} rows; transitions near mu = {transitions}", table)
     else:  # integrate
         x0 = _parse_vector(args.x0, "--x0", 3)
         traj = dynsys.integrate(x0, args.mu, dt=args.dt, steps=args.steps)

@@ -64,7 +64,7 @@ def rhs(x, mu: float) -> np.ndarray:
 _KINDS = ("origin", "point-pair", "circle", "sphere")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Component:
     """One orbit of equilibria: the sphere of ``radius`` in the span of the
     m orthonormal rows of ``basis`` (shape (m, 3)), on which the symmetry
@@ -75,9 +75,12 @@ class Component:
     radius: float
 
     def __post_init__(self):
-        b = np.atleast_2d(np.array(self.basis, dtype=float))
-        b.setflags(write=False)
-        object.__setattr__(self, "basis", b)
+        # a read-only float64 2-D array (rows of a V) is kept, as by as_sym
+        b = self.basis
+        if not (isinstance(b, np.ndarray) and b.dtype == np.float64 and b.ndim == 2 and not b.flags.writeable):
+            b = np.atleast_2d(np.array(b, dtype=float))
+            b.setflags(write=False)
+            object.__setattr__(self, "basis", b)
 
     @property
     def kind(self) -> str:
@@ -114,7 +117,7 @@ class Component:
         return math.hypot(off_span, float(np.linalg.norm(y)) - self.radius)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EquilibriumSet:
     """The classified equilibrium manifold of the guiding system at one mu,
     with the ascending spectrum it was classified from."""
@@ -132,34 +135,25 @@ class EquilibriumSet:
 
 
 def equilibria(mu: float) -> EquilibriumSet:
-    """Classify all equilibria at the given mu.
-
-    The origin is always present; every eigenvalue cluster above the
-    clustering tolerance contributes one component whose kind is set by the
-    multiplicity and whose radius is the square root of the eigenvalue.
-    """
-    dec = eig_sym(guiding_matrix(mu))
-    return EquilibriumSet(
-        mu=mu,
-        components=tuple(
-            Component(dec.v[start:start + m], radius)
-            for start, m, radius in _orbits(dec.clusters, dec.cluster_tol)
-        ),
-        lambdas=tuple(dec.lambdas.tolist()),
-    )
+    """Classify all equilibria at the given mu: the origin, and one component
+    for every eigenvalue cluster above the clustering tolerance, whose kind is
+    set by the multiplicity and whose radius is the square root of the
+    eigenvalue."""
+    return _classify(mu, eig_sym(guiding_matrix(mu)))
 
 
-def _orbits(clusters, tol):
-    """(first row, multiplicity m, radius) of each orbit of equilibria, from
-    ascending (representative, multiplicity) eigenvalue clusters: the origin
-    (m = 0, radius 0), then one orbit of kind m and radius sqrt(rep) for
-    each cluster above ``tol``."""
-    out, start = [(0, 0, 0.0)], 0
-    for rep, m in clusters:
-        if rep > tol:
-            out.append((start, m, math.sqrt(rep)))
+# the orbit of m = 0, the same at every mu
+_ORIGIN = Component(np.zeros((0, 3)), 0.0)
+
+
+def _classify(mu: float, dec) -> EquilibriumSet:
+    """``equilibria(mu)`` from the decomposition of A(mu)."""
+    components, start = [_ORIGIN], 0
+    for rep, m in dec.clusters:
+        if rep > dec.cluster_tol:
+            components.append(Component(dec.v[start:start + m], math.sqrt(rep)))
         start += m
-    return out
+    return EquilibriumSet(mu, tuple(components), tuple(dec.lambdas.tolist()))
 
 
 def integrate(x0, mu: float, dt: float = 1e-2, steps: int = 10000) -> np.ndarray:
@@ -215,19 +209,9 @@ def integrate(x0, mu: float, dt: float = 1e-2, steps: int = 10000) -> np.ndarray
     return traj
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One bifurcation-table row: parameter, spectrum, component summary,
-    and whether the component inventory changed from the previous row."""
-
-    mu: float
-    lambdas: tuple[float, float, float]
-    components: tuple[tuple[str, float], ...]  # (kind, radius) pairs
-    transition: bool
-
-
-def sweep(mu_from: float, mu_to: float, samples: int) -> list[SweepRow]:
-    """Equilibrium inventories over a uniform mu grid.
+def sweep(mu_from: float, mu_to: float, samples: int) -> list[tuple[EquilibriumSet, bool]]:
+    """``(equilibria(mu), transition)`` at each mu of a uniform grid, from
+    one stacked solve.
 
     A row is flagged as a transition when its component inventory (the
     multiset of kinds) differs from the previous row's; with any grid that
@@ -241,8 +225,7 @@ def sweep(mu_from: float, mu_to: float, samples: int) -> list[SweepRow]:
         # np.linspace would overflow on the width and fill the grid with inf
         raise ValueError(f"the mu range is wider than the float range, got {mu_from:g} to {mu_to:g}")
     grid = np.linspace(mu_from, mu_to, samples).tolist()
-    matrices = []
-    failed = None
+    matrices, failed = [], None
     for mu in grid:
         try:
             matrices.append(guiding_matrix(mu))
@@ -251,19 +234,11 @@ def sweep(mu_from: float, mu_to: float, samples: int) -> list[SweepRow]:
             # theirs is raised in its place, as row by row
             failed = exc
             break
-    rows: list[SweepRow] = []
-    previous = None
+    rows, previous = [], None
     for mu, dec in zip(grid, eig_stack(np.reshape(matrices, (-1, 3, 3)))):
-        components = tuple((_KINDS[m], radius) for _, m, radius in _orbits(dec.clusters, dec.cluster_tol))
-        inventory = sorted(kind for kind, _ in components)
-        rows.append(
-            SweepRow(
-                mu=mu,
-                lambdas=tuple(dec.lambdas.tolist()),
-                components=components,
-                transition=previous is not None and inventory != previous,
-            )
-        )
+        eq = _classify(mu, dec)
+        inventory = eq.inventory()
+        rows.append((eq, previous is not None and inventory != previous))
         previous = inventory
     if failed is not None:
         raise failed

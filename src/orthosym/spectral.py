@@ -274,7 +274,8 @@ def _spectrum(diag, shift, cluster_tol_hex):
     top = max(abs(float(diag[0])), abs(float(diag[-1]))) if len(diag) else 0.0
     # np.ldexp below would return inf, with only a warning, for an
     # eigenvalue past the float range
-    if math.isinf(_unscaled(top, shift)):
+    largest = _unscaled(top, shift)
+    if math.isinf(largest):
         raise ValueError("an eigenvalue overflows the float range")
     lam = np.ldexp(diag, shift)
     # 1e-8 relative to the largest |lambda|, so that scaling the matrix
@@ -299,11 +300,18 @@ def _spectrum(diag, shift, cluster_tol_hex):
                 borderline.append(i - 1)
             if gap <= tol:
                 continue
-        # the mean of one value is that value; a larger cluster's is taken
-        # of the scaled eigenvalues, whose sum cannot overflow, as np.mean
-        # takes it (the pairwise sum over the count) without its overhead
+        # the mean of one value is that value; a larger cluster's is np.mean
+        # of its eigenvalues (the pairwise sum over the count) without its
+        # overhead, bit for bit, subnormal ones included.  Where that sum
+        # could overflow, it is taken of the scaled eigenvalues, whose sum
+        # cannot, and scaled back
         size = i - start
-        rep = values[start] if size == 1 else _unscaled(float(np.add.reduce(diag[start:i])) / size, shift)
+        if size == 1:
+            rep = values[start]
+        elif math.isfinite(2.0 * size * largest):
+            rep = float(np.add.reduce(lam[start:i])) / size
+        else:
+            rep = _unscaled(float(np.add.reduce(diag[start:i])) / size, shift)
         clusters.append((rep, size))
         start = i
     return lam, tuple(clusters), tol, tuple(borderline)

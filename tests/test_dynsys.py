@@ -11,7 +11,6 @@ from orthosym import fixtures
 from orthosym.dynsys import (
     SWAP_23,
     EquilibriumSet,
-    SweepRow,
     equilibria,
     guiding_matrix,
     integrate,
@@ -279,13 +278,13 @@ def test_integrate_matches_rk4_on_arrays(x0, scale, mu, dt, steps):
 
 def rows_from_equilibria(mu_from, mu_to, samples):
     """The sweep built from one ``equilibria`` call per mu: the reference
-    for its rows and for the error it raises first."""
+    for its ``(equilibria(mu), transition)`` pairs and for the error it
+    raises first."""
     rows, previous = [], None
     for mu in np.linspace(mu_from, mu_to, samples).tolist():
         eq = equilibria(mu)
         inventory = eq.inventory()
-        components = tuple((c.kind, float(c.radius)) for c in eq.components)
-        rows.append(SweepRow(mu, eq.lambdas, components, previous is not None and inventory != previous))
+        rows.append((eq, previous is not None and inventory != previous))
         previous = inventory
     return rows
 
@@ -303,10 +302,19 @@ def _grids():
     return st.one_of(anywhere, through, flat)
 
 
-def _repr_or_error(run):
-    # repr tells -0.0 from 0.0, which == does not
+def _bits_or_error(run):
+    # repr tells -0.0 from 0.0, which == does not; an ndarray's repr rounds
+    # to 8 digits, so each basis is compared by its bytes
     try:
-        return repr(run())
+        return [
+            (
+                repr(eq.mu),
+                repr(eq.lambdas),
+                [(c.kind, repr(c.radius), c.basis.shape, c.basis.tobytes()) for c in eq.components],
+                transition,
+            )
+            for eq, transition in run()
+        ]
     except ValueError as exc:
         return type(exc), str(exc)
 
@@ -321,18 +329,18 @@ def _repr_or_error(run):
 # scale eig_sym solves it at
 @example(grid=(-4e307, 4e307, 9))
 def test_sweep_matches_equilibria_row_by_row(grid):
-    expected = _repr_or_error(lambda: rows_from_equilibria(*grid))
-    assert _repr_or_error(lambda: sweep(*grid)) == expected
+    expected = _bits_or_error(lambda: rows_from_equilibria(*grid))
+    assert _bits_or_error(lambda: sweep(*grid)) == expected
 
 
 def test_sweep_transitions():
     rows = sweep(-0.5, 1.5, 201)
     assert len(rows) == 201
-    assert not rows[0].transition
+    assert not rows[0][1]
     intervals = [
-        (rows[i - 1].mu, rows[i].mu)
+        (rows[i - 1][0].mu, rows[i][0].mu)
         for i in range(1, len(rows))
-        if rows[i].transition
+        if rows[i][1]
     ]
     for target in (0.0, 0.5, 1.0):
         assert any(lo <= target <= hi + 1e-12 for lo, hi in intervals)
@@ -343,16 +351,16 @@ def test_sweep_transitions():
 
 def test_sweep_negative_mu_only():
     rows = sweep(-1.0, -0.1, 10)
-    for row in rows:
-        kinds = tuple(sorted(k for k, _ in row.components))
+    for eq, transition in rows:
+        kinds = tuple(sorted(c.kind for c in eq.components))
         assert kinds == ("circle", "origin")
-        assert not row.transition
+        assert not transition
 
 
 def test_sweep_two_samples():
     rows = sweep(-0.25, 1.25, 2)
     assert len(rows) == 2
-    assert rows[0].mu == -0.25 and rows[1].mu == 1.25
+    assert rows[0][0].mu == -0.25 and rows[1][0].mu == 1.25
 
 
 def test_sweep_rejects_single_sample():

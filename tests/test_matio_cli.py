@@ -910,6 +910,42 @@ def test_cli_stencil_degenerate_is_numerical_failure(capsys):
     assert "numerical failure" in err
 
 
+def test_cli_stencil_warning_is_one_line_on_every_run():
+    # h is an eigenvector of the quadratic's Hessian, so both symmetries map
+    # it to +/-h.  Before, the first run in a process printed Python's
+    # warning display, with the path and source line of cli.py, and later
+    # runs printed only the failure line
+    h = np.linalg.eigh(np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]]))[1][:, 0]
+    argv = [
+        "stencil", "probe", "--function", "quadratic", "--x", "0.3,0.2,0.1",
+        "--h", ",".join(map(repr, h.tolist())), "--seed", "1", "--format", "text",
+    ]
+    first = run_quiet(argv)
+    assert run_quiet(argv) == first
+    code, out, err = first
+    assert (code, out) == (2, "")
+    assert err.startswith("warning: h is mapped to the same points by both symmetries")
+    assert err.count("\n") == 2 and "\nnumerical failure: " in err
+    assert ".py:" not in err
+
+
+def test_cli_stencil_leaves_other_warning_categories_to_their_filters(monkeypatch):
+    ladder = stencil.probe_ladder
+
+    def probe_ladder(*args, **kwargs):
+        warnings.warn("not a probe warning", FutureWarning)
+        return ladder(*args, **kwargs)
+
+    monkeypatch.setattr(stencil, "probe_ladder", probe_ladder)
+    with pytest.warns(FutureWarning, match="not a probe warning"):
+        code, _, err = run_quiet(["stencil", "probe"] + _PROBE)
+    assert (code, err) == (0, "")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", FutureWarning)
+        with pytest.raises(FutureWarning, match="not a probe warning"):
+            run_quiet(["stencil", "probe"] + _PROBE)
+
+
 def test_cli_sweep_csv(capsys):
     code, out, _ = run_capture(
         capsys,

@@ -490,6 +490,7 @@ def clustered_matrices(draw):
 
 
 _T = 2.0**-30
+_TINY, _SUB = np.finfo(float).tiny, 5e-324
 
 
 @settings(max_examples=300, deadline=None)
@@ -497,6 +498,9 @@ _T = 2.0**-30
 # gaps of exactly 0.1, 10 and 1 times the tolerance: the ends of the
 # borderline band and the clustering threshold itself
 @example(a=np.diag([0.0, 0.1 * _T, 1.0, 1.0 + 10 * _T, 3.0, 3.0 + _T]), tol=_T)
+# subnormal eigenvalues: a cluster mean taken at the solver's scale and
+# scaled back was rounded twice, one subnormal step off np.mean
+@example(a=np.array([[_TINY - 8 * _SUB, -_SUB], [-_SUB, _TINY - 7 * _SUB]]), tol=None)
 def test_eig_sym_signs_clusters_and_borderline(a, tol):
     dec = eig_sym(a, cluster_tol=tol)
     for row in dec.v:
