@@ -626,10 +626,7 @@ def _cmd_dynsys(args):
         def table():
             return (
                 ("step", "t", "x1", "x2", "x3"),
-                [
-                    (k, repr(k * args.dt), repr(p[0]), repr(p[1]), repr(p[2]))
-                    for k, p in enumerate(traj)
-                ],
+                [(k, repr(k * args.dt), *map(repr, p)) for k, p in enumerate(traj.tolist())],
             )
 
         _emit(args, payload, lambda: f"terminal: {terminal.tolist()}\nresidual: {residual!r}", table)

@@ -64,7 +64,7 @@ def rhs(x, mu: float) -> np.ndarray:
 _KINDS = ("origin", "point-pair", "circle", "sphere")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Component:
     """One orbit of equilibria: the sphere of ``radius`` in the span of the
     m orthonormal rows of ``basis`` (shape (m, 3)), on which the symmetry
@@ -117,7 +117,7 @@ class Component:
         return math.hypot(off_span, float(np.linalg.norm(y)) - self.radius)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class EquilibriumSet:
     """The classified equilibrium manifold of the guiding system at one mu,
     with the ascending spectrum it was classified from."""

@@ -33,7 +33,7 @@ _BATCH = 1 << 16
 _HOLD = 1 << 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected simple graph stored as a 0/1 adjacency matrix with zero
     diagonal."""

@@ -9,6 +9,7 @@ decimals, as ``repr`` gives them, reads back bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -57,29 +58,36 @@ def _parse_matrix_text(text: str) -> np.ndarray:
     lines = _lines(text)
     if not lines:
         raise InputFormatError("no matrix data found (file empty?)")
-    n = len(lines)
-    rows = []
-    for row_index, (lineno, line) in enumerate(lines, start=1):
-        tokens = _tokenize(line)
-        if len(tokens) != n:
-            raise InputFormatError(
-                f"row {row_index} has {len(tokens)} values, expected {n}",
-                line=lineno,
-            )
-        try:
-            rows.append([float(t) for t in tokens])
-        except ValueError as exc:
-            raise InputFormatError(f"non-numeric token: {exc}", line=lineno) from None
-    m = np.array(rows)
+    m = _read_matrix(lines)
     m.setflags(write=False)
     return m
+
+
+def _read_matrix(lines: list[tuple[int, str]]) -> np.ndarray:
+    """The n x n float64 matrix of n (line_number, content) pairs, filled a
+    row at a time; numpy reads each token with ``float()``'s rules and
+    error text.  The first bad row in file order raises."""
+    n = len(lines)
+    # a row of n tokens is at least 2n - 1 characters long: a text too short
+    # for n such rows (an edge list) must raise, so it fills one row only
+    size = n if sum(len(line) for _, line in lines) >= n * (2 * n - 1) else 1
+    out = np.empty((size, n))
+    for row_index, (lineno, line) in enumerate(lines):
+        tokens = _tokenize(line)
+        if len(tokens) != n:
+            raise InputFormatError(f"row {row_index + 1} has {len(tokens)} values, expected {n}", line=lineno)
+        try:
+            out[row_index % size] = tokens
+        except ValueError as exc:
+            raise InputFormatError(f"non-numeric token: {exc}", line=lineno) from None
+    return out
 
 
 def parse_graph(source) -> Graph:
     """Parse a graph from either format.
 
-    A square 0/1 symmetric zero-diagonal block of numbers is read as an
-    adjacency matrix; anything else is read as an edge list of "u v" lines.
+    A square 0/1 symmetric zero-diagonal matrix is read as an adjacency
+    matrix; anything else is read as an edge list of "u v" lines.
     """
     # imported here, so that reading a matrix does not load the graph search
     from .graphsym import Graph
@@ -87,37 +95,19 @@ def parse_graph(source) -> Graph:
     lines = _lines(_read_text(source))
     if not lines:
         raise InputFormatError("no graph data found (file empty?)")
-    # converted a block of rows at a time, about 2^12 entries, so that only
-    # one block of tokens is ever held
-    n = len(lines)
-    step = max(1, 2**12 // n)
-    blocks = []
-    for lo in range(0, n, step):
-        rows = [_tokenize(line) for _, line in lines[lo : lo + step]]
-        if any(len(tokens) != n for tokens in rows):
-            break
-        try:
-            block = np.array([[float(t) for t in tokens] for tokens in rows])
-        except ValueError:
-            break
-        if not ((block == 0) | (block == 1)).all():
-            break
-        blocks.append(block.astype(np.int8))
-    else:
-        a = np.concatenate(blocks)
-        if not a.diagonal().any() and np.array_equal(a, a.T):
+    with contextlib.suppress(InputFormatError):
+        a = _read_matrix(lines)
+        if ((a == 0) | (a == 1)).all() and not a.diagonal().any() and np.array_equal(a, a.T):
+            # the int8 copy replaces the floats before Graph makes its own
+            a = a.astype(np.int8)
             return Graph(a)
     edges = []
     for lineno, line in lines:
         tokens = _tokenize(line)
         if len(tokens) != 2:
-            raise InputFormatError(
-                f"expected an edge 'u v', got {len(tokens)} tokens", line=lineno
-            )
+            raise InputFormatError(f"expected an edge 'u v', got {len(tokens)} tokens", line=lineno)
         try:
             edges.append((int(tokens[0]), int(tokens[1])))
         except ValueError:
-            raise InputFormatError(
-                f"non-integer vertex in edge {line!r}", line=lineno
-            ) from None
+            raise InputFormatError(f"non-integer vertex in edge {line!r}", line=lineno) from None
     return Graph.from_edges(edges)

@@ -21,7 +21,7 @@ from .isotropy import _chunk, _residual, sample_block_stack
 from .spectral import SpectralDecomposition, _scaled, _unscaled, as_sym, eig_sym
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProcrustesSolution:
     """An orthogonal minimizer P with its achieved cost and the spectral
     lower bound."""

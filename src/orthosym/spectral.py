@@ -90,7 +90,7 @@ def as_sym(a) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymMatrix:
     """``as_sym`` of a matrix, held as ``entries``; kept for code written
     against it.  ``np.asarray`` of an instance is the entries themselves."""
@@ -110,7 +110,7 @@ class SymMatrix:
         return self.entries.astype(dtype, copy=bool(copy))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Result of eig_sym: V (rows are eigenvectors), ascending eigenvalues,
     and their clustering into multiplicity blocks.

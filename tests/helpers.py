@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from orthosym.dynsys import guiding_matrix
-from orthosym.errors import DivergenceError, LimitExceededError
+from orthosym.errors import DivergenceError, InputFormatError, LimitExceededError
+from orthosym.graphsym import Graph
+from orthosym.matio import _lines, _tokenize
 
 MASTER_SEED = 20260810
 
@@ -222,3 +224,61 @@ def rk4_on_arrays(x0, mu, dt, steps):
                 raise DivergenceError(f"trajectory diverged at step {k + 1}", step=k + 1)
             traj[k + 1] = x
     return traj
+
+
+def reference_parse_matrix(text):
+    """Test-only copy of the per-token ``float()`` parser that
+    ``matio._read_matrix`` replaced: the reference for its bits, and for
+    the message and line of its InputFormatError."""
+    lines = _lines(text)
+    if not lines:
+        raise InputFormatError("no matrix data found (file empty?)")
+    n = len(lines)
+    rows = []
+    for row_index, (lineno, line) in enumerate(lines, start=1):
+        tokens = _tokenize(line)
+        if len(tokens) != n:
+            raise InputFormatError(f"row {row_index} has {len(tokens)} values, expected {n}", line=lineno)
+        try:
+            rows.append([float(t) for t in tokens])
+        except ValueError as exc:
+            raise InputFormatError(f"non-numeric token: {exc}", line=lineno) from None
+    return np.array(rows)
+
+
+def reference_parse_graph(text):
+    """Test-only copy of the block parser that ``matio.parse_graph``
+    replaced: a square 0/1 symmetric zero-diagonal block of numbers is an
+    adjacency matrix, converted a block of rows at a time; anything else is
+    an edge list of "u v" lines."""
+    lines = _lines(text)
+    if not lines:
+        raise InputFormatError("no graph data found (file empty?)")
+    n = len(lines)
+    step = max(1, 2**12 // n)
+    blocks = []
+    for lo in range(0, n, step):
+        rows = [_tokenize(line) for _, line in lines[lo : lo + step]]
+        if any(len(tokens) != n for tokens in rows):
+            break
+        try:
+            block = np.array([[float(t) for t in tokens] for tokens in rows])
+        except ValueError:
+            break
+        if not ((block == 0) | (block == 1)).all():
+            break
+        blocks.append(block.astype(np.int8))
+    else:
+        a = np.concatenate(blocks)
+        if not a.diagonal().any() and np.array_equal(a, a.T):
+            return Graph(a)
+    edges = []
+    for lineno, line in lines:
+        tokens = _tokenize(line)
+        if len(tokens) != 2:
+            raise InputFormatError(f"expected an edge 'u v', got {len(tokens)} tokens", line=lineno)
+        try:
+            edges.append((int(tokens[0]), int(tokens[1])))
+        except ValueError:
+            raise InputFormatError(f"non-integer vertex in edge {line!r}", line=lineno) from None
+    return Graph.from_edges(edges)

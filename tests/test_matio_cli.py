@@ -17,13 +17,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import orthosym
-from orthosym import cli, dynsys, fixtures, isotropy, spectral, stencil, verify
+from orthosym import cli, dynsys, fixtures, isotropy, matio, spectral, stencil, verify
 from orthosym.cli import EXIT_VERIFY, run
-from orthosym.errors import InputFormatError, StructureError
+from orthosym.errors import InputFormatError, SizeCapError, StructureError
+from orthosym.graphsym import Graph
 from orthosym.isotropy import commutator_residual, gamma2_elements
 from orthosym.matio import parse_graph, parse_matrix
 
-from helpers import MASTER_SEED, format_matrix, random_symmetric, symmetric_matrices
+from helpers import (
+    MASTER_SEED,
+    format_matrix,
+    random_symmetric,
+    reference_parse_graph,
+    reference_parse_matrix,
+    symmetric_matrices,
+)
 
 
 def run_capture(capsys, argv):
@@ -135,6 +143,69 @@ def test_bundled_graph_fixture(tmp_path):
     path = tmp_path / "graph.txt"
     path.write_text(format_matrix(graph))
     assert parse_graph(str(path)).adjacency.tobytes() == graph.tobytes()
+
+
+_SPELLINGS = [
+    "-1_0", "+7", "1_000", "١٢", "１", "٣.٥", "nan", "-NaN", "inf", "-Infinity", "iNfInItY", "+inf",
+    "1e400", "-1e-400", "5e-324", "1.5e-320", "1\x00", "0\x00", "abc", "0x10", "1d3", "1__0", "_1", "1,",
+]
+_READER_TOKENS = st.one_of(
+    st.floats().map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.integers(0, 10**7).map("{:_}".format),
+    st.sampled_from(_SPELLINGS),
+)
+_BIT_TOKENS = st.sampled_from(["0", "1"] * 6 + ["0.0", "1.0", "-0", "+1", "1e0", "0_0", "١", "2", "nan", "x"])
+_VERTEX_TOKENS = st.one_of(st.integers(0, 12).map(str), st.sampled_from(["-1", "1_0", "١", "1.0", "9999", "x"]))
+
+
+@st.composite
+def _reader_texts(draw):
+    """n lines of mostly n tokens each: any tokens, 0/1 tokens of a
+    symmetric zero-diagonal matrix, or vertex pairs; sometimes a row one
+    token short or long, joined by spaces, commas or tabs, with comment
+    and blank lines between."""
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["tokens", "bits", "edges"]))
+    pool = {"tokens": _READER_TOKENS, "bits": _BIT_TOKENS, "edges": _VERTEX_TOKENS}[kind]
+    width = 2 if kind == "edges" else n
+    rows = [[draw(pool) for _ in range(width)] for _ in range(n)]
+    if kind == "bits":
+        rows = [[rows[min(i, j)][max(i, j)] if i != j else "0" for j in range(n)] for i in range(n)]
+    lines = []
+    for row in rows:
+        ragged = draw(st.integers(0, 9))
+        if ragged == 0:
+            row = row[:-1]
+        elif ragged == 1:
+            row = row + [draw(pool)]
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["# a comment", "", "   ", "#0 1"])))
+        lines.append(draw(st.sampled_from([" ", ",", ", ", "\t", "  "])).join(row))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def _outcome(parse, text):
+    try:
+        value = parse(text)
+    except (InputFormatError, StructureError, SizeCapError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    if isinstance(value, Graph):
+        value = value.adjacency
+    return value.dtype, value.shape, value.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_reader_texts())
+@example(text="1 2\n3 abc\n")
+@example(text="1 2 3\n4 5 6\n7 8\n")
+@example(text="1 x\n2\n")
+@example(text="0 1 0\n1 0 1\n0 1 0\n")
+@example(text="0 1\n1 2\n2 3\n")
+@example(text="0,1\n1,9999\n")
+def test_reader_matches_the_per_token_reference(text):
+    assert _outcome(lambda t: parse_matrix(io.StringIO(t)), text) == _outcome(reference_parse_matrix, text)
+    assert _outcome(lambda t: parse_graph(io.StringIO(t)), text) == _outcome(reference_parse_graph, text)
 
 
 # --------------------------------------------------------------------- cli
@@ -871,6 +942,21 @@ def test_parse_graph_holds_no_token_per_entry():
     assert peak < 3 * 8 * n * n
 
 
+def test_an_edge_list_is_not_read_into_a_lines_by_lines_matrix():
+    # parse_graph first reads every text as a matrix; m edge lines must not
+    # allocate m x m floats (32 MB here) before the first row is refused
+    m = 2000
+    lines = matio._lines("".join(f"{k} {k + 1}\n" for k in range(m)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputFormatError, match=f"row 1 has 2 values, expected {m}"):
+            matio._read_matrix(lines)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * m * 8
+
+
 def test_cli_graph_requires_input(capsys):
     code, _, err = run_capture(capsys, ["graph", "spectrum"])
     assert code == 1
@@ -966,6 +1052,17 @@ def test_cli_integrate(capsys):
     payload = json.loads(out)
     assert len(payload["trajectory"]) == 201
     assert payload["terminal_residual"] < 1.0
+
+
+def test_cli_integrate_csv_is_the_json_trajectory(capsys):
+    # before: each x cell was written as np.float64(...)
+    argv = ["dynsys", "integrate", "--x0=0.3,-0.2,0.1", "--mu=0.3", "--steps", "20"]
+    code, out, _ = run_capture(capsys, argv)
+    trajectory = json.loads(out)["trajectory"]
+    code_csv, csv, _ = run_capture(capsys, argv + ["--format", "csv"])
+    assert (code, code_csv) == (0, 0)
+    rows = [[float(cell) for cell in line.split(",")[2:]] for line in csv.splitlines()[1:]]
+    assert np.array(rows).tobytes() == np.array(trajectory).tobytes()
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import subprocess
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import orthosym
-from orthosym import dynsys, fixtures, spectral, stencil
+from orthosym import dynsys, fixtures, graphsym, procrustes, spectral, stencil
 from orthosym.cli import EXIT_NUMERICAL, run
 from orthosym.errors import ConvergenceError, DimensionError, SymmetryError
 from orthosym.spectral import (
@@ -33,6 +34,26 @@ from helpers import (
     random_symmetric,
     symmetric_matrices,
 )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: SymMatrix(np.eye(3)),
+        lambda: eig_sym(np.diag([1.0, 1.0, 2.0])),
+        lambda: procrustes.solve(np.diag([1.0, 2.0]), np.diag([2.0, 1.0])),
+        lambda: graphsym.Graph(np.array([[0, 1], [1, 0]])),
+        lambda: dynsys.equilibria(0.25),
+        lambda: dynsys.equilibria(0.25).components[-1],
+    ],
+    ids=["SymMatrix", "SpectralDecomposition", "ProcrustesSolution", "Graph", "EquilibriumSet", "Component"],
+)
+def test_results_holding_arrays_compare_and_hash_by_identity(make):
+    # before: == raised "The truth value of an array ... is ambiguous"
+    x = make()
+    y = dataclasses.replace(x)
+    assert x is not y and (x == y) is False and (x != y) is True
+    assert x == x and hash(x) == hash(x) and len({x, y}) == 2
 
 
 def test_check_symmetric_identity():
