@@ -107,67 +107,91 @@ def _search_maps(a: np.ndarray, b: np.ndarray, limit: int | None, first_only: bo
     """Backtracking search for vertex maps with b[m(u), m(v)] == a[u, v],
     one (k, n) int32 array with a map per row, in the order found.
 
-    Vertices of ``a`` are placed in order of descending degree (ties by
-    index), each trying the images ``w`` of equal signature in ascending
-    order.  A partial map m at position ``pos`` accepts ``w`` iff ``w`` is
-    unused, is adjacent in ``b`` to m(order[j]) for every earlier position
-    j adjacent in ``a`` to order[pos], and has no other placed image as a
-    neighbour.  Exact integer arithmetic throughout.
+    Each vertex of ``a`` may go only to the vertices of ``b`` of equal
+    signature.  A vertex whose class in ``b`` has one vertex is forced:
+    every map sends it there.  The forced vertices are placed first, as one
+    prefix checked in one step (distinct images, and the same edges among
+    them, over the edge lists), and the search branches on the others only,
+    in order of descending degree (ties by index), each trying the images
+    ``w`` of its class in ascending order.  A partial map m at position
+    ``pos`` accepts ``w`` iff ``w`` is unused, is adjacent in ``b`` to
+    m(order[j]) for every earlier position j adjacent in ``a`` to
+    order[pos], and has no other placed image as a neighbour.  Exact
+    integer arithmetic throughout.
+
+    Every leaf agrees on the forced positions, and the branching positions
+    keep their order among themselves, so the leaves and their order are
+    those of placing every vertex in order of descending degree.  A graph
+    with no forced vertex, such as a regular one, keeps that very tree.
 
     The search is depth-first over partial maps, held as rows of int32
     images in position order on an explicit stack with one level per depth,
     so the size of the graph meets no recursion limit.  One numpy step tests
     every candidate of a slice of rows of the deepest level at once and
     pushes the accepted children, by parent and then by ascending ``w``, as
-    the next level.  So the tree, the order of its leaves, the first map
-    found and the point where LimitExceededError is raised are those of
-    placing one image at a time.
+    the next level.  So the tree below the prefix, the order of its leaves,
+    the first map found and the point where LimitExceededError is raised
+    are those of placing one image at a time.
 
     Memory: a level holds at most ``max(_HOLD // n, pos + 1)`` images (a
     step keeps at most that many children, but at least one, and the next
     step resumes after the last child kept), and it is dropped as soon as
-    its last row is expanded.  The stack therefore holds at most
-    ``_HOLD + n(n + 1)/2`` images, and O(1) levels for a chain-shaped tree
-    such as a long path's.  A step expands about ``_BATCH // max(n, class
-    size * degree)`` rows, so its arrays hold O(max(_BATCH, n, edges of b))
-    entries."""
+    its last row is expanded; the prefix is one row of at most n images.
+    The stack therefore holds at most ``_HOLD + n(n + 1)/2`` images, and
+    O(1) levels for a chain-shaped tree such as a long path's.  A step
+    expands about ``_BATCH // max(n, class size * degree)`` rows, so its
+    arrays hold O(max(_BATCH, n, edges of b)) entries, and the prefix check
+    O(n + edges)."""
     n = a.shape[0]
     cols_a, ptr_a, sig_a = _signatures(a)
     cols_b, ptr_b, sig_b = (cols_a, ptr_a, sig_a) if b is a else _signatures(b)
-    order = np.argsort(-np.diff(ptr_a), kind="stable")
-    rank = np.empty(n, dtype=np.intp)
-    rank[order] = np.arange(n)
-    # earlier[pos]: the positions j < pos adjacent in ``a`` to order[pos]
-    src = rank[np.repeat(np.arange(n), np.diff(ptr_a))]
-    dst = rank[cols_a]
-    back = dst < src
-    src, dst = src[back], dst[back]
-    bounds = np.cumsum(np.bincount(src, minlength=n))[:-1]
-    earlier = np.split(dst[np.argsort(src, kind="stable")], bounds)
-    # per signature of ``b``: its vertices ascending, and their neighbours
-    # as one (degree, size) table, since the signature fixes the degree
+    # per signature of ``b``: its vertices, ascending
     by_sig: dict[tuple, list[int]] = {}
     for w, sig in enumerate(sig_b):
         by_sig.setdefault(sig, []).append(w)
-    classes = {}
-    for sig, ws in by_sig.items():
-        cand = np.array(ws, dtype=np.int32)
-        classes[sig] = (cand, cols_b[ptr_b[cand] + np.arange(sig[0])[:, None]])
-    if any(sig not in classes for sig in sig_a):
+    classes = [by_sig.get(sig) for sig in sig_a]
+    if None in classes:
         return np.empty((0, n), dtype=np.int32)  # a vertex with no candidate image
-    # per position: candidates, their neighbours, e = earlier[pos], how many
-    # maps one step expands, and how many children it keeps
+    deg_a = np.diff(ptr_a)
+    order = np.argsort(-deg_a, kind="stable")
+    forced = np.array([len(ws) == 1 for ws in classes], dtype=bool)
+    order = np.concatenate((order[forced[order]], order[~forced[order]]))
+    f = int(np.count_nonzero(forced))
+    prefix = np.array([classes[v][0] for v in order[:f].tolist()], dtype=np.int32)
+    if b is not a and not _prefix_fits(b, order[:f], prefix, cols_a, ptr_a, cols_b, ptr_b):
+        return np.empty((0, n), dtype=np.int32)
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    # earlier[pos - f]: the positions j < pos adjacent in ``a`` to
+    # order[pos], for the branching positions pos >= f
+    src = rank[np.repeat(np.arange(n), deg_a)]
+    dst = rank[cols_a]
+    back = (dst < src) & (src >= f)
+    src, dst = src[back] - f, dst[back]
+    bounds = np.cumsum(np.bincount(src, minlength=n - f))[:-1]
+    earlier = np.split(dst[np.argsort(src, kind="stable")], bounds)
+    # per class of a branching vertex: its vertices, and their neighbours
+    # as one (degree, size) table, since the signature fixes the degree
+    tables = {}
     steps = []
-    for pos, v in enumerate(order.tolist()):
-        cand, nbrs = classes[sig_a[v]]
+    for pos, v in enumerate(order[f:].tolist(), start=f):
+        sig = sig_a[v]
+        if sig not in tables:
+            cand = np.array(classes[v], dtype=np.int32)
+            tables[sig] = (cand, cols_b[ptr_b[cand] + np.arange(sig[0])[:, None]])
+        cand, nbrs = tables[sig]
+        # how many maps one step expands, and how many children it keeps
         keep = max(1, _HOLD // (n * (pos + 1)))
         width = min(keep, max(1, _BATCH // max(n, nbrs.size)))
-        steps.append((cand, nbrs, earlier[pos], width, keep))
+        steps.append((cand, nbrs, earlier[pos - f], width, keep))
 
     found: list[np.ndarray] = []
     count = 0
     rows = np.arange(max((step[3] for step in steps), default=1))[:, None]
-    levels = [[np.zeros((1, 0), dtype=np.int32), 0]]  # [maps, next (map, candidate) pair]
+    # a placed image weighs 1 if it is that of a position in e and n if
+    # not, so a sum over the at most n - 1 neighbours of w stays below n^2
+    total = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
+    levels = [[prefix[None], 0]]  # [maps, next (map, candidate) pair]
     while levels:
         level = levels[-1]
         maps, start = level
@@ -185,7 +209,7 @@ def _search_maps(a: np.ndarray, b: np.ndarray, limit: int | None, first_only: bo
             if first_only:
                 break
             continue
-        cand, nbrs, e, width, keep = steps[pos]
+        cand, nbrs, e, width, keep = steps[pos - f]
         size = len(cand)
         first, skip = divmod(start, size)
         parents = maps[first : first + width]
@@ -194,37 +218,62 @@ def _search_maps(a: np.ndarray, b: np.ndarray, limit: int | None, first_only: bo
         # for any other placed image, 0 if unplaced; so the sum over the
         # neighbours of w is len(e) iff w is adjacent to every image of e
         # and to no other placed image
-        weight = np.full(pos, n, dtype=np.int32)
+        weight = np.full(pos, n, dtype=total)
         weight[e] = 1
-        mark = np.zeros((k, n), dtype=np.int32)
+        mark = np.zeros((k, n), dtype=total)
         mark[rows[:k], parents] = weight
-        ok = mark[:, nbrs].sum(axis=1) == len(e)
+        ok = mark[:, nbrs].sum(axis=1, dtype=total) == len(e)
         ok &= mark[:, cand] == 0
-        ok[0, :skip] = False  # tried by the previous step
-        parent, w = np.nonzero(ok)
-        if len(w) > keep:
-            parent, w = parent[:keep], w[:keep]
-            level[1] = (first + int(parent[-1])) * size + int(w[-1]) + 1
+        if skip:
+            ok[0, :skip] = False  # tried by the previous step
+        # (parent, candidate) pairs, numbered from the first parent
+        hits = np.flatnonzero(ok)
+        if len(hits) > keep:
+            hits = hits[:keep]
+            level[1] = first * size + int(hits[-1]) + 1
         else:
             level[1] = (first + k) * size
         if level[1] == len(maps) * size:
             levels.pop()
-        if len(w):
+        if len(hits):
+            parent, w = np.divmod(hits, size)
             levels.append([np.concatenate((parents[parent], cand[w][:, None]), axis=1), 0])
     return np.concatenate(found) if found else np.empty((0, n), dtype=np.int32)
+
+
+def _prefix_fits(b, forced, images, cols_a, ptr_a, cols_b, ptr_b) -> bool:
+    """True iff sending the vertices ``forced`` of ``a`` to ``images`` in
+    ``b`` is one-to-one and keeps edges and non-edges among them: each edge
+    of ``a`` among them goes to an edge of ``b``, and ``b`` has no other
+    edge among the images.  O(n + edges) memory, never an f x f block."""
+    n = len(b)
+    hit = np.zeros(n, dtype=bool)
+    hit[images] = True
+    if np.count_nonzero(hit) < len(images):
+        return False  # two forced vertices need the same image
+    at = np.full(n, -1, dtype=np.intp)
+    at[forced] = images
+    src, dst = at[np.repeat(np.arange(n), np.diff(ptr_a))], at[cols_a]
+    inner = (src >= 0) & (dst >= 0)
+    if not b[src[inner], dst[inner]].all():
+        return False
+    inner_b = hit[np.repeat(np.arange(n), np.diff(ptr_b))] & hit[cols_b]
+    return np.count_nonzero(inner_b) == np.count_nonzero(inner)
 
 
 def automorphisms(graph: Graph, limit: int = DEFAULT_AUT_LIMIT) -> np.ndarray:
     """All permutations P with P A = A P, exactly, as the rows of one
     read-only (k, n) int32 array in ascending lexicographic order.
 
-    Degree-ordered backtracking with signature pruning, run a batch of
-    partial maps per numpy step over the same search tree, in the same leaf
-    order, as placing one image at a time (exact for any n, practical at
-    desk scale).  It has no recursion limit, and its stack holds at most
-    2^20 + n(n + 1)/2 int32 images.  Aborts with LimitExceededError
-    if more than ``limit`` automorphisms exist, and with ValueError if
-    ``limit`` is negative.
+    Backtracking with signature pruning: each vertex whose degree
+    signature no other vertex shares is fixed first, in one step, and the
+    rest branch in order of descending degree, a batch of partial maps per
+    numpy step.  Every map fixes those vertices, so the leaves come in the
+    order of placing one image at a time in degree order (exact for any n,
+    practical at desk scale).  It has no recursion limit, and its stack
+    holds at most 2^20 + n(n + 1)/2 int32 images.  Aborts with
+    LimitExceededError if more than ``limit`` automorphisms exist, and with
+    ValueError if ``limit`` is negative.
     """
     if limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
@@ -244,12 +293,15 @@ def find_isomorphism(ga: Graph, gb: Graph) -> Optional[np.ndarray]:
     that ``gb.adjacency[np.ix_(m, m)] == ga.adjacency``, as a read-only
     int32 array, or None.
 
-    Isospectrality is checked first (necessary for isomorphism), within
-    1e-8 * max(1, ||A||_F); the exact backtracking search runs only when the
-    spectra agree.  The map returned is the first leaf of the search tree in
-    depth-first order; the search expands a batch of partial maps per numpy
-    step, with the tree, the leaf order and the memory bound of
-    ``automorphisms``.  Capped at n <= 12.
+    The checks run in this order: graphs of different sizes give None;
+    a pair above n = 12 raises SizeCapError, before any spectrum is
+    computed; then isospectrality (necessary for isomorphism) is checked
+    on the eigenvalues alone, within 1e-8 * max(1, ||A||_F); and the exact
+    backtracking search runs only when the spectra agree.  The map returned
+    is the first leaf of the search tree in depth-first order; the search
+    fixes the vertices whose signature class in the second graph has one
+    vertex first, then expands a batch of partial maps per numpy step, with
+    the leaf order and the memory bound of ``automorphisms``.
     """
     if ga.n != gb.n:
         return None

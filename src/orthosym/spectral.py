@@ -220,13 +220,11 @@ def eig_stack(stack) -> list[SpectralDecomposition]:
     return _solve(s)
 
 
-def _solve(stack, cluster_tol_hex=None) -> list[SpectralDecomposition]:
-    """The decompositions of a (k, n, n) stack, each solved as it would be
-    alone.  The solve path's one input check: the first matrix that
-    ``as_sym`` rejects, in stack order, raises what ``as_sym`` raises, before
-    anything is solved.  Then a LAPACK failure is raised as
-    ConvergenceError, and the first error of ``_spectrum``, in stack order,
-    as it is."""
+def _prepared(stack) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, n, n) stack as LAPACK solves it, and per matrix the power of
+    two its eigenvalues are scaled back by, as a (k, 1, 1) int array.  The
+    first matrix that ``as_sym`` rejects, in stack order, raises what
+    ``as_sym`` raises."""
     top = np.abs(stack).max(axis=(1, 2), keepdims=True, initial=0.0)
     exact = (stack == stack.swapaxes(1, 2)).all(axis=(1, 2))
     # a matrix that is finite (its largest magnitude is) and exactly
@@ -250,6 +248,17 @@ def _solve(stack, cluster_tol_hex=None) -> list[SpectralDecomposition]:
         extra = np.frexp(np.abs(work).max(axis=(1, 2), keepdims=True, initial=0.0))[1]
         work = np.ldexp(work, -extra)
         shift += extra
+    return work, shift
+
+
+def _solve(stack, cluster_tol_hex=None) -> list[SpectralDecomposition]:
+    """The decompositions of a (k, n, n) stack, each solved as it would be
+    alone.  The solve path's one input check: the first matrix that
+    ``as_sym`` rejects, in stack order, raises what ``as_sym`` raises, before
+    anything is solved.  Then a LAPACK failure is raised as
+    ConvergenceError, and the first error of ``_spectrum``, in stack order,
+    as it is."""
+    work, shift = _prepared(stack)
     try:
         # LAPACK returns the eigenvalues in ascending order
         diag, u = np.linalg.eigh(work)
@@ -262,6 +271,20 @@ def _solve(stack, cluster_tol_hex=None) -> list[SpectralDecomposition]:
     ]
 
 
+def _scaled_back(diag, shift):
+    """The ascending eigenvalues ``diag`` of a matrix solved at a scale of
+    2^-shift, times 2^shift, and the largest of their magnitudes before
+    that; raises ValueError if an eigenvalue overflows."""
+    # diag is ascending, as LAPACK returns it, so the largest |lambda| is
+    # at one end
+    top = max(abs(float(diag[0])), abs(float(diag[-1]))) if len(diag) else 0.0
+    # np.ldexp below would return inf, with only a warning, for an
+    # eigenvalue past the float range
+    if math.isinf(_unscaled(top, shift)):
+        raise ValueError("an eigenvalue overflows the float range")
+    return np.ldexp(diag, shift), top
+
+
 def _spectrum(diag, shift, cluster_tol_hex):
     """The eigenvalues ``diag`` of a matrix solved at a scale of 2^-shift,
     scaled back and clustered: (lambdas, clusters, cluster_tol, borderline)
@@ -269,15 +292,8 @@ def _spectrum(diag, shift, cluster_tol_hex):
 
     Raises ValueError if an eigenvalue overflows or the tolerance (given as
     ``float.hex``, or None for the default) is negative or not finite."""
-    # diag is ascending, as LAPACK returns it, so the largest |lambda| is
-    # at one end
-    top = max(abs(float(diag[0])), abs(float(diag[-1]))) if len(diag) else 0.0
-    # np.ldexp below would return inf, with only a warning, for an
-    # eigenvalue past the float range
+    lam, top = _scaled_back(diag, shift)
     largest = _unscaled(top, shift)
-    if math.isinf(largest):
-        raise ValueError("an eigenvalue overflows the float range")
-    lam = np.ldexp(diag, shift)
     # 1e-8 relative to the largest |lambda|, so that scaling the matrix
     # scales the tolerance with it; the zero matrix gets 0 (one cluster)
     tol = _unscaled(1e-8 * top, shift) if cluster_tol_hex is None else float.fromhex(cluster_tol_hex)
@@ -317,13 +333,30 @@ def _spectrum(diag, shift, cluster_tol_hex):
     return lam, tuple(clusters), tol, tuple(borderline)
 
 
+def _eigenvalues(a) -> np.ndarray:
+    """The ascending eigenvalues of ``eig_sym(a)`` from LAPACK's
+    eigenvalue-only solver (numpy's ``eigvalsh``), with the input checks,
+    the errors and the power-of-two scaling of ``eig_sym`` but no
+    eigenvectors, signs or clusters.  They may differ from
+    ``eig_sym(a).lambdas`` in the last bits, and the memo is not used."""
+    work, shift = _prepared(_square(a)[None])
+    try:
+        diag = np.linalg.eigvalsh(work[0])
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
+    return _scaled_back(diag, shift.item())[0]
+
+
 def isospectral(a, b, tol: float) -> bool:
-    """True iff the sorted spectra of A and B agree elementwise within tol."""
+    """True iff the sorted spectra of A and B agree elementwise within tol.
+
+    Each spectrum is computed as ``eig_sym`` computes it, checks and
+    scaling included, but without eigenvectors; an error in A is raised
+    before B is read."""
     # an infinite tol accepts any pair and a NaN one rejects every pair
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol:g}")
-    la = eig_sym(a).lambdas
-    lb = eig_sym(b).lambdas
+    la, lb = _eigenvalues(a), _eigenvalues(b)
     if len(la) != len(lb):
         raise DimensionError(f"dimension mismatch: {len(la)} vs {len(lb)}")
     # spectra and tol divided by 2^s, so that la - lb cannot overflow

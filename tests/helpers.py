@@ -93,7 +93,28 @@ def brute_force_isomorphisms(a, b):
     return [tuple(map(int, p)) for p in perms[match]]
 
 
-def scalar_search_maps(a, b, limit, first_only, placed=None):
+def neighbours_and_signatures(m):
+    """Per vertex its ascending neighbours and its degree signature (degree
+    plus sorted neighbour degrees), as lists."""
+    rows, cols = np.nonzero(m)
+    deg = np.bincount(rows, minlength=m.shape[0])
+    bounds = np.concatenate(([0], np.cumsum(deg))).tolist()
+    cols_l = cols.tolist()
+    nbr_deg = deg[cols][np.lexsort((deg[cols], rows))].tolist()
+    neighbours = [cols_l[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    signatures = [(hi - lo, tuple(nbr_deg[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
+    return neighbours, signatures
+
+
+def forced_vertices(a, b):
+    """The vertices of ``a`` whose signature class in ``b`` has exactly one
+    vertex, ascending: each has one possible image."""
+    _, sig_a = neighbours_and_signatures(np.asarray(a))
+    _, sig_b = neighbours_and_signatures(np.asarray(b))
+    return [v for v, sig in enumerate(sig_a) if sig_b.count(sig) == 1]
+
+
+def scalar_search_maps(a, b, limit, first_only, placed=None, forced_first=False):
     """Test-only copy of the one-map-at-a-time backtracking search that
     ``graphsym._search_maps`` replaced: the reference for its results,
     their order, and where it raises LimitExceededError.  Each image placed,
@@ -102,25 +123,20 @@ def scalar_search_maps(a, b, limit, first_only, placed=None):
 
     Vertices of ``a`` are placed in order of descending degree (ties by
     index), each trying the images ``w`` of equal signature (degree plus
-    sorted neighbour degrees) in ascending order.  Position ``pos`` accepts
+    sorted neighbour degrees) in ascending order.  With ``forced_first``,
+    the ``forced_vertices`` come first, in that order among themselves, and
+    then the others, in that order: the order of the batched search, whose
+    tree below the forced prefix is this one's.  Position ``pos`` accepts
     ``w`` iff it is unused and its edges to the images of positions
     0..pos-1 equal the edges of ``order[pos]`` to those vertices, kept as
     one bitmask over positions per vertex of ``b``."""
-
-    def neighbours_and_signatures(m):
-        rows, cols = np.nonzero(m)
-        deg = np.bincount(rows, minlength=m.shape[0])
-        bounds = np.concatenate(([0], np.cumsum(deg))).tolist()
-        cols_l = cols.tolist()
-        nbr_deg = deg[cols][np.lexsort((deg[cols], rows))].tolist()
-        neighbours = [cols_l[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-        signatures = [(hi - lo, tuple(nbr_deg[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
-        return neighbours, signatures
-
     n = a.shape[0]
     nbrs_a, sig_a = neighbours_and_signatures(a)
     nbrs_b, sig_b = (nbrs_a, sig_a) if b is a else neighbours_and_signatures(b)
     order = sorted(range(n), key=lambda v: (-sig_a[v][0], v))
+    if forced_first:
+        forced = set(forced_vertices(a, b))
+        order = [v for v in order if v in forced] + [v for v in order if v not in forced]
     rank = [0] * n
     for pos, v in enumerate(order):
         rank[v] = pos

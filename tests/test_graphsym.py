@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from orthosym import fixtures, graphsym
+from orthosym import fixtures, graphsym, spectral
 from orthosym.errors import LimitExceededError, SizeCapError, StructureError
 from orthosym.graphsym import (
     Graph,
@@ -19,7 +19,7 @@ from orthosym.graphsym import (
 )
 from orthosym.isotropy import commutator_residual, is_member
 
-from helpers import MASTER_SEED, brute_force_isomorphisms, random_cubic, scalar_search_maps
+from helpers import MASTER_SEED, brute_force_isomorphisms, forced_vertices, random_cubic, scalar_search_maps
 
 PATH3 = Graph.from_edges([(0, 1), (1, 2)])
 K4 = Graph.from_edges([(i, j) for i in range(4) for j in range(i + 1, 4)])
@@ -247,44 +247,94 @@ def test_batched_search_matches_the_oracle_on_examples(graph):
         assert_search_matches_the_oracle(graph.adjacency, b, (None, 0, 3))
 
 
-@pytest.mark.parametrize("name", ["C6", "Q3", "petersen", "cubic12", "asymmetric"])
+def gnp(rng, n, p=0.3):
+    """G(n, p) as an int64 adjacency, drawn as the benchmark draws it."""
+    a = np.triu((rng.random((n, n)) < p).astype(np.int64), 1)
+    return a + a.T
+
+
+def search_counting_children(monkeypatch, a, b):
+    """``_search_maps(a, b)`` listing every map, and how many children each
+    of its steps created, counted where it joins them as (parent images,
+    image) rows."""
+    created = []
+    concatenate = np.concatenate
+
+    def counting(arrays, axis=0, **kwargs):
+        out = concatenate(arrays, axis=axis, **kwargs)
+        if axis == 1:
+            created.append(len(out))
+        return out
+
+    monkeypatch.setattr(np, "concatenate", counting)
+    try:
+        return graphsym._search_maps(a, b, None, False), created
+    finally:
+        monkeypatch.setattr(np, "concatenate", concatenate)
+
+
+@pytest.mark.parametrize("name", ["C6", "Q3", "petersen", "cubic12", "asymmetric", "gnp20", "gnp30", "gnp40"])
 def test_batched_search_visits_the_same_tree(monkeypatch, name):
-    # node for node: the batched search creates exactly the partial maps
-    # that placing one image at a time visits (fewer only when a vertex
-    # has no candidate image at all, where it stops at once).  The count
-    # condition, for one, only prunes: degree signatures already force the
-    # same leaves, so only the size of the tree shows it.
+    # node for node: below the prefix of forced vertices, the batched search
+    # creates exactly the partial maps that placing one image at a time, in
+    # its order, visits (fewer only when a vertex has no candidate image at
+    # all or the prefix does not fit, where it stops at once).  The prefix
+    # is one row, where the reference places one image per forced vertex;
+    # the regular graphs have none.  The count condition, for one, only
+    # prunes: degree signatures already force the same leaves, so only the
+    # size of the tree shows it.
     graphs = {
         "C6": Graph.from_edges([(i, (i + 1) % 6) for i in range(6)]),
         "Q3": Graph.from_edges([(u, u ^ bit) for u in range(8) for bit in (1, 2, 4) if u < u ^ bit]),
         "petersen": petersen(),
         "cubic12": Graph(random_cubic(np.random.default_rng(MASTER_SEED + 41), 12)),
         "asymmetric": fixtures.asymmetric_graph(),
+        # seeded G(n, 0.3) draws in which a few vertices still branch
+        "gnp20": Graph(gnp(np.random.default_rng(MASTER_SEED + 46), 20)),
+        "gnp30": Graph(gnp(np.random.default_rng(MASTER_SEED + 49), 30)),
+        "gnp40": Graph(gnp(np.random.default_rng(MASTER_SEED + 91), 40)),
     }
     a = graphs[name].adjacency
     rng = np.random.default_rng(MASTER_SEED + 34)
-    created = []
-    concatenate = np.concatenate
-
-    def counting(arrays, axis=0, **kwargs):
-        out = concatenate(arrays, axis=axis, **kwargs)
-        if axis == 1:  # the children of one step, as (parent images, image) rows
-            created.append(len(out))
-        return out
-
     partners = search_partners(a, rng.permutation(len(a)), rng.permutation(len(a))[:2])
     for i, b in enumerate(partners):
         placed = []
-        expected = scalar_search_maps(a, b, None, False, placed)
-        monkeypatch.setattr(np, "concatenate", counting)
-        created.clear()
-        got = graphsym._search_maps(a, b, None, False)
-        monkeypatch.setattr(np, "concatenate", concatenate)
+        expected = scalar_search_maps(a, b, None, False, placed, forced_first=True)
+        got, created = search_counting_children(monkeypatch, a, b)
         assert rows(got) == expected
         if i < 2:  # a itself and the relabelled copy
-            assert sum(created) == len(placed) > 0
+            assert sum(created) == len(placed) - len(forced_vertices(a, b)) > 0
         else:
             assert sum(created) <= len(placed)
+
+
+def test_an_all_forced_graph_needs_no_search_step(monkeypatch):
+    # every vertex of this G(30, 0.3) draw has its own degree signature, so
+    # the prefix is the whole map: the identity, or the relabelling
+    a = gnp(np.random.default_rng(MASTER_SEED + 41), 30)
+    perm = np.random.default_rng(MASTER_SEED + 42).permutation(30)
+    b = a[np.ix_(perm, perm)]
+    assert len(forced_vertices(a, b)) == 30
+    for partner in (a, b):
+        got, created = search_counting_children(monkeypatch, a, partner)
+        assert created == []
+        assert rows(got) == scalar_search_maps(a, partner, None, False)
+    assert rows(got) == [tuple(np.argsort(perm).tolist())]
+    assert automorphisms(Graph(a)).tolist() == [list(range(30))]
+
+
+def test_two_vertices_forced_onto_one_image_give_no_map(monkeypatch):
+    # every vertex of C6 has signature (2, (2, 2)); C6 with the chord 0-2
+    # has one such vertex, 4, so all six would need it.  The prefix check
+    # sees that before any step; placing one image at a time in degree
+    # order would first take vertex 0 to 4
+    c6 = Graph.from_edges([(i, (i + 1) % 6) for i in range(6)]).adjacency
+    chord = c6.copy()
+    chord[0, 2] = chord[2, 0] = 1
+    assert forced_vertices(c6, chord) == list(range(6))
+    got, created = search_counting_children(monkeypatch, c6, chord)
+    assert got.shape == (0, 6) and created == []
+    assert brute_force_isomorphisms(chord, c6) == []
 
 
 def test_search_on_a_long_path_holds_less_than_n_squared_bytes():
@@ -529,8 +579,17 @@ def test_find_isomorphism_spectral_reject():
     assert find_isomorphism(g, h) is None
 
 
-def test_find_isomorphism_size_mismatch_and_cap():
+def test_find_isomorphism_size_mismatch_and_cap(monkeypatch):
     assert find_isomorphism(PATH3, Graph.from_edges([(0, 1)])) is None
-    big = Graph(np.zeros((13, 13), dtype=int))
-    with pytest.raises(SizeCapError):
-        find_isomorphism(big, big)
+    # a 13-vertex pair with different spectra: the cap refuses it before
+    # any eigenvalue is computed
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("a spectrum was computed")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_spectrum)
+    monkeypatch.setattr(np.linalg, "eigh", no_spectrum)
+    monkeypatch.setattr(spectral, "eig_sym", no_spectrum)
+    monkeypatch.setattr(graphsym, "eig_sym", no_spectrum)
+    path = Graph.from_edges([(i, i + 1) for i in range(12)])
+    with pytest.raises(SizeCapError, match="capped at n <= 12"):
+        find_isomorphism(path, Graph(np.zeros((13, 13), dtype=int)))

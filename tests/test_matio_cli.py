@@ -796,6 +796,31 @@ def test_cli_procrustes_solve(capsys, tmp_path):
     assert payload["lower_bound"] <= 1e-12
 
 
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+def test_cli_procrustes_solve_attains_the_hoffman_wielandt_bound(capsys, tmp_path, order):
+    # closed form: the optimal cost ||PA - BP||_F is the distance between
+    # the spectra sorted the same way, sqrt(sum (lambda_A,i - lambda_B,i)^2),
+    # here from numpy's eigvalsh rather than the library's solver
+    rng = np.random.default_rng(MASTER_SEED + 93)
+    eps = np.finfo(float).eps
+    for n in (2, 5, 9, 16):
+        a, b = random_symmetric(rng, n), 3.0 * random_symmetric(rng, n)
+        pa, pb = tmp_path / f"a{n}.txt", tmp_path / f"b{n}.txt"
+        pa.write_text(format_matrix(a))
+        pb.write_text(format_matrix(b))
+        argv = ["procrustes", "solve", "--input-a", str(pa), "--input-b", str(pb), "--order", order]
+        code, out, _ = run_capture(capsys, argv)
+        assert code == 0
+        la, lb = np.linalg.eigvalsh(a), np.linalg.eigvalsh(b)
+        if order == "descending":
+            la, lb = la[::-1], lb[::-1]
+        expected = math.sqrt(float(np.sum((la - lb) ** 2)))
+        payload = json.loads(out)
+        scale = np.linalg.norm(a) + np.linalg.norm(b)
+        assert abs(payload["cost"] - expected) <= 16 * n * eps * scale
+        assert abs(payload["lower_bound"] - expected) <= 16 * n * eps * scale
+
+
 def test_cli_procrustes_solve_of_entries_near_1e300(capsys, tmp_path):
     # the squares in both norms overflow; the norms themselves do not
     a = tmp_path / "a.txt"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orthosym.errors import DimensionError, StructureError
 from orthosym.graphsym import Graph
@@ -9,7 +11,7 @@ from orthosym.isotropy import gamma2_elements, is_member
 from orthosym.procrustes import cost, family_sample, solve
 from orthosym.spectral import eig_sym, isospectral
 
-from helpers import MASTER_SEED, haar_orthogonal, random_symmetric, set_distance
+from helpers import MASTER_SEED, haar_orthogonal, planted_matrix, random_symmetric, set_distance
 
 
 def similar_pair(seed, n=6):
@@ -189,6 +191,49 @@ def test_isospectral_of_spectra_near_the_float_maximum():
     # taken of both divided by one power of two, without a warning
     assert not isospectral([[1.7e308]], [[-1.7e308]], 1.0)
     assert isospectral([[1.7e308]], [[1.7e308]], 0.0)
+
+
+def scaling_pairs():
+    """(A, B, isospectral within 2^-26?) for planted spectra with repeated
+    eigenvalues and for the cospectral graphs K(1,4) and C4 + K1."""
+    rng = np.random.default_rng(MASTER_SEED + 92)
+    reps = [-2.0, 1.0, 1.0, 3.0, 3.0, 3.0]
+    a, _ = planted_matrix(rng, reps)
+    b, _ = planted_matrix(rng, reps)
+    c, _ = planted_matrix(rng, reps[:-1] + [3.5])
+    star = Graph.from_edges([(0, 1), (0, 2), (0, 3), (0, 4)]).adjacency.astype(float)
+    square = Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 0)], n=5).adjacency.astype(float)
+    path = Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 4)]).adjacency.astype(float)
+    return [(a, b, True), (a, c, False), (star, square, True), (star, path, False)]
+
+
+SCALING_PAIRS = scaling_pairs()
+# a planted matrix and its exact spectrum, which the computed one misses
+# by a few ulps
+PLANTED = planted_matrix(np.random.default_rng(MASTER_SEED + 94), [-2.0, 1.0, 1.0, 3.0, 3.0, 3.0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(-1000, 1000))
+@example(k=-1000)
+@example(k=1000)
+def test_isospectral_commutes_with_a_power_of_two(k):
+    # isospectral(2^k A, 2^k B, 2^k tol) == isospectral(A, B, tol).  Each
+    # tol is a multiple of a power of two, so 2^k tol is exact even where
+    # it is subnormal
+    tol = 2.0**-26
+    for a, b, same in SCALING_PAIRS:
+        assert isospectral(a, b, tol) is same
+        assert isospectral(np.ldexp(a, k), np.ldexp(b, k), math.ldexp(tol, k)) is same
+    # tolerances of j 2^-56 straddle the rounding error of the computed
+    # spectrum, so the answer flips within the grid; it flips at the same
+    # j for every k only if each spectrum is computed at one scale
+    a, lam = PLANTED
+    b = np.diag(lam)
+    grid = [j * 2.0**-56 for j in range(1, 257)]
+    at_one = [isospectral(a, b, t) for t in grid]
+    assert any(at_one) and not all(at_one)
+    assert [isospectral(np.ldexp(a, k), np.ldexp(b, k), math.ldexp(t, k)) for t in grid] == at_one
 
 
 def test_isospectral_rejects_a_non_finite_or_negative_tol():
