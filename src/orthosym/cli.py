@@ -239,6 +239,8 @@ def _cmd_eig(args):
 # elements per piece of streamed gamma2 JSON: about 0.8 MB of text at n = 12,
 # from a slot buffer of about 1.1 MB
 _GAMMA2_BLOCK = 256
+# 10^18, ..., 10, 1: the place values of an int64's decimal digits
+_POWERS_OF_TEN = 10 ** np.arange(18, -1, -1)
 
 
 @functools.cache
@@ -260,32 +262,39 @@ def _gamma2_json(elements, count, multiplicities):
     "gamma": elements([k])[0]}, ...], "multiplicities": [...]},
     sort_keys=True)`` plus a newline, as an iterator of pieces of
     ``_GAMMA2_BLOCK`` elements.  ``elements(indices)`` gives the elements at
-    those indices as one stacked array; element count - 1 - k must have the
-    magnitudes of element k bit for bit, as in the sign group, which holds
-    -I, under sign-symmetric IEEE rounding.
+    those indices as one stacked array.  Element count - 1 - k must be
+    element k negated bit for bit, except for exact zeros, as in the sign
+    group, which holds -I, under sign-symmetric IEEE rounding: an entry
+    that cancels exactly is +0.0 in both elements, and a nonzero sum of
+    negated terms is the negated sum.
 
-    Each element of the group is self-adjoint, so the upper triangle of
-    each element of the first half is formatted, in (k, i <= j) order, into
-    the tokens json would write, and element k, like element count - 1 - k,
-    is written with codes k T + ``place`` into that table, T = n (n + 1) / 2.
-    A product need not come out symmetric bit for bit, so each lower entry
-    whose magnitude differs from its mirror's gets a row of its own after
-    the triangles.  The tokens come from ``floatrepr.table``,
-    ``float.__repr__`` (json's form of a finite float) byte for byte, and
-    each piece is laid out by ``_slot_text``.  "-" goes in front wherever an
-    element's own sign bit is set: ``repr(-x) == "-" + repr(x)`` for every
-    finite x, -0.0 included.  Element k's sign bits, flipped, would not do:
-    an entry that cancels exactly is +0.0 in both elements.  So the second
-    half is computed again, one piece at a time, for its sign bits only.
-    The first half's table is built before this returns, so a failure there
-    writes nothing."""
+    So a group of more than one piece is computed for its first half
+    alone; one of one piece comes from one product, which at such sizes
+    costs no more than its first half's.  Each element of the group is
+    self-adjoint, so the upper triangle of each element of the first half
+    is formatted, in (k, i <= j) order, into the tokens json would write,
+    and element k, like element count - 1 - k, is written with codes
+    k T + ``place`` into that table, T = n (n + 1) / 2.  A product need not
+    come out symmetric bit for bit, so each lower entry whose magnitude
+    differs from its mirror's gets a row of its own after the triangles.
+    The tokens come from ``floatrepr.table``, ``float.__repr__`` (json's
+    form of a finite float) byte for byte, and each piece is laid out by
+    ``_slot_text``.  "-" goes in front wherever an element's own sign bit is
+    set: ``repr(-x) == "-" + repr(x)`` for every finite x, -0.0 included.
+    Element count - 1 - k, where not computed, takes element k's sign bits
+    flipped, unless element k holds an exact zero: then it is computed, in
+    its piece, for its own sign bits.  The first half's table is built
+    before this returns, so a failure there writes nothing."""
     from . import floatrepr
 
     half = count // 2
-    # a first piece that spans both halves comes from the same product
-    first = elements(np.arange(max(half, min(count, _GAMMA2_BLOCK))))
+    computed = count if count <= _GAMMA2_BLOCK else half
+    first = elements(np.arange(computed))
     n = first.shape[1]
-    negative = np.signbit(first).reshape(len(first), n * n)
+    negative = np.signbit(first).reshape(computed, n * n)
+    if computed < count:
+        # the elements not computed whose mirror holds an exact zero
+        exact = count - 1 - np.flatnonzero((first == 0.0).any(axis=(1, 2)))
     up, down, place = _triangle(n)
     flat = first[:half].reshape(half, n * n)
     mags, mirror = np.take(flat, up, axis=1), np.take(flat, down, axis=1)
@@ -293,15 +302,18 @@ def _gamma2_json(elements, count, multiplicities):
     np.abs(mirror, out=mirror)
     del first, flat  # not kept while the token table is built
     # the lower entries, (element, place), that need a row of their own
-    own_k, own_t = np.nonzero(mags.view(np.uint64) != mirror.view(np.uint64))
+    differs = mags.view(np.uint64) != mirror.view(np.uint64)
     values = mags.reshape(-1)
-    if len(own_k):
+    # nonzero scans every entry even where none is set
+    own = differs.any()
+    if own:
+        own_k, own_t = np.nonzero(differs)
         values = np.concatenate([values, mirror[own_k, own_t]])
         # each such row for both elements written with it
         own_at = np.concatenate([own_k, count - 1 - own_k])
         own_entry = np.tile(down[own_t], 2)
         own_code = np.tile(np.arange(mags.size, len(values)), 2)
-    del mags, mirror
+    del mags, mirror, differs
     table = floatrepr.table(values)
     del values
     tokens = table.view(f"V{table.shape[1]}")[:, 0]
@@ -309,26 +321,41 @@ def _gamma2_json(elements, count, multiplicities):
     base = np.arange(count)
     base = np.minimum(base, base[::-1]) * len(up)
     before = _separators(n, n, "[[")
-    # each element's slots open its "[[", and what follows them closes it
-    after = ']], "index": {}}}, {{"gamma": '
-    ends_width = len(after.format(count - 1))
+    # each element's slots open its "[[", and what follows them closes it:
+    # its index in a field as wide as count - 1's, NUL-padded in front
+    close, digits = b']], "index": ', len(str(count - 1))
+    ends = np.frombuffer(close + b"\0" * digits + b'}, {"gamma": ', dtype=np.uint8)
+    field = slice(len(close), len(close) + digits)
+    powers = _POWERS_OF_TEN[-digits:]
     tail = f'], "multiplicities": {json.dumps(list(multiplicities))}}}\n'
 
     def block(lo):
         hi = min(lo + _GAMMA2_BLOCK, count)
-        signs = negative[lo:hi]
-        if len(signs) < hi - lo:
-            rest = elements(np.arange(lo + len(signs), hi))
-            signs = np.concatenate([signs, np.signbit(rest).reshape(-1, n * n)])
         codes = base[lo:hi, None] + place
-        if len(own_k):
+        if own:
             hit = (lo <= own_at) & (own_at < hi)
             codes[own_at[hit] - lo, own_entry[hit]] = own_code[hit]
-        ends = [after.format(k) for k in range(lo, hi)]
+        # elements lo to mid - 1 are computed, the rest written from their
+        # mirrors' sign bits flipped, or computed where those hold a zero
+        mid = min(max(lo, computed), hi)
+        signs = negative[lo:mid]
+        if mid < hi:
+            signs = np.concatenate([signs, ~negative[count - hi : count - mid][::-1]])
+            need = exact[(mid <= exact) & (exact < hi)]
+            if len(need):
+                signs[need - lo] = np.signbit(elements(need)).reshape(len(need), n * n)
+        rows = np.empty((hi - lo, len(ends)), dtype=np.uint8)
+        rows[:] = ends
+        # each index's digits from its first nonzero one on, and the 0 of
+        # element 0
+        q = np.arange(lo, hi)[:, None] // powers
+        rows[:, field] = (q % 10 + ord("0")) * (q > 0)
+        if lo == 0:
+            rows[0, field.stop - 1] = ord("0")
         if hi == count:
-            ends[-1] = f']], "index": {count - 1}}}'
-        ends = np.array(ends, dtype=f"S{ends_width}").view(np.uint8).reshape(-1, ends_width)
-        text = _slot_text(before, signs, tokens, codes, ends)
+            rows[-1, field.stop :] = 0
+            rows[-1, field.stop] = ord("}")
+        text = _slot_text(before, signs, tokens, codes, rows)
         return text + tail if hi == count else text
 
     head = f'{{"count": {count}, "elements": [{{"gamma": '
@@ -353,9 +380,10 @@ def _cmd_isotropy(args):
         if args.count < 0:
             raise _UsageError(f"count must be nonnegative, got {args.count}")
         seeds = [derive_seed(args.seed, k) for k in range(args.count)]
+        gammas = isotropy.sample_gammas(dec, seeds)
         samples = [
-            {"seed": seed, "gamma": g, "commutator_residual": isotropy.commutator_residual(a, g)}
-            for seed, g in zip(seeds, isotropy.sample_gammas(dec, seeds))
+            {"seed": seed, "gamma": g, "commutator_residual": comm}
+            for seed, g, comm in zip(seeds, gammas, isotropy._commutator_residuals(a, gammas))
         ]
         _emit(
             args,

@@ -28,13 +28,14 @@ MIN_VECTOR = 512
 CHUNK = 4096
 # tables of at least this many bytes are mapped on their own (see table)
 _MAPPED_FROM = 128 * 1024
-# A chunk's tokens are assembled a block of rows at a time, and each block's
+# A chunk's shifted tokens are assembled a block of rows at a time, and its
 # template gather a sub-block at a time, so that every temporary stays below
-# glibc's default mmap threshold, 128 KiB: a block's 32-byte rows take 64
-# KiB, and a gather's index, WIDTH intp offsets a row, 96 KiB.  A larger
-# block is mapped afresh, with its page faults, on every use, and freeing it
-# raises that threshold and the heap's trim threshold with it: about a
-# megabyte of heap top stayed resident after a whole chunk's index, 768 KiB
+# glibc's default mmap threshold, 128 KiB: a chunk's word indices, 8 uint16
+# a row, take 64 KiB, a block's, 6 intp a row, 96 KiB, and a gather's
+# index, WIDTH intp a row, 96 KiB.  A larger block is mapped afresh, with
+# its page faults, on every use, and freeing it raises that threshold and
+# the heap's trim threshold with it: about a megabyte of heap top stayed
+# resident after a whole chunk's index, 768 KiB
 _BLOCK = 2048
 _GATHER = 512
 
@@ -53,20 +54,23 @@ _EXP = _D_HI - _D_LO + 1
 # bytes per token: the longest repr of a value without a sign bit,
 # "2.2250738585072014e-308", and a NUL at least
 WIDTH = 24
-# a row of the byte buffer: the 17 digits at bytes 3-19 (bytes 0-2 are the
-# leading zeros of the first 4-digit group), ".0" and NULs at 20-23, then
-# the exponent, "e-05" or "e+308", with NULs after it at 24-31
-_DIGIT, _DOT, _ZERO, _NUL, _EXPONENT = 3, 20, 21, 22, 24
+# a row of the byte buffer: ".0" and NULs at bytes 0-3, the 17 digits at
+# bytes 7-23 (bytes 4-6 are the leading zeros of the first 4-digit group),
+# then the exponent, "e-05" or "e+308", with NULs after it at 24-31
+_DOT, _ZERO, _NUL, _DIGIT, _EXPONENT = 0, 1, 2, 7, 24
 _ROW = 32
+# where a row's first word follows the 10,000 digit groups in _WORDS
+_FIRST = 10_000
 
 
 def _tables():
     """The lookup tables: Schubfach's g(k) =
     floor(10^-k / 2^r) + 1, 2^125 <= g < 2^126, as g1 = g >> 63 and the
-    32-bit limbs of g1 and of g0 = g mod 2^63; the 4 ASCII digits of each
-    group 0000-9999 as one uint32; for the four groups that follow the
-    leading digit, the digit count up to a group's last nonzero digit; the
-    exponent bytes of each decimal point position; and the templates."""
+    32-bit limbs of g1 and of g0 = g mod 2^63; the 4-byte words a row is
+    made of, the 4 ASCII digits of each group 0000-9999 then those at
+    _FIRST; for the four groups that follow the leading digit, the digit
+    count up to a group's last nonzero digit; the templates; and the masks
+    of the shifted tokens."""
     limbs = []
     for k in range(_K_MIN, _K_MAX + 1):
         # r = floor(log2 10^-k) - 125, so that 2^125 <= 10^-k / 2^r < 2^126
@@ -92,8 +96,8 @@ def _tables():
     kept = 4 - np.select([group % 10**j == 0 for j in (3, 2, 1)], [3, 2, 1], 0)
     kept = np.where(group == 0, 1, 1 + 4 * np.arange(4)[:, None] + kept).astype(np.int16)
 
-    # by decimal point position d - _K_MIN: a normal double has
-    # k <= d - 16 <= k + 1
+    # two words each, by decimal point position d - _K_MIN: a normal double
+    # has k <= d - 16 <= k + 1
     exponents = b"".join(
         f"e{d - 1:+03d}".encode().ljust(8, b"\0") for d in range(_K_MIN, _K_MAX + 18)
     )
@@ -118,7 +122,16 @@ def _tables():
     spelled = "".join(t.ljust(WIDTH) for t in spelled).encode()
     templates = offset[np.frombuffer(spelled, np.uint8)].reshape(18 * (_EXP + 1), WIDTH)
 
-    tables = g, ascii4, kept, np.frombuffer(exponents, "<u8"), templates
+    # by token length t, the words that keep bytes 2 to t - 1 of a token
+    byte = np.arange(WIDTH)
+    masks = ((2 <= byte) & (byte < np.arange(WIDTH + 1)[:, None])) * np.uint8(255)
+    masks = masks.astype(np.uint8).view("<u8")
+
+    # after the digit groups, at _FIRST, a row's first word, then those of
+    # the exponents
+    words = np.concatenate([ascii4, np.frombuffer(b".0\0\0" + exponents, "<u4")])
+
+    tables = g, words, kept, templates, masks
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -128,7 +141,9 @@ def _tables():
 # tables live as long as the process, and built in the middle of a large
 # render they would land among its temporaries and keep the heap from
 # shrinking after it.  They take about 5 ms.
-_G, _ASCII4, _KEPT, _EXPONENTS, _TEMPLATES = _tables()
+_G, _WORDS, _KEPT, _TEMPLATES, _MASKS = _tables()
+# "0.", the first two bytes of a token of layout 0-3, as a little-endian word
+_HEAD = np.frombuffer(b"0.".ljust(8, b"\0"), dtype="<u8")[0]
 
 
 # The kernel below keeps few arrays alive at once, updating them in place
@@ -214,7 +229,9 @@ def _digits(bits, g):
     upin = v[1] <= bound
     bound += _U(40)
     short = upin != (bound <= v[2])
-    np.add(sp, _U(10), out=sp, where=~upin)
+    # w' where u' is out of the interval, as a blend: a masked add costs
+    # several times more
+    sp += ~upin * _U(10)
     del upin
     np.left_shift(s, _U(2), out=bound)  # s4
     lower = v[0] < bound + _U(3) - (s & _U(1))
@@ -222,8 +239,41 @@ def _digits(bits, g):
     lower &= v[1] <= bound
     del bound
     s += ~lower
-    np.copyto(s, sp, where=short)
+    # sp where short, blended
+    sp -= s
+    sp *= short
+    s += sp
     return s, k
+
+
+def _shifted(groups, layout, length, dest):
+    """Write into the rows of ``dest`` the tokens of layouts 0-3 from
+    ``groups``, the indices in ``_WORDS`` of each row's first six words,
+    the layouts (int64) and the digit counts; rows of another layout get
+    bytes that are to be overwritten.
+
+    A layout-l token, 0.D... to 0.000D..., is "0.", 3 - l zeros and its
+    digits: the bytes of its row from l + 4 on, the zeros in front of the
+    first digit (at byte 7) and the digits.  So it is the row's first
+    three words shifted right by l + 2 bytes, with its first two bytes set
+    to "0." and those from its length, 5 - l + digits, on cleared.  The
+    row's last word would land past that length, so it is not read."""
+    shift = (layout * 8 + 16).view(np.uint64)
+    length = length - layout
+    length += 5
+    for b in range(0, len(dest), _BLOCK):
+        words = _WORDS.take(groups[:6, b : b + _BLOCK].T).view(np.uint64)
+        token = dest[b : b + _BLOCK].view(np.uint64)
+        # a word at a time: over (rows, 3) arrays numpy's inner loops
+        # would run 3 values long
+        right = shift[b : b + _BLOCK]
+        for j in range(3):
+            np.right_shift(words[:, j], right, out=token[:, j])
+        left = _U(64) - right
+        for j in range(2):
+            token[:, j] |= words[:, j + 1] << left
+        token &= _MASKS.take(length[b : b + _BLOCK], axis=0, mode="clip")
+        token[:, 0] |= _HEAD
 
 
 def _padded(values):
@@ -256,10 +306,10 @@ def table(values) -> np.ndarray:
     chunks = -(-total // CHUNK)
     cuts = [total * i // max(1, chunks) for i in range(chunks + 1)]
     size = -(-total // max(1, chunks))
-    buf = np.empty((min(size, _BLOCK), _ROW // 4), dtype=np.uint32)
-    buf[:, _DOT // 4] = np.frombuffer(b".0\0\0", dtype="<u4")[0]
-    offsets = np.arange(0, len(buf) * _ROW, _ROW)[:, None]
-    index = np.empty((min(size, _GATHER), WIDTH), dtype=np.intp)
+    # the tokens gathered by template, and their indices into the rows
+    gathered = np.empty((min(size, _GATHER), WIDTH), dtype=np.uint8)
+    index = np.empty(gathered.shape, dtype=np.intp)
+    offsets = np.arange(0, len(index) * _ROW, _ROW)[:, None]
     # the kernel's rows, copied into the table by index, or gathered
     # straight into it where every value is normal
     rows = None if normal is None else np.empty((size, WIDTH), dtype=np.uint8)
@@ -280,7 +330,7 @@ def table(values) -> np.ndarray:
     items = out.view(f"V{WIDTH}")[:, 0]
     for lo, hi in zip(cuts, cuts[1:]):
         at = slice(lo, hi) if normal is None else normal[lo:hi]
-        dest = out[at] if normal is None else rows
+        dest = out[at] if normal is None else rows[: len(at)]
         f, d = _digits(bits[at], _G)
         m = len(f)
         # 17 digits, the first at the decimal point position d
@@ -289,49 +339,54 @@ def table(values) -> np.ndarray:
         d += long
         np.multiply(f, _U(10), out=f, where=~long)
         del long
-        # as 1 + 4 x 4 digits
+        # the indices in _WORDS of a row's eight words: its first, the
+        # digits as 1 + 4 x 4, then the two of its exponent
         head = f // _U(10**8)
         f -= head * _U(10**8)
-        groups = np.empty((5, m), dtype=np.uint32)
-        np.floor_divide(head, _U(10**8), out=groups[0])
-        head -= groups[0] * _U(10**8)
-        np.floor_divide(head, _U(10**4), out=groups[1])
-        head -= groups[1] * _U(10**4)
-        groups[2] = head
-        np.floor_divide(f, _U(10**4), out=groups[3])
-        f -= groups[3] * _U(10**4)
-        groups[4] = f
+        groups = np.empty((_ROW // 4, m), dtype=np.uint16)
+        groups[0] = _FIRST
+        np.floor_divide(head, _U(10**8), out=groups[1])
+        head -= groups[1] * _U(10**8)
+        np.floor_divide(head, _U(10**4), out=groups[2])
+        head -= groups[2] * _U(10**4)
+        groups[3] = head
+        np.floor_divide(f, _U(10**4), out=groups[4])
+        f -= groups[4] * _U(10**4)
+        groups[5] = f
         del f, head
-        length = np.take(_KEPT[0], groups[1])
+        # uint16 arithmetic wraps, so 2 d may be negative
+        np.multiply(d, 2, out=groups[6], casting="unsafe")
+        groups[6] += _FIRST + 1 - 2 * _K_MIN
+        np.add(groups[6], 1, out=groups[7])
+        length = np.take(_KEPT[0], groups[2])
         for j in (1, 2, 3):
-            np.maximum(length, np.take(_KEPT[j], groups[j + 1]), out=length)
-        exponent = d - _K_MIN
-        # the layout, d - _D_LO where positional, then the template's row
-        positional = (_D_LO <= d) & (d <= _D_HI)
+            np.maximum(length, np.take(_KEPT[j], groups[j + 2]), out=length)
+        # the layout, d - _D_LO where positional and _EXP elsewhere: d - _D_LO
+        # is negative, so past _EXP as a uint64, or at least _EXP there
         d -= _D_LO
-        np.copyto(d, _EXP, where=~positional)
-        del positional
-        d += length * (_EXP + 1)
-        del length
-        templates = _TEMPLATES.take(d, axis=0)
-        del d
-        # the rows of digits and exponent, then the tokens gathered from
-        # them by template, a block at a time (see _BLOCK)
-        for b in range(0, m, _BLOCK):
-            row = buf[: min(_BLOCK, m - b)]
-            for j in range(5):
-                row[:, j] = _ASCII4.take(groups[j, b : b + _BLOCK])
-            row.view(np.uint64)[:, _EXPONENT // 8] = _EXPONENTS.take(exponent[b : b + _BLOCK])
-            source = row.view(np.uint8).reshape(-1)
+        np.minimum(d.view(np.uint64), _U(_EXP), out=d.view(np.uint64))
+        # rows of a layout past 3 are gathered by template, and so is every
+        # row of a chunk where they are most; the others are shifted
+        rest = np.flatnonzero(d > -_D_LO)
+        whole = 2 * len(rest) > m
+        if whole:
+            rest = slice(None)
+        templates = _TEMPLATES.take(d[rest] + length[rest] * (_EXP + 1), axis=0)
+        if not whole:
+            _shifted(groups, d, length, dest)
+        del d, length
+        for top in range(0, len(templates), _GATHER):
+            these = slice(top, top + _GATHER) if whole else rest[top : top + _GATHER]
+            source = _WORDS.take(groups[:, these].T).view(np.uint8).reshape(-1)
+            g = len(source) // _ROW
+            np.add(offsets[:g], templates[top : top + g], out=index[:g])
             # index is in range, and a mode other than "raise" writes
-            # straight into dest
-            for top in range(0, len(row), _GATHER):
-                end = min(top + _GATHER, len(row))
-                np.add(offsets[top:end], templates[b + top : b + end], out=index[: end - top])
-                source.take(index[: end - top], out=dest[b + top : b + end], mode="clip")
-        del groups, exponent, templates
+            # straight into gathered
+            source.take(index[:g], out=gathered[:g], mode="clip")
+            dest.view(f"V{WIDTH}")[these, 0] = gathered[:g].view(f"V{WIDTH}")[:, 0]
+        del groups, rest, templates
         if normal is not None:
-            items[at] = rows[:m].view(f"V{WIDTH}")[:, 0]
+            items[at] = dest.view(f"V{WIDTH}")[:, 0]
     zero = bits[small] == 0
     out[small[zero], :3] = np.frombuffer(b"0.0", dtype=np.uint8)
     small = small[~zero]

@@ -63,11 +63,12 @@ def conjugate(dec: SpectralDecomposition, sigma) -> np.ndarray:
     # elements are checked in order, each as it would be alone
     with np.errstate(over="ignore", invalid="ignore"):
         gamma = dec.v.T @ stack @ dec.v
+        residual = _residual_with(a, a, 1e-8)
         for g in gamma:
             orth = orthogonality_residual(g)
             if not (orth <= 1e-9 * n):
                 raise StructureError(f"conjugated element lost orthogonality ({orth:.2e})")
-            comm, bound, shift = _residual(a, a, g, 1e-8)
+            comm, bound, shift = residual(g)
             if not (comm <= bound):
                 raise StructureError(
                     f"conjugated element fails to commute ({_unscaled(comm, shift):.2e})"
@@ -213,24 +214,38 @@ def sample_gamma(dec: SpectralDecomposition, seed: int) -> np.ndarray:
     return sample_gammas(dec, [seed])[0]
 
 
+def _residual_with(a, b, tol: float = 0.0):
+    """The function P -> ``_residual(a, b, p, tol)``, bit for bit: A, B and
+    tol are scaled once, and each P on its own, so that many P cost one
+    scaling of A and B."""
+    same = b is a
+    a, b = (np.asarray(x, dtype=float) for x in (a, b))
+    if same:
+        s, a, c = _scaled(a, tol)
+        b = a
+    else:
+        s, a, b, c = _scaled(a, b, tol)
+    # the bound over 2^s, before P's own scale
+    floor = max(c, tol * float(np.linalg.norm(a))) if tol else 0.0
+
+    def residual(p):
+        p = np.asarray(p, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.shape == b.shape == p.shape:
+            raise DimensionError(f"operand shapes disagree: {a.shape}, {b.shape}, {p.shape}")
+        t, p = _scaled(p)
+        bound = _unscaled(floor, -t) if tol else 0.0
+        return float(np.linalg.norm(p @ a - b @ p)), bound, s + t
+
+    return residual
+
+
 def _residual(a, b, p, tol: float = 0.0) -> tuple[float, float, int]:
     """||PA - BP||_F / 2^k, tol * max(1, ||A||_F) / 2^k and k = s + t.
 
     ``spectral._scaled`` divides A, B and tol, the constant term of the
     bound, by one power of two 2^s and P by its own 2^t, so nothing
     overflows where the values do not, nor underflows for a tiny A."""
-    same = b is a
-    a, b, p = (np.asarray(x, dtype=float) for x in (a, b, p))
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.shape == b.shape == p.shape:
-        raise DimensionError(f"operand shapes disagree: {a.shape}, {b.shape}, {p.shape}")
-    t, p = _scaled(p)
-    if same:
-        s, a, c = _scaled(a, tol)
-        b = a
-    else:
-        s, a, b, c = _scaled(a, b, tol)
-    bound = _unscaled(max(c, tol * float(np.linalg.norm(a))), -t) if tol else 0.0
-    return float(np.linalg.norm(p @ a - b @ p)), bound, s + t
+    return _residual_with(a, b, tol)(p)
 
 
 def orthogonality_residual(g) -> float:
@@ -248,6 +263,13 @@ def commutator_residual(a, g) -> float:
     whatever the scales of A and G: ``procrustes.cost(a, a, g)``."""
     comm, _, shift = _residual(a, a, g)
     return _unscaled(comm, shift)
+
+
+def _commutator_residuals(a, gs) -> list[float]:
+    """``commutator_residual(a, g)`` for each G of ``gs``, bit for bit, with
+    A scaled once."""
+    residual = _residual_with(a, a)
+    return [_unscaled(comm, shift) for comm, _, shift in map(residual, gs)]
 
 
 def is_member(dec, g, tol: float = MEMBER_TOL) -> bool:

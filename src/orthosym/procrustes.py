@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, StructureError
-from .isotropy import _chunk, _residual, sample_block_stack
+from .isotropy import _chunk, _residual, _residual_with, sample_block_stack
 # nothing here calls as_sym; it is imported only because perfbench's
 # binding test calls procrustes.as_sym (ROADMAP item 11 retires both)
 from .spectral import SpectralDecomposition, _scaled, _unscaled, as_sym, eig_sym
@@ -94,10 +94,13 @@ def family_sample(a, b, seed: int, count: int) -> list[ProcrustesSolution]:
     # sigma_A of solution i is sample 2i of the stack and sigma_B sample
     # 2i + 1, drawn from one generator in that order, a chunk at a time
     step = max(1, _chunk(da.n) // 2)
+    # each cost is cost(a, b, p), with A and B scaled once
+    residual = _residual_with(a, b)
     out = []
     for lo in range(0, count, step):
         sigma = sample_block_stack(da.multiplicities, [rng] * (2 * min(step, count - lo)))
-        ps = db.v.T @ (sigma[1::2].transpose(0, 2, 1) @ sigma[::2]) @ da.v
-        out += [ProcrustesSolution(p=p, cost=cost(a, b, p), lower_bound=lower) for p in ps]
+        for p in db.v.T @ (sigma[1::2].transpose(0, 2, 1) @ sigma[::2]) @ da.v:
+            r, _, shift = residual(p)
+            out.append(ProcrustesSolution(p=p, cost=_unscaled(r, shift), lower_bound=lower))
     return out
 

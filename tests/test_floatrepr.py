@@ -181,3 +181,52 @@ def test_a_table_of_mostly_zeros(monkeypatch, size, normal):
 
 def test_table_of_nothing():
     assert tokens([]) == []
+
+
+
+def _shape(x):
+    """(digits, d) for repr(x) = 0.D x 10^d with that many significant
+    digits D."""
+    mantissa, _, exponent = repr(x).partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    digits = (whole + fraction).strip("0")
+    if exponent:
+        return len(digits), int(exponent) + 1
+    if whole != "0":
+        return len(digits), len(whole)
+    return len(digits), len(fraction.lstrip("0")) - len(fraction)
+
+
+def _every_layout():
+    # for each digit count 1-17, a value at each positional decimal point
+    # d = -3..16 and four in exponent form, with 2- and 3-digit exponents
+    # of either sign: the first double from a decimal 0.1... of that many
+    # digits up whose repr has them (past a leading 1, doubles are dense
+    # enough that 17 digits are often the shortest)
+    rng = np.random.default_rng(MASTER_SEED + 141)
+    values = []
+    for count in range(1, 18):
+        for d in [*range(-3, 17), -7, 25, -150, 200]:
+            x = float("0.1" + "".join(map(str, rng.integers(1, 10, count - 1))) + f"e{d}")
+            while _shape(x) != (count, d):
+                x = float(np.nextafter(x, np.inf))
+            values.append(x)
+    return np.array(values)
+
+
+@pytest.mark.parametrize("filler", ["positional", "exponent"])
+def test_every_template_matches_float_repr(monkeypatch, filler):
+    # every layout at every digit count through the vector path: with
+    # mostly 0.D... values in the chunk, those are shifted into place and
+    # the rest gathered by template; with mostly other layouts, every row
+    # is gathered by template
+    values = _every_layout()
+    shapes = {(count, d if -3 <= d <= 16 else "e") for count, d in map(_shape, values.tolist())}
+    assert len(shapes) == 17 * 21
+    shifted, shift = [], floatrepr._shifted
+    monkeypatch.setattr(floatrepr, "_shifted", lambda *args: shifted.append(shift(*args)))
+    rng = np.random.default_rng(MASTER_SEED + 142)
+    fill = rng.uniform(1e-4, 1.0, 3 * len(values)) if filler == "positional" else _BASE
+    values = np.concatenate([values, fill])
+    assert tokens(values) == expected(values)
+    assert bool(shifted) == (filler == "positional")

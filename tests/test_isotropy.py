@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from orthosym import dynsys, fixtures
 from orthosym.errors import DimensionError, SizeCapError, StructureError, SymmetryError
 from orthosym.isotropy import (
+    _commutator_residuals,
+    _residual_with,
     commutator_residual,
     conjugate,
     gamma2_elements,
@@ -17,8 +19,10 @@ from orthosym.isotropy import (
     orthogonality_residual,
     sample_block_stack,
     sample_gamma,
+    sample_gammas,
 )
-from orthosym.spectral import align_basis, eig_sym
+from orthosym.procrustes import family_sample
+from orthosym.spectral import _scaled, _unscaled, align_basis, eig_sym
 
 from helpers import (
     MASTER_SEED,
@@ -560,3 +564,38 @@ def test_residuals_of_a_tiny_matrix_are_scaled_up():
     # with G and A, so 2^-s cannot overflow for a tiny G or A
     assert orthogonality_residual(1e-200 * np.eye(2)) == pytest.approx(math.sqrt(2.0), rel=1e-12)
     assert is_member(np.diag([5e-324, 1e-320]), swap)
+
+
+def _residual_per_call(a, b, p, tol=0.0):
+    # the residual as each printed value once took it: P, A and B, and tol
+    # scaled afresh on every call
+    t, p = _scaled(np.asarray(p, dtype=float))
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    s, a, b, c = _scaled(a, b, tol)
+    bound = _unscaled(max(c, tol * float(np.linalg.norm(a))), -t) if tol else 0.0
+    return float(np.linalg.norm(p @ a - b @ p)), bound, s + t
+
+
+@pytest.mark.parametrize("k", [-900, -40, 0, 40, 900])
+@pytest.mark.parametrize("seed", range(3))
+def test_operands_scaled_once_give_the_per_call_residuals_bit_for_bit(seed, k):
+    # procrustes family and isotropy sample scale A (and B) once per
+    # request and each P on its own: every cost, commutator residual and
+    # bound keeps the bits of a residual taken per value, at 2^k A and
+    # 2^-k B as well
+    rng = np.random.default_rng(MASTER_SEED + 140 + seed)
+    a, _ = planted_matrix(rng, [-1.0, 0.5, 0.5, 2.0, 2.0, 3.0])
+    b, _ = planted_matrix(rng, [-1.0, 0.5, 0.5, 2.0, 2.0, 3.0])
+    a, b = np.ldexp(a, k), np.ldexp(b, -k)
+    sols = family_sample(a, b, seed, 7)
+    assert len(sols) == 7
+    for sol in sols:
+        r, _, shift = _residual_per_call(a, b, sol.p)
+        assert sol.cost.hex() == _unscaled(r, shift).hex()
+    gammas = sample_gammas(eig_sym(a), range(seed, seed + 5))
+    want = [_unscaled(r, shift) for r, _, shift in (_residual_per_call(a, a, g) for g in gammas)]
+    assert [x.hex() for x in _commutator_residuals(a, gammas)] == [x.hex() for x in want]
+    residual = _residual_with(a, b, 1e-8)
+    for p in [sol.p for sol in sols] + list(gammas):
+        got, want = residual(p), _residual_per_call(a, b, p, 1e-8)
+        assert (got[0].hex(), got[1].hex(), got[2]) == (want[0].hex(), want[1].hex(), want[2])

@@ -617,17 +617,19 @@ _BLOCK_DIAGONAL[:3, :3] = [[2, 1, 0], [1, 2, 1], [0, 1, 2]]
 _BLOCK_DIAGONAL[3:, 3:] = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
 
 
-@pytest.mark.parametrize(
-    "a",
-    [
-        np.eye(4),
-        np.diag([1.0, 2.0, 2.0, 3.0, 0.0, -1.0]),
-        _BLOCK_DIAGONAL,
-        np.zeros((3, 3)),
-        np.kron(np.eye(3), _BLOCK_DIAGONAL[:3, :3]),
-    ],
-    ids=["eye4", "diag-with-zero", "block-diagonal", "zeros3", "block-diagonal-9"],
-)
+_EXACT_ZEROS = [
+    np.eye(4),
+    np.diag([1.0, 2.0, 2.0, 3.0, 0.0, -1.0]),
+    _BLOCK_DIAGONAL,
+    np.zeros((3, 3)),
+    np.kron(np.eye(3), _BLOCK_DIAGONAL[:3, :3]),
+]
+
+
+_EXACT_ZERO_IDS = ["eye4", "diag-with-zero", "block-diagonal", "zeros3", "block-diagonal-9"]
+
+
+@pytest.mark.parametrize("a", _EXACT_ZEROS, ids=_EXACT_ZERO_IDS)
 def test_cli_isotropy_gamma2_keeps_the_sign_of_exact_zeros(capsys, tmp_path, a):
     # an entry that cancels exactly is +0.0 in element k and in element
     # 2^n - 1 - k alike, so the second half cannot be written as the first
@@ -640,6 +642,58 @@ def test_cli_isotropy_gamma2_keeps_the_sign_of_exact_zeros(capsys, tmp_path, a):
     code, out, err = run_capture(capsys, ["isotropy", "gamma2", "--input", str(path)])
     assert (code, err) == (0, "")
     assert _per_element(out) == _per_element(_gamma2_reference(els, dec.multiplicities))
+
+
+@pytest.mark.parametrize("block", [5, 256])
+@pytest.mark.parametrize(
+    "a",
+    [
+        random_symmetric(np.random.default_rng(MASTER_SEED + 96), 9),
+        random_symmetric(np.random.default_rng(MASTER_SEED + 98), 11),
+        *_EXACT_ZEROS,
+    ],
+    ids=["random-9", "random-11", *_EXACT_ZERO_IDS],
+)
+def test_gamma2_json_computes_the_first_half_and_the_mirrors_of_exact_zeros(monkeypatch, a, block):
+    # element 2^n - 1 - k is element k negated bit for bit, except where an
+    # entry is an exact zero, so only the first half is computed, and the
+    # mirror of each element of it that holds an exact zero, each once;
+    # pieces of 5 elements span both halves
+    dec = spectral.eig_sym(a)
+    count = 2**dec.n
+    els = gamma2_elements(dec)
+    asked = []
+
+    def elements(indices):
+        asked.extend(np.asarray(indices).tolist())
+        return gamma2_elements(dec, indices)
+
+    monkeypatch.setattr(cli, "_GAMMA2_BLOCK", block)
+    got = "".join(cli._gamma2_json(elements, count, dec.multiplicities))
+    assert _per_element(got) == _per_element(_gamma2_reference(els, dec.multiplicities))
+    zeroed = np.flatnonzero((els[: count // 2] == 0.0).any(axis=(1, 2)))
+    want = set(range(count // 2)) | set((count - 1 - zeroed).tolist())
+    if count <= block:
+        # a group of one piece comes from one product
+        want = set(range(count))
+    assert sorted(asked) == sorted(want)
+
+
+@pytest.mark.parametrize("block", [3, 256])
+def test_gamma2_json_writes_five_digit_indices(monkeypatch, block):
+    # n = 14 numbers its elements up to 16383: 2^14 synthetic 1 x 1
+    # elements, the second half the first negated in reverse order, with
+    # zeros of either sign
+    rng = np.random.default_rng(MASTER_SEED + 87)
+    first = rng.choice([0.0, -0.0, 0.25, -1.0, 1 / 3, 1e-7], size=(2**13, 1, 1))
+    second = -first[::-1]
+    zeros = second == 0.0
+    second[zeros] = rng.choice([0.0, -0.0], size=np.count_nonzero(zeros))
+    els = np.concatenate([first, second])
+    monkeypatch.setattr(cli, "_GAMMA2_BLOCK", block)
+    want = _gamma2_reference(els, (1,))
+    assert '"index": 16383}' in want
+    assert _per_element(_rendered(els, (1,))) == _per_element(want)
 
 
 @pytest.fixture(scope="module")
@@ -1394,7 +1448,7 @@ def test_library_rules_reject_non_finite_values():
 def test_json_output_refuses_non_finite_numbers(monkeypatch, capsys, a0_file):
     # RFC 8259 has no NaN or Infinity token: such a result is exit 1 with
     # nothing written, never a file that strict JSON parsers reject
-    monkeypatch.setattr(isotropy, "commutator_residual", lambda a, g: math.inf)
+    monkeypatch.setattr(isotropy, "_commutator_residuals", lambda a, gs: [math.inf] * len(gs))
     argv = ["isotropy", "sample", "--input", a0_file]
     code, out, err = run_capture(capsys, argv)
     assert (code, out) == (1, "")
