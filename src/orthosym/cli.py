@@ -490,7 +490,7 @@ def _cmd_graph(args):
 
         g = graphsym.hidden_symmetry_sample(graph, derive_seed(args.seed, 0))
         perm = graphsym.is_permutation(g)
-        residual = isotropy.commutator_residual(graph.adjacency.astype(float), g)
+        residual = isotropy.commutator_residual(graph.adjacency, g)
         _emit(
             args,
             lambda: {

@@ -25,7 +25,7 @@ from .spectral import SpectralDecomposition, eig_sym, isospectral
 EXACT_SEARCH_MAX_N = 12
 PERMUTATION_TOL = 1e-6
 DEFAULT_AUT_LIMIT = 10000
-# the most vertices an edge list may name: its int64 adjacency is 512 MiB
+# the most vertices an edge list may name: its float64 adjacency is 512 MiB
 MAX_EDGE_LIST_N = 1 << 13
 # the graph search: about how many entries the arrays of one step hold, and
 # how many int32 images (4 MiB) its stack of levels holds
@@ -36,13 +36,14 @@ _HOLD = 1 << 20
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected simple graph stored as a 0/1 adjacency matrix with zero
-    diagonal."""
+    diagonal, held as a read-only float64 array."""
 
     adjacency: np.ndarray
 
     def __post_init__(self):
-        # checked as given and copied once at the end, so that no more than
-        # one n x n int64 array is ever held
+        # the one check of an adjacency matrix; a read-only float64 array
+        # is kept as it is, anything else is copied once, with -0.0 stored
+        # as +0.0 so that LAPACK sees the bits of the integers
         a = np.asarray(self.adjacency)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionError(f"adjacency must be square, got shape {a.shape}")
@@ -52,8 +53,9 @@ class Graph:
             raise StructureError("self-loops are not allowed (nonzero diagonal)")
         if not np.array_equal(a, a.T):
             raise StructureError("adjacency must be symmetric")
-        a = np.array(a, dtype=np.int64)
-        a.setflags(write=False)
+        if a.dtype != np.float64 or a.flags.writeable or np.signbit(a).any():
+            a = np.add(a, 0.0, dtype=np.float64, casting="unsafe")
+            a.setflags(write=False)
         object.__setattr__(self, "adjacency", a)
 
     @classmethod
@@ -70,14 +72,14 @@ class Graph:
             raise SizeCapError(
                 f"vertex index {size - 1} needs {size} vertices; edge lists are capped at {MAX_EDGE_LIST_N}"
             )
-        a = np.zeros((size, size), dtype=np.int8)
+        a = np.zeros((size, size))
         loop = next((e for e in edges if e[0] == e[1]), None)
         if loop is not None:
             raise StructureError(f"self-loop {loop[0]}-{loop[1]} is not allowed")
         if edges:
             u, v = np.array(edges).T
-            a[u, v] = 1
-            a[v, u] = 1
+            a[u, v] = a[v, u] = 1
+        a.setflags(write=False)
         return cls(a)
 
     @property
@@ -307,9 +309,8 @@ def find_isomorphism(ga: Graph, gb: Graph) -> Optional[np.ndarray]:
         return None
     if ga.n > EXACT_SEARCH_MAX_N:
         raise SizeCapError(f"exact isomorphism search capped at n <= {EXACT_SEARCH_MAX_N}")
-    a = ga.adjacency.astype(float)
-    tol = 1e-8 * max(1.0, float(np.linalg.norm(a)))
-    if not isospectral(a, gb.adjacency.astype(float), tol):
+    tol = 1e-8 * max(1.0, float(np.linalg.norm(ga.adjacency)))
+    if not isospectral(ga.adjacency, gb.adjacency, tol):
         return None
     maps = _search_maps(ga.adjacency, gb.adjacency, limit=None, first_only=True)
     if not len(maps):
@@ -348,7 +349,7 @@ def is_permutation(p, tol: float = PERMUTATION_TOL) -> Optional[np.ndarray]:
 
 def adjacency_decomposition(graph: Graph, cluster_tol: float | None = None) -> SpectralDecomposition:
     """Eigendecomposition of the adjacency matrix."""
-    return eig_sym(graph.adjacency.astype(float), cluster_tol=cluster_tol)
+    return eig_sym(graph.adjacency, cluster_tol=cluster_tol)
 
 
 def hidden_symmetry_sample(graph: Graph, seed: int) -> np.ndarray:

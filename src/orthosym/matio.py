@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import InputFormatError
+from .errors import InputFormatError, StructureError
 
 if TYPE_CHECKING:
     from .graphsym import Graph
@@ -95,12 +95,11 @@ def parse_graph(source) -> Graph:
     lines = _lines(_read_text(source))
     if not lines:
         raise InputFormatError("no graph data found (file empty?)")
-    with contextlib.suppress(InputFormatError):
+    # read-only, so that Graph keeps it; a matrix it rejects is an edge list
+    with contextlib.suppress(InputFormatError, StructureError):
         a = _read_matrix(lines)
-        if ((a == 0) | (a == 1)).all() and not a.diagonal().any() and np.array_equal(a, a.T):
-            # the int8 copy replaces the floats before Graph makes its own
-            a = a.astype(np.int8)
-            return Graph(a)
+        a.setflags(write=False)
+        return Graph(a)
     edges = []
     for lineno, line in lines:
         tokens = _tokenize(line)

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DimensionError, StructureError
 from .isotropy import _chunk, _residual, _residual_with, sample_block_stack
 # nothing here calls as_sym; it is imported only because perfbench's
-# binding test calls procrustes.as_sym (ROADMAP item 11 retires both)
+# binding test calls procrustes.as_sym (ROADMAP item 3 retires both)
 from .spectral import SpectralDecomposition, _scaled, _unscaled, as_sym, eig_sym
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DegenerateProbeError, EvaluationError, MembershipError
 from .isotropy import is_member
 # nothing here calls eig_sym; it is imported only because perfbench's
-# binding test requires this module to bind it (ROADMAP item 11)
+# binding test requires this module to bind it (ROADMAP item 3)
 from .spectral import _scaled, _unscaled, as_sym, eig_sym
 
 MEMBERSHIP_TOL = 1e-6  # looser than the group default: the FD Hessian itself

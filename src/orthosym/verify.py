@@ -252,7 +252,7 @@ def _checks():
 
     def graph_hidden():
         g = np.asarray(fixtures.GRAPH_HIDDEN_GAMMA)
-        worst = isotropy.commutator_residual(graph().adjacency.astype(float), g)
+        worst = isotropy.commutator_residual(graph().adjacency, g)
         worst = max(worst, isotropy.orthogonality_residual(g))
         if graphsym.is_permutation(g) is not None:
             return math.inf, 1e-8
@@ -261,8 +261,8 @@ def _checks():
     yield "graph hidden symmetry commutes, not a permutation", graph_hidden, "worst residual"
 
     def graph_isospectral_pair():
-        p3 = graphsym.Graph.from_edges([(0, 1), (1, 2)]).adjacency.astype(float)
-        star = graphsym.Graph.from_edges([(0, 1), (0, 2)]).adjacency.astype(float)
+        p3 = graphsym.Graph.from_edges([(0, 1), (1, 2)]).adjacency
+        star = graphsym.Graph.from_edges([(0, 1), (0, 2)]).adjacency
         if not spectral.isospectral(p3, star, tol=1e-8):
             return math.inf, 1e-8
         return _max_diff(spectral.eig_sym(p3).lambdas, np.array([-sq2, 0.0, sq2])), 1e-8

@@ -6,17 +6,29 @@ avoid the library code paths they are used to check.
 """
 
 import itertools
+import os
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import orthosym
 from orthosym.dynsys import guiding_matrix
 from orthosym.errors import DivergenceError, InputFormatError, LimitExceededError
 from orthosym.graphsym import Graph
 from orthosym.matio import _lines, _tokenize
 
 MASTER_SEED = 20260810
+
+
+def subprocess_env(**overrides):
+    """The environment for a fresh interpreter that imports this checkout's
+    ``orthosym``: its source directory first on PYTHONPATH, then the caller's
+    PYTHONPATH, plus ``overrides``."""
+    src = str(Path(orthosym.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path, **overrides)
 
 
 def format_matrix(a) -> str:

@@ -9,10 +9,8 @@ interpreter for each run.
 
 import contextlib
 import io
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,13 +18,9 @@ import pytest
 import orthosym
 from orthosym import cli, dynsys
 
-from helpers import format_matrix
+from helpers import format_matrix, subprocess_env
 
-SRC = str(Path(orthosym.__file__).resolve().parents[1])
-ENV = dict(
-    os.environ,
-    PYTHONPATH=os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p),
-)
+ENV = subprocess_env()
 
 # what ``import orthosym`` loads: the errors and the spectral primitive
 BASE = {"orthosym", "orthosym.errors", "orthosym.spectral"}

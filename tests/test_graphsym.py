@@ -59,15 +59,32 @@ def test_graph_validation():
         Graph.from_edges([(0, 0)])
 
 
+def test_a_graph_holds_its_adjacency_as_one_read_only_float64_array():
+    # a read-only float64 matrix is kept as it is; anything else is copied
+    # once, and the caller's array stays writable
+    kept = np.array([[0.0, 1.0], [1.0, 0.0]])
+    kept.setflags(write=False)
+    assert Graph(kept).adjacency is kept
+    given = np.array([[0, 1], [1, 0]])
+    stored = Graph(given).adjacency
+    assert stored.dtype == np.float64 and not stored.flags.writeable and given.flags.writeable
+    assert stored.tobytes() == kept.tobytes()
+    # -0.0 is stored as +0.0, writable or not, as the integers' zeros are
+    signed = np.array([[-0.0, 1.0], [1.0, -0.0]])
+    assert Graph(signed).adjacency.tobytes() == kept.tobytes()
+    signed.setflags(write=False)
+    assert Graph(signed).adjacency.tobytes() == kept.tobytes()
+
+
 def test_the_empty_graph_has_an_empty_spectrum():
     graph = Graph(np.zeros((0, 0), dtype=int))
     assert adjacency_decomposition(graph).n == 0
     assert hidden_symmetry_sample(graph, 1).shape == (0, 0)
 
 
-def test_building_a_sparse_graph_holds_one_dense_int64_array():
+def test_building_a_sparse_graph_holds_one_dense_float64_array():
     # a path's edge list is tiny; the dense adjacency it becomes is n^2
-    # int64 entries, and building it may hold little more than that
+    # float64 entries, and building it may hold little more than that
     n = 2000
     edges = [(i, i + 1) for i in range(n - 1)]
     tracemalloc.start()
@@ -76,7 +93,8 @@ def test_building_a_sparse_graph_holds_one_dense_int64_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert g.adjacency.dtype == np.int64 and int(g.adjacency.sum()) == 2 * (n - 1)
+    assert g.adjacency.dtype == np.float64 and int(g.adjacency.sum()) == 2 * (n - 1)
+    assert not g.adjacency.flags.writeable
     assert peak < 1.5 * n * n * 8
 
 

@@ -4,19 +4,16 @@ import hashlib
 import io
 import json
 import math
-import os
 import subprocess
 import sys
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import orthosym
 from orthosym import cli, dynsys, fixtures, isotropy, matio, spectral, stencil, verify
 from orthosym.cli import EXIT_VERIFY, run
 from orthosym.errors import InputFormatError, SizeCapError, StructureError
@@ -30,6 +27,7 @@ from helpers import (
     random_symmetric,
     reference_parse_graph,
     reference_parse_matrix,
+    subprocess_env,
     symmetric_matrices,
 )
 
@@ -442,11 +440,7 @@ def test_cli_isotropy_sample_of_entries_near_1e300(capsys, tmp_path):
 def test_python_m_orthosym_cli_runs_without_a_warning(tmp_path):
     path = tmp_path / "m.txt"
     path.write_text("2 -1 0\n-1 2 -1\n0 -1 2\n")
-    src = str(Path(orthosym.__file__).resolve().parents[1])
-    env = dict(
-        os.environ,
-        PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p),
-    )
+    env = subprocess_env()
     done = subprocess.run(
         [sys.executable, "-W", "error", "-m", "orthosym.cli", "eig", "--input", str(path)],
         env=env,
@@ -709,12 +703,7 @@ def test_cli_isotropy_gamma2_bytes_at_one_and_two_blas_threads(n12_file, threads
     # own interpreter; the reference comes from this one
     dec = spectral.eig_sym(parse_matrix(n12_file))
     want = _gamma2_reference(gamma2_elements(dec), dec.multiplicities).encode()
-    src = str(Path(orthosym.__file__).resolve().parents[1])
-    env = dict(
-        os.environ,
-        PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p),
-        OPENBLAS_NUM_THREADS=threads,
-    )
+    env = subprocess_env(OPENBLAS_NUM_THREADS=threads)
     done = subprocess.run(
         [sys.executable, "-m", "orthosym.cli", "isotropy", "gamma2", "--input", n12_file],
         env=env,
@@ -1000,6 +989,51 @@ def test_cli_graph_refuses_an_edge_list_index_past_the_cap(capsys, tmp_path):
     code, out, err = run_capture(capsys, ["graph", "aut", "--input", str(path)])
     assert (code, out) == (1, "")
     assert err == "error: vertex index 100000000 needs 100000001 vertices; edge lists are capped at 8192\n"
+
+
+def test_cli_graph_on_a_far_edge_list_index_stays_small(tmp_path):
+    # "0 8191" names 8192 vertices: a 512 MiB float64 adjacency, almost all
+    # of it zero pages that are never written, so an n x n copy shows.  The
+    # peak is the child's own (ru_maxrss, in KiB on Linux), which no other
+    # test's subprocess can raise
+    path = tmp_path / "far.txt"
+    path.write_text("0 8191\n")
+    child = (
+        "import resource, sys\n"
+        "from orthosym.cli import run\n"
+        "code = run(sys.argv[1:])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "sys.exit(code)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", child, "graph", "aut", "--input", str(path), "--limit", "0"],
+        env=subprocess_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (1, "error: more than 0 automorphisms found; raise the limit\n")
+    assert int(done.stdout) * 1024 < 400e6
+
+
+def test_negative_zeros_in_an_adjacency_file_change_no_byte(capsys, tmp_path):
+    # C4, whose eigenvalue 0 is double, once with plain zeros and once with
+    # "-0" and "-0.0"
+    plain = "0 1 0 1\n1 0 1 0\n0 1 0 1\n1 0 1 0\n"
+    signed = "-0 1 -0.0 1\n1 -0 1 0\n-0.0 1 -0 1\n1 0 1 -0.0\n"
+    paths = []
+    for name, text in (("plain", plain), ("signed", signed)):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text)
+        paths.append(str(path))
+    assert matio._read_matrix(matio._lines(signed))[0, 0].hex() == "-0x0.0p+0"
+    a, b = (parse_graph(path).adjacency for path in paths)
+    assert a.tobytes() == b.tobytes() and not np.signbit(b).any()
+    for action, *more in (["spectrum"], ["aut"], ["hidden", "--seed", "3"]):
+        plain_run, signed_run = (
+            run_capture(capsys, ["graph", action, "--input", path, *more]) for path in paths
+        )
+        assert plain_run[0] == 0 and plain_run == signed_run
 
 
 def test_parse_graph_holds_no_token_per_entry():

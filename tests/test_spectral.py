@@ -1,10 +1,8 @@
 import dataclasses
-import os
 import re
 import subprocess
 import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-import orthosym
 from orthosym import dynsys, fixtures, graphsym, procrustes, spectral, stencil
 from orthosym.cli import EXIT_NUMERICAL, run
 from orthosym.errors import ConvergenceError, DimensionError, SymmetryError
@@ -32,6 +29,7 @@ from helpers import (
     haar_orthogonal,
     planted_matrix,
     random_symmetric,
+    subprocess_env,
     symmetric_matrices,
 )
 
@@ -476,16 +474,9 @@ print(dec.v.tobytes().hex(), dec.lambdas.tobytes().hex())
 
 
 def test_decomposition_id_does_not_depend_on_blas_threads():
-    src = str(Path(orthosym.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     ids = []
     for threads in ("1", "2"):
-        env = dict(
-            os.environ,
-            OPENBLAS_NUM_THREADS=threads,
-            OMP_NUM_THREADS=threads,
-            PYTHONPATH=path,
-        )
+        env = subprocess_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         out = subprocess.run(
             [sys.executable, "-c", _DECOMPOSE_128],
             env=env,
