@@ -1,9 +1,11 @@
 """Graph symmetry analysis through the adjacency matrix.
 
 Automorphisms are the permutation matrices commuting with the adjacency
-matrix; they are found by exact integer backtracking.  A vertex map is a
-read-only 1-D int32 array ``m``, vertex i going to ``m[i]``; its matrix P,
-with P A P^T = A for an automorphism, is ``p[m, np.arange(n)] = 1``.
+matrix; they are found by exact integer backtracking, whose integers are
+held in float64 where a search step takes a BLAS product: all stay below
+2^53, so every sum is exact.  A vertex map is a read-only 1-D int32 array
+``m``, vertex i going to ``m[i]``; its matrix P, with P A P^T = A for an
+automorphism, is ``p[m, np.arange(n)] = 1``.
 Because the adjacency matrix is symmetric, a graph also carries a
 continuous orthogonal symmetry group, which usually contains far more than
 the permutations: even a graph with trivial automorphism group has "hidden"
@@ -31,6 +33,10 @@ MAX_EDGE_LIST_N = 1 << 13
 # how many int32 images (4 MiB) its stack of levels holds
 _BATCH = 1 << 16
 _HOLD = 1 << 20
+# up to this many vertices a search step tests its candidates with one BLAS
+# product; above it, where that product does O(n / degree) more work than
+# the neighbour gather, with the gather
+_DENSE_N = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,17 +49,20 @@ class Graph:
     def __post_init__(self):
         # the one check of an adjacency matrix; a read-only float64 array
         # is kept as it is, anything else is copied once, with -0.0 stored
-        # as +0.0 so that LAPACK sees the bits of the integers
+        # as +0.0 so that LAPACK sees the bits of the integers.  Each check
+        # runs over blocks of about _BATCH entries, never an n x n mask
         a = np.asarray(self.adjacency)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionError(f"adjacency must be square, got shape {a.shape}")
-        if not ((a == 0) | (a == 1)).all():
+        step = max(1, _BATCH // max(1, len(a)))
+        blocks = [slice(lo, lo + step) for lo in range(0, len(a), step)]
+        if not all(((a[r] == 0) | (a[r] == 1)).all() for r in blocks):
             raise StructureError("adjacency entries must be 0 or 1")
         if np.any(np.diag(a) != 0):
             raise StructureError("self-loops are not allowed (nonzero diagonal)")
-        if not np.array_equal(a, a.T):
+        if not all(np.array_equal(a[r], a[:, r].T) for r in blocks):
             raise StructureError("adjacency must be symmetric")
-        if a.dtype != np.float64 or a.flags.writeable or np.signbit(a).any():
+        if a.dtype != np.float64 or a.flags.writeable or any(np.signbit(a[r]).any() for r in blocks):
             a = np.add(a, 0.0, dtype=np.float64, casting="unsafe")
             a.setflags(write=False)
         object.__setattr__(self, "adjacency", a)
@@ -87,8 +96,9 @@ class Graph:
         return self.adjacency.shape[0]
 
     def edges(self) -> list[tuple[int, int]]:
-        iu, ju = np.nonzero(np.triu(self.adjacency))
-        return [(int(u), int(v)) for u, v in zip(iu, ju)]
+        iu, ju = np.nonzero(self.adjacency)
+        upper = iu < ju
+        return list(zip(iu[upper].tolist(), ju[upper].tolist()))
 
 
 def _signatures(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
@@ -121,6 +131,16 @@ def _search_maps(a: np.ndarray, b: np.ndarray, limit: int | None, first_only: bo
     order[pos], and has no other placed image as a neighbour.  Exact
     integer arithmetic throughout.
 
+    Up to ``_DENSE_N`` vertices a step tests its candidates with one BLAS
+    product: each parent writes a weight per placed image into a row of
+    ``mark`` (1 for the images of earlier neighbours, n for the others),
+    and ``mark @ table``, whose column j is ``b[:, cand[j]]`` with n^2 at
+    row ``cand[j]``, is the number of earlier neighbours exactly where the
+    candidate fits.  Its integers stay below n^3 <= 2^18, exact in float64
+    under any BLAS kernel and summation order.  Above ``_DENSE_N``, where
+    that product does O(n / degree) more work, a step gathers the
+    candidates' neighbours from the edge lists and sums the marks there.
+
     Every leaf agrees on the forced positions, and the branching positions
     keep their order among themselves, so the leaves and their order are
     those of placing every vertex in order of descending degree.  A graph
@@ -143,7 +163,11 @@ def _search_maps(a: np.ndarray, b: np.ndarray, limit: int | None, first_only: bo
     O(1) levels for a chain-shaped tree such as a long path's.  A step
     expands about ``_BATCH // max(n, class size * degree)`` rows, so its
     arrays hold O(max(_BATCH, n, edges of b)) entries, and the prefix check
-    O(n + edges)."""
+    O(n + edges).  Up to ``_DENSE_N`` vertices the dense tables hold at
+    most n^2 floats (the classes are disjoint), the weight rows n^2 more,
+    and a step expands ``_BATCH // (n + class size)`` rows, so that its
+    (rows, n) mark and (rows, class size) product hold at most ``_BATCH``
+    floats together."""
     n = a.shape[0]
     cols_a, ptr_a, sig_a = _signatures(a)
     cols_b, ptr_b, sig_b = (cols_a, ptr_a, sig_a) if b is a else _signatures(b)
@@ -164,34 +188,51 @@ def _search_maps(a: np.ndarray, b: np.ndarray, limit: int | None, first_only: bo
         return np.empty((0, n), dtype=np.int32)
     rank = np.empty(n, dtype=np.intp)
     rank[order] = np.arange(n)
-    # earlier[pos - f]: the positions j < pos adjacent in ``a`` to
-    # order[pos], for the branching positions pos >= f
-    src = rank[np.repeat(np.arange(n), deg_a)]
-    dst = rank[cols_a]
-    back = (dst < src) & (src >= f)
-    src, dst = src[back] - f, dst[back]
-    bounds = np.cumsum(np.bincount(src, minlength=n - f))[:-1]
-    earlier = np.split(dst[np.argsort(src, kind="stable")], bounds)
-    # per class of a branching vertex: its vertices, and their neighbours
-    # as one (degree, size) table, since the signature fixes the degree
+    dense = n <= _DENSE_N
+    if dense:
+        # near[pos, :pos], the weight row of position pos: 1 for each
+        # earlier position adjacent in ``a`` to order[pos], n for the others
+        adjacent = a[np.ix_(order, order)] != 0
+        near = np.where(adjacent, 1.0, float(n))
+    else:
+        # earlier[pos - f]: the positions j < pos adjacent in ``a`` to
+        # order[pos], for the branching positions pos >= f
+        src = rank[np.repeat(np.arange(n), deg_a)]
+        dst = rank[cols_a]
+        back = (dst < src) & (src >= f)
+        src, dst = src[back] - f, dst[back]
+        bounds = np.cumsum(np.bincount(src, minlength=n - f))[:-1]
+        earlier = np.split(dst[np.argsort(src, kind="stable")], bounds)
+    # per class of a branching vertex: its vertices, and either one float64
+    # (n, size) table whose column j is b[:, cand[j]] with n^2 at row
+    # cand[j], or their neighbours as one (degree, size) table, since the
+    # signature fixes the degree
     tables = {}
     steps = []
     for pos, v in enumerate(order[f:].tolist(), start=f):
         sig = sig_a[v]
         if sig not in tables:
             cand = np.array(classes[v], dtype=np.int32)
-            tables[sig] = (cand, cols_b[ptr_b[cand] + np.arange(sig[0])[:, None]])
-        cand, nbrs = tables[sig]
+            if dense:
+                table = np.array(b[:, cand], dtype=np.float64)
+                table[cand, np.arange(len(cand))] = n * n
+            else:
+                table = cols_b[ptr_b[cand] + np.arange(sig[0])[:, None]]
+            tables[sig] = (cand, table)
+        cand, table = tables[sig]
         # how many maps one step expands, and how many children it keeps
         keep = max(1, _HOLD // (n * (pos + 1)))
-        width = min(keep, max(1, _BATCH // max(n, nbrs.size)))
-        steps.append((cand, nbrs, earlier[pos - f], width, keep))
+        width = min(keep, max(1, _BATCH // (n + len(cand) if dense else max(n, table.size))))
+        e = near[pos, :pos] if dense else earlier[pos - f]
+        need = int(np.count_nonzero(adjacent[pos, :pos])) if dense else len(e)
+        steps.append((cand, table, e, need, width, keep))
 
     found: list[np.ndarray] = []
     count = 0
-    rows = np.arange(max((step[3] for step in steps), default=1))[:, None]
-    # a placed image weighs 1 if it is that of a position in e and n if
-    # not, so a sum over the at most n - 1 neighbours of w stays below n^2
+    rows = np.arange(max((step[4] for step in steps), default=1))[:, None]
+    # the gather's integer type: a placed image weighs 1 if it is that of a
+    # position in e and n if not, so a sum over the at most n - 1
+    # neighbours of w stays below n^2
     total = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
     levels = [[prefix[None], 0]]  # [maps, next (map, candidate) pair]
     while levels:
@@ -211,21 +252,33 @@ def _search_maps(a: np.ndarray, b: np.ndarray, limit: int | None, first_only: bo
             if first_only:
                 break
             continue
-        cand, nbrs, e, width, keep = steps[pos - f]
+        cand, table, e, need, width, keep = steps[pos - f]
         size = len(cand)
         first, skip = divmod(start, size)
         parents = maps[first : first + width]
         k = len(parents)
-        # per parent and vertex of b: 1 for the image of a position in e, n
-        # for any other placed image, 0 if unplaced; so the sum over the
-        # neighbours of w is len(e) iff w is adjacent to every image of e
-        # and to no other placed image
-        weight = np.full(pos, n, dtype=total)
-        weight[e] = 1
-        mark = np.zeros((k, n), dtype=total)
-        mark[rows[:k], parents] = weight
-        ok = mark[:, nbrs].sum(axis=1, dtype=total) == len(e)
-        ok &= mark[:, cand] == 0
+        if dense:
+            # e is the weight row of this position: (mark @ table)[r, c]
+            # sums the weights of the placed neighbours of cand[c], plus
+            # n^2 times its own weight if it is placed.  It is ``need``, the
+            # number of 1s in e, iff cand[c] is unused, is adjacent to the
+            # image of every earlier neighbour and to no other placed
+            # image.  Integers below n^3 <= 2^18: exact in float64 under
+            # any summation order
+            mark = np.zeros((k, n))
+            mark.ravel()[rows[:k] * n + parents] = e
+            ok = (mark @ table) == need
+        else:
+            # per parent and vertex of b: 1 for the image of a position in
+            # e, n for any other placed image, 0 if unplaced; so the sum
+            # over the neighbours of w is len(e) iff w is adjacent to every
+            # image of e and to no other placed image
+            weight = np.full(pos, n, dtype=total)
+            weight[e] = 1
+            mark = np.zeros((k, n), dtype=total)
+            mark[rows[:k], parents] = weight
+            ok = mark[:, table].sum(axis=1, dtype=total) == need
+            ok &= mark[:, cand] == 0
         if skip:
             ok[0, :skip] = False  # tried by the previous step
         # (parent, candidate) pairs, numbered from the first parent
@@ -239,7 +292,7 @@ def _search_maps(a: np.ndarray, b: np.ndarray, limit: int | None, first_only: bo
             levels.pop()
         if len(hits):
             parent, w = np.divmod(hits, size)
-            levels.append([np.concatenate((parents[parent], cand[w][:, None]), axis=1), 0])
+            levels.append([np.concatenate((np.take(parents, parent, axis=0), cand[w][:, None]), axis=1), 0])
     return np.concatenate(found) if found else np.empty((0, n), dtype=np.int32)
 
 

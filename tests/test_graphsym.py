@@ -1,6 +1,9 @@
 import math
 import signal
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +22,14 @@ from orthosym.graphsym import (
 )
 from orthosym.isotropy import commutator_residual, is_member
 
-from helpers import MASTER_SEED, brute_force_isomorphisms, forced_vertices, random_cubic, scalar_search_maps
+from helpers import (
+    MASTER_SEED,
+    brute_force_isomorphisms,
+    forced_vertices,
+    random_cubic,
+    scalar_search_maps,
+    subprocess_env,
+)
 
 PATH3 = Graph.from_edges([(0, 1), (1, 2)])
 K4 = Graph.from_edges([(i, j) for i in range(4) for j in range(i + 1, 4)])
@@ -113,6 +123,66 @@ def test_graph_from_edges():
     assert g.n == 4
     assert g.edges() == [(0, 1), (1, 2)]
     assert [degree for degree, _ in graphsym._signatures(g.adjacency)[2]] == [1, 2, 1, 0]
+
+
+def test_blocked_checks_raise_in_the_order_of_whole_matrix_checks():
+    # at n = 300 the checks run over two row blocks; a fault in the second
+    # block is still found before a later kind of fault in the first
+    n = 300
+    assert n * n > graphsym._BATCH
+    a = np.zeros((n, n))
+    a[0, 5] = 1  # asymmetric, in the first block
+    a[n - 1, 3] = 2
+    with pytest.raises(StructureError, match="adjacency entries must be 0 or 1"):
+        Graph(a)
+    a[n - 1, 3] = 0
+    a[n - 1, n - 1] = 1
+    with pytest.raises(StructureError, match="self-loops are not allowed"):
+        Graph(a)
+    a[n - 1, n - 1] = 0
+    with pytest.raises(StructureError, match="adjacency must be symmetric"):
+        Graph(a)
+
+
+def test_edges_lists_the_upper_triangle_in_row_major_order():
+    rng = np.random.default_rng(MASTER_SEED + 92)
+    for n, p in [(0, 0.5), (1, 0.5), (2, 1.0), (9, 0.4), (30, 0.1), (40, 0.9)]:
+        a = random_graph(rng, n, p).adjacency
+        assert Graph(a).edges() == [(u, v) for u in range(n) for v in range(u + 1, n) if a[u, v]]
+
+
+def test_edges_of_a_sparse_graph_hold_no_n_by_n_copy():
+    # before: np.triu copied the 128 MiB adjacency of this 4096-vertex graph
+    g = Graph.from_edges([(0, 1), (7, 4095)])
+    tracemalloc.start()
+    try:
+        edges = g.edges()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert edges == [(0, 1), (7, 4095)]
+    assert peak < 2**16
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the peak from /proc")
+def test_checking_a_far_edge_list_index_holds_no_n_by_n_mask():
+    # "0 8191" names 8192 vertices: a 512 MiB float64 adjacency, almost all
+    # of it zero pages that are never written.  Before, each of the checks
+    # built an 8192 x 8192 bool mask and the child peaked at 157 MiB.  The
+    # peak is VmHWM, that of the child's own address space: on Linux its
+    # ru_maxrss starts at the peak of the process that spawned it
+    child = (
+        "from orthosym.graphsym import Graph\n"
+        "g = Graph.from_edges([(0, 8191)])\n"
+        "assert g.n == 8192 and g.edges() == [(0, 8191)]\n"
+        "status = open('/proc/self/status').read().split('VmHWM:')[1]\n"
+        "print(int(status.split()[0]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", child], env=subprocess_env(), capture_output=True, text=True, timeout=120
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert int(done.stdout) * 1024 < 64 * 2**20
 
 
 def test_path_graph_automorphisms():
@@ -229,16 +299,24 @@ def search_partners(a, rng_perm, toggle):
     return partners
 
 
+# the two ways a search step tests its candidates: the product with a dense
+# table up to _DENSE_N vertices, and the neighbour gather forced by a bound of 0
+KERNELS = pytest.mark.parametrize("dense_n", [graphsym._DENSE_N, 0], ids=["product", "gather"])
+
+
+@KERNELS
 @settings(max_examples=60, deadline=None)
 @given(case=relabelled_graphs(max_n=12), data=st.data())
-def test_batched_search_matches_the_one_map_at_a_time_oracle(case, data):
+def test_batched_search_matches_the_one_map_at_a_time_oracle(dense_n, case, data):
     g, perm = case
     a = g.adjacency
     toggle = data.draw(st.permutations(range(g.n)))[:2]
     # a full listing is bounded only at small n, where n! stays small
     limits = (None, 0, 3) if g.n <= 7 else (0, 3, 1000)
-    for b in search_partners(a, perm, toggle):
-        assert_search_matches_the_oracle(a, b, limits)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graphsym, "_DENSE_N", dense_n)
+        for b in search_partners(a, perm, toggle):
+            assert_search_matches_the_oracle(a, b, limits)
 
 
 def petersen():
@@ -291,8 +369,9 @@ def search_counting_children(monkeypatch, a, b):
         monkeypatch.setattr(np, "concatenate", concatenate)
 
 
+@KERNELS
 @pytest.mark.parametrize("name", ["C6", "Q3", "petersen", "cubic12", "asymmetric", "gnp20", "gnp30", "gnp40"])
-def test_batched_search_visits_the_same_tree(monkeypatch, name):
+def test_batched_search_visits_the_same_tree(monkeypatch, name, dense_n):
     # node for node: below the prefix of forced vertices, the batched search
     # creates exactly the partial maps that placing one image at a time, in
     # its order, visits (fewer only when a vertex has no candidate image at
@@ -312,6 +391,7 @@ def test_batched_search_visits_the_same_tree(monkeypatch, name):
         "gnp30": Graph(gnp(np.random.default_rng(MASTER_SEED + 49), 30)),
         "gnp40": Graph(gnp(np.random.default_rng(MASTER_SEED + 91), 40)),
     }
+    monkeypatch.setattr(graphsym, "_DENSE_N", dense_n)
     a = graphs[name].adjacency
     rng = np.random.default_rng(MASTER_SEED + 34)
     partners = search_partners(a, rng.permutation(len(a)), rng.permutation(len(a))[:2])
@@ -353,6 +433,28 @@ def test_two_vertices_forced_onto_one_image_give_no_map(monkeypatch):
     got, created = search_counting_children(monkeypatch, c6, chord)
     assert got.shape == (0, 6) and created == []
     assert brute_force_isomorphisms(chord, c6) == []
+
+
+@pytest.mark.parametrize("n", [graphsym._DENSE_N, graphsym._DENSE_N + 1])
+def test_cycles_and_paths_at_the_kernel_threshold_have_their_closed_forms(n):
+    # C_n has the 2n dihedral maps i -> s + i and i -> s - i (mod n), P_n
+    # the identity and the reversal; n = _DENSE_N is the largest graph
+    # searched by the product, n = _DENSE_N + 1 the smallest by the gather
+    cycle = Graph.from_edges([(i, (i + 1) % n) for i in range(n)])
+    path = Graph.from_edges([(i, i + 1) for i in range(n - 1)])
+    i = np.arange(n)
+    dihedral = sorted(((s + sign * i) % n).tolist() for s in range(n) for sign in (1, -1))
+    tracemalloc.start()
+    try:
+        auts = automorphisms(cycle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert auts.tolist() == dihedral
+    assert automorphisms(path).tolist() == [i.tolist(), i[::-1].tolist()]
+    # the product's table, the weight rows and their reordered copy are n^2
+    # floats each, and a step's mark and product at most _BATCH
+    assert peak < 8 * (3 * n * n + graphsym._BATCH)
 
 
 def test_search_on_a_long_path_holds_less_than_n_squared_bytes():
